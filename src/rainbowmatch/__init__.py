@@ -10,8 +10,8 @@ from .errors import (InputError, PreconditionError, RainbowError,
 from .extremal import (ekr_star, f_large_n, f_r2, g_formula, r3_counterexample,
                        star_family, steal_family)
 from .instances import Instance, parse_instance, serialize_instance
-from .shifting import (FamilyShiftStep, ShiftLog, ShiftStep, is_shifted,
-                       pullback_rainbow, shift_hypergraph, shifted_closure)
+from .shifting import (ShiftLog, ShiftStep, is_shifted, pullback_rainbow,
+                       shift_hypergraph, shifted_closure)
 from .solvers import (AlgoTrace, DegreeMatrix, HallCheck, StepRecord,
                       check_hall_condition, greedy_bipartite,
                       hall_size_algorithm, large_n_procedure, meshulam_r2,
@@ -23,7 +23,7 @@ from .verify import (ConjectureId, MatrixCheck, VerifyReport,
 
 __all__ = [
     "AlgoTrace", "ConjectureId", "DegreeMatrix", "Edge", "Family",
-    "FamilyShiftStep", "GENERAL", "GroundSet", "HallCheck", "Hypergraph",
+    "GENERAL", "GroundSet", "HallCheck", "Hypergraph",
     "InputError", "Instance", "MatrixCheck", "PARTITE", "PreconditionError",
     "RainbowError", "RainbowMatching", "ShiftLog", "ShiftStep", "StepRecord",
     "TheoremViolationError", "VerifyReport", "check_conjecture",

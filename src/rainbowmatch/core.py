@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -51,6 +52,11 @@ class GroundSet:
         else:
             yield from itertools.combinations(range(self.n), self.r)
 
+    @cached_property
+    def index(self) -> "CellIndex":
+        """The cell index of this ground, built on first use and then kept."""
+        return CellIndex(self)
+
     def check_edge(self, edge: Sequence[int]) -> Edge:
         e = tuple(edge)
         if len(e) != self.r:
@@ -62,6 +68,148 @@ class GroundSet:
         return e
 
 
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    if mask.bit_count() < 8:
+        # a few bits are peeled off one by one rather than spelling out every
+        # digit of what may be a long int
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _repeat(block: int, period: int, length: int) -> int:
+    """block repeated every period bits up to length bits; block must fit in
+    period bits and length must be a multiple of period."""
+    while period < length:
+        block |= block << period
+        period *= 2
+    return block & ((1 << length) - 1)
+
+
+class CellIndex:
+    """Lexicographic numbering of a ground's cells. An edge set becomes an int
+    mask with bit i set iff cell(i) is an edge, and bit order is sorted edge
+    order.
+
+    A partite cell's position is its vertices read as base-n digits. So the
+    partite index keeps the n^(r-1) cells of the last r-1 sides with their
+    positions, and just r masks of cell_count bits: side s's cells with
+    vertex 0 there, which shift left by v*n^(r-1-s) to side s's cells with
+    vertex v. That is O(cell_count/n) entries plus r*cell_count bits. A
+    general index keeps the cell tuple, a position map, each cell's vertex
+    set and one mask per vertex: O(cell_count) entries plus n*cell_count
+    bits. The full cell tuple of a partite index is only listed when asked
+    for (the random samplers draw from it).
+    """
+
+    __slots__ = ("_ground", "_n", "_partite", "_cells", "_pos", "_stride", "_zero",
+                 "_tail", "_tail_pos", "_sets", "_by_set", "_vertex")
+
+    def __init__(self, ground: GroundSet):
+        self._ground = ground
+        n, r = ground.n, ground.r
+        self._n = n
+        self._partite = ground.kind == PARTITE
+        if self._partite:
+            self._cells = None
+            self._stride = tuple(n ** (r - 1 - s) for s in range(r))
+            self._zero = tuple(_repeat((1 << t) - 1, n * t, ground.cell_count)
+                               for t in self._stride)
+            self._tail = tuple(itertools.product(range(n), repeat=r - 1))
+            self._tail_pos = dict(zip(self._tail, itertools.count()))
+            return
+        self._cells = tuple(ground.cells())
+        self._pos = dict(zip(self._cells, itertools.count()))
+        # a general cell is also keyed by its vertex set as a mask, so that
+        # replacing one vertex is two XORs and a lookup
+        self._sets = tuple(map(sum, itertools.combinations([1 << v for v in range(n)], r)))
+        self._by_set = dict(zip(self._sets, itertools.count()))
+        rows = [bytearray((len(self._cells) + 7) // 8) for _ in range(n)]
+        for i, e in enumerate(self._cells):
+            for v in e:
+                rows[v][i >> 3] |= 1 << (i & 7)
+        self._vertex = tuple(int.from_bytes(row, "little") for row in rows)
+
+    @property
+    def cells(self) -> tuple[Edge, ...]:
+        """Every cell, in position order."""
+        if self._cells is None:
+            self._cells = tuple(self._ground.cells())
+        return self._cells
+
+    def position(self, edge: Edge) -> int:
+        if self._partite:
+            return edge[0] * self._stride[0] + self._tail_pos[edge[1:]]
+        return self._pos[edge]
+
+    def cell(self, i: int) -> Edge:
+        if self._partite:
+            head = self._stride[0]
+            return (i // head,) + self._tail[i % head]
+        return self._cells[i]
+
+    def mask(self, edges: Iterable[Edge]) -> int:
+        row = bytearray((self._ground.cell_count + 7) // 8)
+        for i in map(self.position, edges):
+            row[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(row, "little")
+
+    def edges(self, mask: int) -> tuple[Edge, ...]:
+        """The cells of a mask's set bits, in position order."""
+        return tuple(map(self.cell, bits(mask)))
+
+    def has(self, i: int, side: int | None, v: int) -> bool:
+        """True iff cell i has vertex v (on the given side if partite)."""
+        if side is not None:
+            return i // self._stride[side] % self._n == v
+        return bool(self._sets[i] >> v & 1)
+
+    def replace(self, i: int, side: int | None, old: int, new: int) -> int | None:
+        """Position of cell i with vertex old replaced by new (on the given
+        side if partite), or None if that is no cell. Cell i must hold old."""
+        if side is not None:
+            return i + (new - old) * self._stride[side]
+        return self._by_set.get(self._sets[i] ^ (1 << old | 1 << new))
+
+    def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
+        """The shift y -> x of an edge mask, as (origins, images): the edges
+        that move and the edges they become. Every edge holding y (on the
+        side, if partite) but not x moves unless its image is already an
+        edge; mask ^ origins ^ images is the shifted mask."""
+        if side is not None:
+            t = self._stride[side]
+            images = (((mask >> y * t) & self._zero[side]) << x * t) & ~mask
+            return images << (y - x) * t, images
+        sets, by_set, flip = self._sets, self._by_set, 1 << x | 1 << y
+        origins = images = 0
+        for i in bits(mask & self._vertex[y] & ~self._vertex[x]):
+            j = by_set[sets[i] ^ flip]
+            if not mask >> j & 1:
+                origins |= 1 << i
+                images |= 1 << j
+        return origins, images
+
+    def origins(self, images: int, side: int | None, x: int, y: int) -> int:
+        """The origins of a mask of images of the shift y -> x."""
+        if side is not None:
+            return images << ((y - x) * self._stride[side])
+        out = 0
+        for j in bits(images):
+            out |= 1 << self.replace(j, None, x, y)
+        return out
+
+
 def edge_vertices(ground: GroundSet, edge: Edge) -> tuple:
     """Vertex keys of an edge: (side, index) pairs if partite, bare indices else."""
     if ground.kind == PARTITE:
@@ -70,9 +218,13 @@ def edge_vertices(ground: GroundSet, edge: Edge) -> tuple:
 
 
 class Hypergraph:
-    """An immutable edge set with O(1) membership and sorted iteration."""
+    """An immutable edge set with O(1) membership and sorted iteration.
 
-    __slots__ = ("ground", "edges", "_edge_set")
+    The edges are held as a sorted tuple, as an int mask over ground.index,
+    or both: each form is derived from the other on first use, so a chain of
+    shifts never decodes its intermediate masks."""
+
+    __slots__ = ("ground", "_edges", "_edge_set", "_mask")
 
     def __init__(self, ground: GroundSet, edges: Iterable[Sequence[int]]):
         checked = [ground.check_edge(e) for e in edges]
@@ -80,24 +232,57 @@ class Hypergraph:
         if len(edge_set) != len(checked):
             raise InputError("duplicate edges in hypergraph")
         self.ground = ground
-        self.edges = tuple(sorted(edge_set))
+        self._edges = tuple(sorted(edge_set))
         self._edge_set = edge_set
+        self._mask = None
+
+    @classmethod
+    def _from_mask(cls, ground: GroundSet, mask: int) -> "Hypergraph":
+        """Trusted constructor: the edges of a mask over ground.index, which
+        are valid and distinct by construction."""
+        h = cls.__new__(cls)
+        h.ground = ground
+        h._edges = h._edge_set = None
+        h._mask = mask
+        return h
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = self.ground.index.edges(self._mask)
+        return self._edges
+
+    @property
+    def mask(self) -> int:
+        """The edge set as an int mask over ground.index (which this builds
+        on first use)."""
+        if self._mask is None:
+            self._mask = self.ground.index.mask(self._edges)
+        return self._mask
+
+    def _frozen(self) -> frozenset[Edge]:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
+        return self._edge_set
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._edges) if self._edges is not None else self._mask.bit_count()
 
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
     def __contains__(self, edge) -> bool:
-        return tuple(edge) in self._edge_set
+        return tuple(edge) in self._frozen()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Hypergraph)
-                and self.ground == other.ground and self._edge_set == other._edge_set)
+        if not isinstance(other, Hypergraph) or self.ground != other.ground:
+            return False
+        if self._mask is not None and other._mask is not None:
+            return self._mask == other._mask
+        return self._frozen() == other._frozen()
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._edge_set))
+        return hash((self.ground, self._frozen()))
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.ground.kind}, r={self.ground.r}, n={self.ground.n}, {len(self)} edges)"

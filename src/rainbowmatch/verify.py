@@ -4,6 +4,7 @@ search."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -232,7 +233,7 @@ def _matrix_concl(family: Family) -> bool:
 
 
 def _sample_member(rng: random.Random, ground: GroundSet, size: int) -> Hypergraph:
-    return Hypergraph(ground, rng.sample(list(ground.cells()), size))
+    return Hypergraph(ground, rng.sample(ground.index.cells, size))
 
 
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
@@ -250,7 +251,7 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
     if min_size > max_size:
         raise InputError(
             f"no bipartite graph with max degree {d} has more than {max_size} edges")
-    cells = list(ground.cells())
+    cells = list(ground.index.cells)  # a copy: it is shuffled
     for _ in range(200):
         target = rng.randint(min_size, max_size)
         rng.shuffle(cells)
@@ -362,6 +363,8 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
     hypothesis-satisfying samples. Counterexamples are embedded as instances.
     """
     conjecture = ConjectureId(conjecture)
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     checker = _make_checker(conjecture, params)
     start = time.perf_counter()
     if mode == "exhaustive":
@@ -424,11 +427,17 @@ def _run_shard(args: tuple) -> tuple[int, list[tuple[int, dict]]]:
     return count, counters
 
 
+def _pool_size(workers: int, shards: int) -> int:
+    """Worker processes worth starting: no more than the CPUs or the shards."""
+    return min(workers, os.cpu_count() or 1, shards)
+
+
 def _run_random(conjecture: ConjectureId, params: dict, budget: int,
                 seed: int, workers: int) -> tuple[int, list[dict]]:
     shards = [(conjecture.value, params, seed, s, c) for s, c in _shard_spans(budget)]
-    if workers > 1 and len(shards) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    size = _pool_size(workers, len(shards))
+    if size > 1:
+        with ProcessPoolExecutor(max_workers=size) as pool:
             results = list(pool.map(_run_shard, shards))
     else:
         results = [_run_shard(s) for s in shards]

@@ -67,8 +67,8 @@ class TestParseInstance:
 
     def test_fixture_corpus_round_trips(self):
         for path in sorted(FIXTURES.glob("*.json")):
-            if path.name.startswith("verify_"):
-                continue  # a report fixture, not an instance
+            if path.name.startswith(("verify_", "shift_log_")):
+                continue  # a report or shift-result fixture, not an instance
             text = path.read_text()
             assert serialize_instance(parse_instance(text)) == text
 
@@ -186,6 +186,15 @@ class TestOtherCommands:
         assert payload["instance"]["families"] == [[[1, 1]]]
         assert len(payload["log"]) > 0
 
+    @pytest.mark.parametrize("name", ["partite_r2", "partite_r3", "general_r2"])
+    def test_shift_json_golden(self, capsys, name):
+        # steps with several moving members, each with several pairs
+        code, out, err = run_cli(capsys, "shift", "--in",
+                                 str(FIXTURES / f"shift_in_{name}.json"),
+                                 "--format", "json")
+        assert code == 0 and err == ""
+        assert out == (FIXTURES / f"shift_log_{name}.json").read_text()
+
     def test_extremal_dumps_match_fixtures(self, capsys):
         cases = [
             (("--name", "steal", "--q", "3", "--n", "6"), "steal_q3_n6.json"),
@@ -225,6 +234,13 @@ class TestOtherCommands:
                                "--mode", "random", "--budget", "50", "--seed", "7")
         assert code == 0
         assert "counterexamples:" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_verify_workers_below_one_exit(self, capsys, workers):
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "size_condition",
+                                 "--n", "2", "--k", "2", "--budget", "10",
+                                 "--workers", workers)
+        assert code == 3 and out == "" and "workers" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io

@@ -27,6 +27,35 @@ class TestGroundSet:
         assert list(g.cells()) == list(itertools.combinations(range(4), 2))
         assert g.cell_count == 6
 
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 3, 3), GroundSet(GENERAL, 3, 6)])
+    def test_cell_index_bit_order_is_edge_order(self, ground):
+        index = ground.index
+        assert index.cells == tuple(ground.cells())
+        rng = seeded(f"index:{ground.kind}")
+        for _ in range(50):
+            h = random_hypergraph(rng, ground, rng.randint(0, ground.cell_count))
+            mask = index.mask(h.edges)
+            assert bin(mask).count("1") == len(h)
+            assert index.edges(mask) == h.edges
+            assert h.mask == mask
+            lazy = Hypergraph._from_mask(ground, mask)
+            assert len(lazy) == len(h) and hash(lazy) == hash(h)
+            assert lazy == h and h == lazy
+            assert lazy.edges == h.edges and all(e in lazy for e in h)
+            other = Hypergraph._from_mask(ground, mask ^ 1)
+            assert other != lazy and other != h and len(other) != len(h)
+
+    def test_index_is_lazy_and_skipped_by_direct_paths(self):
+        from rainbowmatch import check_hall_condition, greedy_bipartite
+        ground = GroundSet(PARTITE, 2, 4)
+        fam = random_family(seeded("lazy"), ground, 2, low=6)
+        greedy_bipartite(fam)
+        check_hall_condition(fam)
+        rainbow_exact(fam)
+        nu_exact(fam[0])
+        assert "index" not in vars(ground)
+        assert ground.index is ground.index  # built once, then cached
+
     def test_bad_parameters(self):
         with pytest.raises(InputError):
             GroundSet("weird", 2, 2)

@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_shifting as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching, is_shifted, nu_exact,
                           pullback_rainbow, rainbow_exact, shift_hypergraph,
@@ -209,3 +210,66 @@ class TestPullback:
                 assert rainbow_exact(shifted) is None
                 hits += 1
         assert hits > 10
+
+
+# (kind, r, largest n) of the grounds the differential test draws from
+REFERENCE_GROUNDS = [(PARTITE, 1, 6), (PARTITE, 2, 5), (PARTITE, 3, 3),
+                     (GENERAL, 2, 7), (GENERAL, 3, 6)]
+
+
+@st.composite
+def small_families(draw):
+    kind, r, n_max = draw(st.sampled_from(REFERENCE_GROUNDS))
+    ground = GroundSet(kind, r, draw(st.integers(r if kind == GENERAL else 1, n_max)))
+    cells = list(ground.cells())
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        members.append(Hypergraph(ground, [c for c, k in zip(cells, keep) if k]))
+    return Family(members)
+
+
+class TestAgainstReference:
+    """The mask kernel against the edge-tuple sweep it replaced."""
+
+    @settings(max_examples=300)
+    @given(small_families())
+    def test_closure_log_and_pullback_agree(self, fam):
+        shifted, log = shifted_closure(fam)
+        ref_shifted, ref_log = reference.shifted_closure(fam)
+        assert shifted == ref_shifted
+        assert ([(s.side, s.x, s.y, tuple(s.pairs(i) for i in range(fam.k)))
+                 for s in log.steps]
+                == [(s.side, s.x, s.y, s.member_moves) for s in ref_log.steps])
+        assert log.to_json() == ref_log.to_json()
+        assert log.replay(fam) == shifted
+        m = rainbow_exact(shifted)
+        if m is not None:
+            assert (pullback_rainbow(log, fam, m)
+                    == reference.pullback_rainbow(ref_log, fam, m))
+        for h in (*fam, *shifted):
+            assert is_shifted(h) == reference.is_shifted(h) == brute_is_downward_closed(h)
+
+    @given(small_families())
+    def test_single_shifts_agree(self, fam):
+        h = fam[0]
+        for x, y, side in all_shift_args(h.ground):
+            h2, step = shift_hypergraph(h, x, y, side=side)
+            ref_h2, ref_step = reference.shift_hypergraph(h, x, y, side=side)
+            assert h2 == ref_h2 and h2.edges == ref_h2.edges
+            assert step.moved == ref_step.moved
+
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 3, 30), GroundSet(GENERAL, 3, 30)])
+    def test_sparse_large_ground(self, ground):
+        rng = seeded(f"sparse:{ground.kind}")
+        if ground.kind == PARTITE:
+            edges = [tuple(rng.randrange(ground.n) for _ in range(3)) for _ in range(40)]
+        else:
+            edges = [tuple(sorted(rng.sample(range(ground.n), 3))) for _ in range(40)]
+        fam = Family([Hypergraph(ground, set(edges[i::2])) for i in range(2)])
+        shifted, log = shifted_closure(fam)
+        ref_shifted, ref_log = reference.shifted_closure(fam)
+        assert shifted == ref_shifted
+        assert log.to_json() == ref_log.to_json()
+        if ground.kind == PARTITE:
+            assert ground.index._cells is None  # positions are computed, not looked up

@@ -170,6 +170,22 @@ class TestCheckConjecture:
                              mode="random", budget=600, seed=3, workers=3)
         assert a == b
 
+    def test_workers_below_one_are_refused(self):
+        for workers in (0, -5):
+            with pytest.raises(InputError, match="workers"):
+                check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
+                                 mode="random", budget=10, workers=workers)
+
+    def test_pool_size_clamp(self, monkeypatch):
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        assert verify._pool_size(1, 10) == 1
+        assert verify._pool_size(3, 10) == 3
+        assert verify._pool_size(64, 10) == 4   # no more than the CPUs
+        assert verify._pool_size(64, 2) == 2    # no more than the shards
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+        assert verify._pool_size(8, 10) == 1    # CPU count unknown: serial
+
     def test_size_condition_random_r3(self):
         rep = random_search(ConjectureId.SIZE_CONDITION,
                             {"n": 4, "r": 3, "k": 2}, 300, seed=21)
