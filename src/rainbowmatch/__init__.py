@@ -3,8 +3,8 @@ solvers, shifting with constructive pull-back, extremal constructions, exact
 brute-force oracles, and desk-scale verification harnesses."""
 
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching, degree, is_matching, nu_exact,
-                   pm_decomposition, rainbow_exact)
+                   RainbowMatching, is_matching, nu_exact, pm_decomposition,
+                   rainbow_exact)
 from .errors import (InputError, PreconditionError, RainbowError,
                      TheoremViolationError)
 from .extremal import (ekr_star, f_large_n, f_r2, g_formula, r3_counterexample,
@@ -19,7 +19,7 @@ from .solvers import (AlgoTrace, DegreeMatrix, HallCheck, StepRecord,
 from .verify import (ConjectureId, MatrixCheck, VerifyReport,
                      check_conjecture, check_matrix_conjecture,
                      compute_threshold_exact, enumerate_shifted, iter_shifted,
-                     random_search, scan_large_n)
+                     scan_large_n)
 
 __all__ = [
     "AlgoTrace", "ConjectureId", "DegreeMatrix", "Edge", "Family",
@@ -28,12 +28,12 @@ __all__ = [
     "RainbowError", "RainbowMatching", "ShiftLog", "ShiftStep", "StepRecord",
     "TheoremViolationError", "VerifyReport", "check_conjecture",
     "check_hall_condition", "check_matrix_conjecture",
-    "compute_threshold_exact", "degree", "ekr_star", "enumerate_shifted",
+    "compute_threshold_exact", "ekr_star", "enumerate_shifted",
     "f_large_n", "f_r2", "g_formula", "greedy_bipartite",
     "hall_size_algorithm", "is_matching", "is_shifted", "iter_shifted",
     "large_n_procedure", "meshulam_r2", "nu_exact", "parse_instance",
     "pm_decomposition", "pullback_rainbow", "r3_counterexample", "r3_solve",
-    "rainbow_exact", "random_search", "scan_large_n", "serialize_instance",
+    "rainbow_exact", "scan_large_n", "serialize_instance",
     "shift_hypergraph", "shifted_closure", "simple_algorithm", "star_family",
     "steal_family",
 ]

@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .core import Family, GroundSet, RainbowMatching, nu_exact, rainbow_exact
+from .core import GroundSet, RainbowMatching, nu_exact, rainbow_exact
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
 from .extremal import ekr_star, r3_counterexample, star_family, steal_family
 from .instances import Instance, edge_text, parse_instance, serialize_instance

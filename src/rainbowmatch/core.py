@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -52,10 +51,24 @@ class GroundSet:
         else:
             yield from itertools.combinations(range(self.n), self.r)
 
-    @cached_property
+    @property
+    def sides(self) -> tuple[int | None, ...]:
+        """The sides a shift can name: each of the r if partite, else None
+        alone (a general ground shifts over its one ordered vertex set)."""
+        return tuple(range(self.r)) if self.kind == PARTITE else (None,)
+
+    @property
     def index(self) -> "CellIndex":
-        """The cell index of this ground, built on first use and then kept."""
-        return CellIndex(self)
+        """The cell index of this ground, built on first use and then kept.
+
+        Kept as a plain attribute, not a cached_property: writing through
+        __dict__ makes every later read of kind, r or n several times slower
+        on CPython 3.11, and the oracles read kind once per edge they try."""
+        try:
+            return self._index
+        except AttributeError:
+            object.__setattr__(self, "_index", CellIndex(self))
+            return self._index
 
     def check_edge(self, edge: Sequence[int]) -> Edge:
         e = tuple(edge)
@@ -357,11 +370,6 @@ class RainbowMatching:
         if any(self.choices[i] not in family[i] for i in range(family.k)):
             return False
         return is_matching(family.ground, self.choices)
-
-
-def degree(h: Hypergraph, v: int, side: int | None = None) -> int:
-    """Number of edges of h containing v (on the given side for partite grounds)."""
-    return h.degree(v, side)
 
 
 def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:

@@ -10,12 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching)
+from .core import PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching
 from .errors import InputError, TheoremViolationError
-
-MODE_PARTITE = "partite"
-MODE_GLOBAL = "global"
 
 
 class ShiftStep(NamedTuple):
@@ -105,22 +101,6 @@ class ShiftLog:
         return out
 
 
-def _mode_for(ground: GroundSet, mode: str | None) -> str:
-    if mode is None:
-        return MODE_PARTITE if ground.kind == PARTITE else MODE_GLOBAL
-    if mode not in (MODE_PARTITE, MODE_GLOBAL):
-        raise InputError(f"unknown shift mode: {mode!r}")
-    if mode == MODE_PARTITE and ground.kind != PARTITE:
-        raise InputError("partite shifting needs a partite ground")
-    if mode == MODE_GLOBAL and ground.kind != GENERAL:
-        raise InputError("global shifting needs a general ground")
-    return mode
-
-
-def _sides(ground: GroundSet) -> list[int | None]:
-    return list(range(ground.r)) if ground.kind == PARTITE else [None]
-
-
 def _check_shift_args(ground: GroundSet, x: int, y: int, side: int | None) -> None:
     if x >= y:
         raise InputError(f"shift needs x < y, got x={x}, y={y}")
@@ -149,34 +129,32 @@ def shift_hypergraph(h: Hypergraph, x: int, y: int,
     return Hypergraph._from_mask(g, mask ^ origins ^ images), step
 
 
-def is_shifted(h: Hypergraph, mode: str | None = None) -> bool:
+def is_shifted(h: Hypergraph) -> bool:
     """True iff replacing any single vertex of any edge by a smaller vertex
-    (same side, in partite mode) yields an edge already present.
+    (on the same side, if partite) yields an edge already present.
 
     It suffices to test the shifts v -> v-1: each longer replacement is a
     chain of them through edges that must then be present."""
-    g = h.ground
-    _mode_for(g, mode)
-    return _is_shifted_mask(g, h.mask)
+    return _is_shifted_mask(h.ground, h.mask)
 
 
 def _is_shifted_mask(ground: GroundSet, mask: int) -> bool:
     index = ground.index
     return not any(index.move(mask, side, v - 1, v)[1]
-                   for side in _sides(ground) for v in range(1, ground.n))
+                   for side in ground.sides for v in range(1, ground.n))
 
 
-def shifted_closure(family: Family, mode: str | None = None) -> tuple[Family, ShiftLog]:
+def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
     """Sweep all (side, x, y) pairs in canonical order, shifting every member
-    simultaneously, until a full sweep changes nothing.
+    simultaneously, until a full sweep changes nothing. Partite grounds shift
+    within each side, general grounds over the one ordered vertex set.
 
     Terminates because every effective shift strictly decreases the total sum
     of vertex indices over all edges of all members.
     """
     g = family.ground
-    _mode_for(g, mode)
     members = list(family.members)
-    shifts = [(side, x, y) for side in _sides(g)
+    shifts = [(side, x, y) for side in g.sides
               for x in range(g.n - 1) for y in range(x + 1, g.n)]
     steps: list[ShiftStep] = []
     # a sweep over a family of shifted members would change nothing

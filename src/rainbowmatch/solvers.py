@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
                    RainbowMatching)
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .extremal import f_r2
+from .extremal import f_r2, g_formula
 from .shifting import is_shifted, pullback_rainbow, shifted_closure
 
 
@@ -19,6 +19,13 @@ def _require_kind(family: Family, kind: str, r: int | None = None) -> None:
         raise InputError(f"needs a {kind} ground, got {family.ground.kind}")
     if r is not None and family.ground.r != r:
         raise InputError(f"needs uniformity r={r}, got r={family.ground.r}")
+
+
+def _require_sizes_above(family: Family, bound: int) -> None:
+    for i, h in enumerate(family.members):
+        if len(h) <= bound:
+            raise PreconditionError(
+                f"member {i + 1} has {len(h)} edges; needs more than {bound}")
 
 
 @dataclass(frozen=True)
@@ -297,11 +304,7 @@ def meshulam_r2(family: Family) -> RainbowMatching:
     n, k = family.ground.n, family.k
     if n < 2 * k:
         raise PreconditionError(f"needs n >= 2k, got n={n}, k={k}")
-    bound = f_r2(n, k)
-    for i, h in enumerate(family.members):
-        if len(h) <= bound:
-            raise PreconditionError(
-                f"member {i + 1} has {len(h)} edges; needs more than {bound}")
+    _require_sizes_above(family, f_r2(n, k))
     shifted, log = shifted_closure(family)
     choices = []
     for i in range(k):
@@ -326,17 +329,12 @@ def r3_solve(family: Family) -> RainbowMatching:
     """
     _require_kind(family, PARTITE, r=3)
     n, k = family.ground.n, family.k
-    bound = (k - 1) * n * n
-    for i, h in enumerate(family.members):
-        if len(h) <= bound:
-            raise PreconditionError(
-                f"member {i + 1} has {len(h)} edges; needs more than {bound}")
+    _require_sizes_above(family, g_formula(n, 3, k))
     shifted, log = shifted_closure(family)
     remaining = set(range(k))
     assign: list[int] = []
     for j in range(k):
-        deg = {i: sum(1 for e in shifted[i].edges if e[0] == j) for i in remaining}
-        best = max(remaining, key=lambda i: (deg[i], -i))
+        best = max(remaining, key=lambda i: (shifted[i].degree(j, 0), -i))
         assign.append(best)
         remaining.discard(best)
     bip = GroundSet(PARTITE, 2, n)
@@ -385,8 +383,7 @@ class DegreeMatrix:
         _require_kind(family, PARTITE, r=2)
         n = family.ground.n
         entries = tuple(
-            tuple(sum(1 for e in h.edges if e[side] == j) for j in range(n))
-            for h in family.members)
+            tuple(h.degree(j, side) for j in range(n)) for h in family.members)
         return cls(entries, n)
 
 
@@ -465,11 +462,7 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     _require_kind(family, PARTITE)
     g = family.ground
     n, r, k = g.n, g.r, family.k
-    bound = (k - 1) * n ** (r - 1)
-    for i, h in enumerate(family.members):
-        if len(h) <= bound:
-            raise PreconditionError(
-                f"member {i + 1} has {len(h)} edges; needs more than {bound}")
+    _require_sizes_above(family, g_formula(n, r, k))
     shifted, log = shifted_closure(family)
     if k == 1:
         return pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
-from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   nu_exact, rainbow_exact)
+from .core import (GENERAL, PARTITE, Family, GroundSet, Hypergraph, nu_exact,
+                   rainbow_exact)
 from .errors import InputError, TheoremViolationError
 from .extremal import f_r2, g_formula
 from .instances import Instance
@@ -84,71 +84,49 @@ class MatrixCheck:
 # ---------------------------------------------------------------------------
 # Enumeration of shifted edge sets
 
-def _linear_cells(ground: GroundSet) -> list[Edge]:
-    # graded by coordinate sum: a linear extension of the dominance order
-    return sorted(ground.cells(), key=lambda e: (sum(e), e))
+def _ideal_dfs(ground: GroundSet, size: int | None = None) -> Iterator[int]:
+    """All downward-closed edge masks over ground.index (of one exact size
+    when given), each once.
 
-
-def _cover_indices(ground: GroundSet, cells: list[Edge]) -> list[tuple[int, ...]]:
-    pos = {e: i for i, e in enumerate(cells)}
-    covers = []
-    for e in cells:
-        lower = []
-        if ground.kind == PARTITE:
-            for s in range(ground.r):
-                if e[s] > 0:
-                    lower.append(pos[e[:s] + (e[s] - 1,) + e[s + 1:]])
-        else:
-            es = set(e)
-            for v in e:
-                if v - 1 >= 0 and v - 1 not in es:
-                    lower.append(pos[tuple(sorted(es - {v} | {v - 1}))])
-        covers.append(tuple(lower))
-    return covers
-
-
-def _ideal_dfs(ground: GroundSet, size: int | None = None) -> Iterator[tuple[Edge, ...]]:
-    """All downward-closed cell sets (of one exact size when given), each once.
-
-    Walks the cells in a linear extension; a cell may join only when all its
-    immediate predecessors are in, which makes every branch downward closed.
+    Walks the cells graded by coordinate sum, a linear extension of the
+    dominance order; a cell may join only when its immediate predecessors (the
+    cells with one vertex lowered by one) are in, which makes every branch
+    downward closed.
     """
-    cells = _linear_cells(ground)
-    covers = _cover_indices(ground, cells)
-    m = len(cells)
-    chosen = [False] * m
-    out: list[Edge] = []
+    index = ground.index
+    m = ground.cell_count
+    walk = sorted(range(m), key=lambda i: (sum(index.cell(i)), i))
+    covers = [sum(1 << j for side in ground.sides for v in range(1, ground.n)
+                  if index.has(i, side, v)
+                  and (j := index.replace(i, side, v, v - 1)) is not None)
+              for i in walk]
 
-    def rec(i: int) -> Iterator[tuple[Edge, ...]]:
-        if size is not None and (len(out) > size or len(out) + (m - i) < size):
+    def rec(t: int, mask: int, count: int) -> Iterator[int]:
+        if size is not None and (count > size or count + (m - t) < size):
             return
-        if i == m:
-            if size is None or len(out) == size:
-                yield tuple(out)
+        if t == m:
+            if size is None or count == size:
+                yield mask
             return
-        yield from rec(i + 1)
-        if all(chosen[j] for j in covers[i]):
-            chosen[i] = True
-            out.append(cells[i])
-            yield from rec(i + 1)
-            out.pop()
-            chosen[i] = False
+        yield from rec(t + 1, mask, count)
+        if mask & covers[t] == covers[t]:
+            yield from rec(t + 1, mask | 1 << walk[t], count + 1)
 
-    yield from rec(0)
+    yield from rec(0, 0, 0)
 
 
 def enumerate_shifted(ground: GroundSet, size: int) -> Iterator[Hypergraph]:
     """Every downward-closed edge set of exactly the given size, each once."""
     if size < 0 or size > ground.cell_count:
         raise InputError(f"size {size} out of range [0, {ground.cell_count}]")
-    for edges in _ideal_dfs(ground, size):
-        yield Hypergraph(ground, edges)
+    for mask in _ideal_dfs(ground, size):
+        yield Hypergraph._from_mask(ground, mask)
 
 
 def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
     """Every downward-closed edge set over the ground, all sizes."""
-    for edges in _ideal_dfs(ground):
-        yield Hypergraph(ground, edges)
+    for mask in _ideal_dfs(ground):
+        yield Hypergraph._from_mask(ground, mask)
 
 
 def _guard_cells(ground: GroundSet) -> None:
@@ -182,19 +160,19 @@ def compute_threshold_exact(mode: str, n: int, r: int, k: int) -> int:
         ground = GroundSet(PARTITE, r, n)
     else:
         raise InputError(f"unknown threshold mode: {mode!r}")
-    _guard_cells(ground)
-    best = 0
-    for h in iter_shifted(ground):
-        if len(h) > best and nu_exact(h) < k:
-            best = len(h)
-    return best
+    return _largest_shifted_below(ground, k)
 
 
 def _exact_f(n: int, r: int, k: int) -> int:
     """Exact general-kind threshold at desk scale (closed form for r=2)."""
     if r == 2 and n >= 2 * k:
         return f_r2(n, k)
-    ground = GroundSet(GENERAL, r, n)
+    return _largest_shifted_below(GroundSet(GENERAL, r, n), k)
+
+
+def _largest_shifted_below(ground: GroundSet, k: int) -> int:
+    """Largest size of a shifted edge set over the ground with matching
+    number below k, by full enumeration."""
     _guard_cells(ground)
     best = 0
     for h in iter_shifted(ground):
@@ -208,7 +186,7 @@ def _exact_f(n: int, r: int, k: int) -> int:
 
 def _params_int(params: dict, key: str, default: int | None = None) -> int:
     v = params.get(key, default)
-    if not isinstance(v, int) or v < 1:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise InputError(f"parameter {key!r} must be a positive integer, got {v!r}")
     return v
 
@@ -446,13 +424,6 @@ def _run_random(conjecture: ConjectureId, params: dict, budget: int,
     return checked, [inst for _, inst in ranked]
 
 
-def random_search(conjecture: ConjectureId | str, params: dict, trials: int,
-                  seed: int, workers: int = 1) -> VerifyReport:
-    """Seeded, reproducible sampling of hypothesis-satisfying families."""
-    return check_conjecture(conjecture, params, mode="random", budget=trials,
-                            seed=seed, workers=workers)
-
-
 # ---------------------------------------------------------------------------
 # Degree-matrix conjecture
 
@@ -492,7 +463,7 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
     results: dict[int, tuple[int, int]] = {}
     for n in n_values:
         ground = GroundSet(PARTITE, r, n)
-        bound = (k - 1) * n ** (r - 1)
+        bound = g_formula(n, r, k)
         if bound + 1 > ground.cell_count:
             raise InputError(f"no admissible member size at n={n}, r={r}, k={k}")
         rng = random.Random(f"{seed}:{r}:{k}:{n}")

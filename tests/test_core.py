@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
-                          InputError, degree, is_matching, iter_shifted,
+                          InputError, is_matching, iter_shifted,
                           nu_exact, pm_decomposition, rainbow_exact)
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
@@ -53,7 +53,7 @@ class TestGroundSet:
         check_hall_condition(fam)
         rainbow_exact(fam)
         nu_exact(fam[0])
-        assert "index" not in vars(ground)
+        assert "_index" not in vars(ground)
         assert ground.index is ground.index  # built once, then cached
 
     def test_bad_parameters(self):
@@ -78,31 +78,39 @@ class TestGroundSet:
 class TestDegree:
     def test_two_edges_at_m1(self):
         h = H(B2, (0, 0), (0, 1))
-        assert degree(h, 0, side=0) == 2
+        assert h.degree(0, side=0) == 2
 
     def test_empty(self):
         h = Hypergraph(B2, [])
-        assert degree(h, 0, side=0) == 0
-        assert degree(h, 1, side=1) == 0
+        assert h.degree(0, side=0) == 0
+        assert h.degree(1, side=1) == 0
 
     def test_complete_w2(self):
         h = Hypergraph(B3, B3.cells())
-        assert degree(h, 1, side=1) == 3
+        assert h.degree(1, side=1) == 3
 
     def test_general_degree(self):
         g = GroundSet(GENERAL, 2, 4)
         h = H(g, (0, 1), (0, 2), (1, 2))
-        assert degree(h, 2) == 2
+        assert h.degree(2) == 2
 
     def test_errors(self):
         h = Hypergraph(B2, [(0, 0)])
         with pytest.raises(InputError):
-            degree(h, 5, side=0)
+            h.degree(5, side=0)
         with pytest.raises(InputError):
-            degree(h, 0)  # partite without a side
+            h.degree(0)  # partite without a side
         hg = Hypergraph(GroundSet(GENERAL, 2, 4), [(0, 1)])
         with pytest.raises(InputError):
-            degree(hg, 0, side=0)
+            hg.degree(0, side=0)
+
+
+class TestPackage:
+    def test_all_exports_resolve(self):
+        import rainbowmatch
+        assert len(set(rainbowmatch.__all__)) == len(rainbowmatch.__all__)
+        for name in rainbowmatch.__all__:
+            assert hasattr(rainbowmatch, name), name
 
 
 class TestIsMatching:

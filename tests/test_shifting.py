@@ -94,10 +94,6 @@ class TestIsShifted:
         h = Hypergraph(B3, [(0, j) for j in range(3)])
         assert is_shifted(h)
 
-    def test_mode_mismatch(self):
-        with pytest.raises(InputError):
-            is_shifted(Hypergraph(B2, [(0, 0)]), mode="global")
-
     @pytest.mark.parametrize("ground", [B2, GroundSet(GENERAL, 2, 4),
                                         GroundSet(PARTITE, 3, 2)])
     def test_equals_fixpoint_definition(self, ground):

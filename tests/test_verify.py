@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -7,13 +9,27 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           check_conjecture, check_matrix_conjecture,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
-                          rainbow_exact, random_search, shifted_closure)
+                          rainbow_exact, shifted_closure)
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
 B3 = GroundSet(PARTITE, 2, 3)
+FIXTURES = Path(__file__).parent / "fixtures"
+IDEAL_GOLDENS = {
+    "partite_r2_n3": B3,
+    "partite_r3_n2": GroundSet(PARTITE, 3, 2),
+    "general_r2_n5": GroundSet(GENERAL, 2, 5),
+}
+
+
+def ideals_text(ground):
+    """Every shifted edge set over the ground in enumeration order, one JSON
+    list of 1-based edges per line."""
+    lines = [json.dumps([[v + 1 for v in e] for e in h.edges])
+             for h in iter_shifted(ground)]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
 def brute_shifted_of_size(ground, size):
@@ -64,6 +80,12 @@ class TestEnumerateShifted:
     def test_size_out_of_range(self):
         with pytest.raises(InputError):
             list(enumerate_shifted(B2, 5))
+
+    @pytest.mark.parametrize("name", sorted(IDEAL_GOLDENS))
+    def test_enumeration_order_golden(self, name):
+        # exhaustive reports list counterexamples in this order
+        golden = (FIXTURES / f"ideals_{name}.json").read_text()
+        assert ideals_text(IDEAL_GOLDENS[name]) == golden
 
 
 class TestComputeThreshold:
@@ -158,8 +180,10 @@ class TestCheckConjecture:
 
     def test_same_seed_same_report(self):
         params = {"n": 3, "r": 2, "k": 2}
-        a = random_search(ConjectureId.SIZE_CONDITION, params, 200, seed=13)
-        b = random_search(ConjectureId.SIZE_CONDITION, params, 200, seed=13)
+        a = check_conjecture(ConjectureId.SIZE_CONDITION, params,
+                             mode="random", budget=200, seed=13)
+        b = check_conjecture(ConjectureId.SIZE_CONDITION, params,
+                             mode="random", budget=200, seed=13)
         assert a == b  # elapsed is excluded from comparison
 
     def test_workers_do_not_change_the_report(self):
@@ -187,13 +211,13 @@ class TestCheckConjecture:
         assert verify._pool_size(8, 10) == 1    # CPU count unknown: serial
 
     def test_size_condition_random_r3(self):
-        rep = random_search(ConjectureId.SIZE_CONDITION,
-                            {"n": 4, "r": 3, "k": 2}, 300, seed=21)
+        rep = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
+                               mode="random", budget=300, seed=21)
         assert rep.ok and rep.instances_checked == 300
 
     def test_size_condition_random_r3_ten_thousand(self):
-        rep = random_search(ConjectureId.SIZE_CONDITION,
-                            {"n": 4, "r": 3, "k": 2}, 10_000, seed=21)
+        rep = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
+                               mode="random", budget=10_000, seed=21)
         assert rep.ok and rep.instances_checked == 10_000
 
     def test_report_json_shape(self):
@@ -220,6 +244,13 @@ class TestCheckConjecture:
             check_conjecture("size_condition", {"n": 2, "r": 2}, mode="random")
         with pytest.raises(ValueError):
             check_conjecture("not_a_conjecture", {"n": 2, "k": 2})
+
+    def test_boolean_params_are_refused(self):
+        # bool is an int subclass; the instance parser refuses it too
+        for key in ("n", "r", "k"):
+            params = {"n": 3, "r": 2, "k": 2} | {key: True}
+            with pytest.raises(InputError, match=f"parameter '{key}'"):
+                check_conjecture("size_condition", params, mode="random", budget=5)
 
 
 class TestMatrixConjecture:
