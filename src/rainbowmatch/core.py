@@ -383,100 +383,127 @@ def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:
     return True
 
 
+def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
+                ) -> tuple[tuple[Edge, ...], list[int], list[dict[int, int]]]:
+    """Local bit numbering of the members' edges, for the exact oracles.
+
+    Numbers the distinct edges of the members in lexicographic order, so bit
+    i is the i-th smallest edge and lowest bit first is edge order. Returns
+    those edges, one edge mask per member, and one dict per vertex position
+    mapping each vertex an edge touches there to the mask of edges holding
+    it: a partite ground has one dict per side, and a general ground one
+    dict shared by all r positions. Nothing is allocated per vertex or cell
+    that no edge touches, and the ground's cell index is not built."""
+    if len(members) == 1:
+        edges = members[0].edges
+    else:
+        edges = tuple(sorted(set().union(*(h.edges for h in members))))
+    bit = dict(zip(edges, map((1).__lshift__, range(len(edges)))))
+    masks = [sum(map(bit.__getitem__, h.edges)) for h in members]
+    if ground.kind == PARTITE:
+        vertex = []
+        for s in range(ground.r):
+            by_vertex: dict[int, int] = {}
+            for e, b in bit.items():
+                by_vertex[e[s]] = by_vertex.get(e[s], 0) | b
+            vertex.append(by_vertex)
+        return edges, masks, vertex
+    by_vertex = {}
+    for e, b in bit.items():
+        for v in e:
+            by_vertex[v] = by_vertex.get(v, 0) | b
+    return edges, masks, [by_vertex] * ground.r
+
+
 def nu_exact(h: Hypergraph) -> int:
-    """Exact matching number, by branch and bound.
+    """Exact matching number, by branch and bound on an explicit stack.
 
-    Branches on the least-index uncovered vertex (side 0 for partite grounds):
-    either it stays unmatched, or one of its free incident edges is taken.
-    Bounds by the remaining-vertex quota.
+    A node is a size and a mask of live edges: those disjoint from every
+    edge taken so far and not through a vertex left unmatched. It branches
+    on the lowest side-0 vertex (partite) or lowest vertex (general) with a
+    live edge: first each of its live edges in order, then leaving it
+    unmatched. It bounds by size plus the fewest live vertices on a side
+    (partite), or plus the live vertices // r (general), and stops once a
+    matching meets the bound at the root. The stack holds one live mask of
+    |E| bits per open branch, whatever n is.
     """
-    g = h.ground
-    if not h.edges:
+    if not len(h):
         return 0
+    g = h.ground
+    edges, (live,), vertex = _edge_masks(g, (h,))
+    sides = vertex if g.kind == PARTITE else vertex[:1]
+    per_edge = 1 if g.kind == PARTITE else g.r
+    limit = min(map(len, sides)) // per_edge  # the bound at the root
     best = 0
-    if g.kind == PARTITE:
-        by_first: list[list[Edge]] = [[] for _ in range(g.n)]
-        for e in h.edges:
-            by_first[e[0]].append(e)
-        covered = [[False] * g.n for _ in range(g.r)]
-
-        def rec_p(i: int, size: int) -> None:
-            nonlocal best
-            if size > best:
-                best = size
-            if i == g.n or size + (g.n - i) <= best:
-                return
-            for e in by_first[i]:
-                if all(not covered[s][e[s]] for s in range(1, g.r)):
-                    for s in range(1, g.r):
-                        covered[s][e[s]] = True
-                    rec_p(i + 1, size + 1)
-                    for s in range(1, g.r):
-                        covered[s][e[s]] = False
-            rec_p(i + 1, size)
-
-        rec_p(0, 0)
-        return best
-
-    by_min: list[list[Edge]] = [[] for _ in range(g.n)]
-    for e in h.edges:
-        by_min[e[0]].append(e)
-    covered_g = [False] * g.n
-
-    def rec_g(v: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while v < g.n and covered_g[v]:
-            v += 1
-        if v == g.n or size + (g.n - v) // g.r <= best:
-            return
-        for e in by_min[v]:
-            if all(not covered_g[u] for u in e):
-                for u in e:
-                    covered_g[u] = True
-                rec_g(v + 1, size + 1)
-                for u in e:
-                    covered_g[u] = False
-        covered_g[v] = True  # v stays unmatched on this branch
-        rec_g(v + 1, size)
-        covered_g[v] = False
-
-    rec_g(0, 0)
+    stack = [(0, live)]
+    while stack:
+        size, live = stack.pop()
+        if not live:
+            best = max(best, size)
+            if best == limit:
+                break
+            continue
+        # a live edge makes the bound at least 1, so only size < best can prune
+        if size < best and size + min(sum(1 for m in by_vertex.values() if m & live)
+                                      for by_vertex in sides) // per_edge <= best:
+            continue
+        first = edges[(live & -live).bit_length() - 1]
+        star = vertex[0][first[0]] & live
+        stack.append((size, live & ~star))
+        for i in reversed(bits(star)):
+            blocked = 0
+            for by_vertex, v in zip(vertex, edges[i]):
+                blocked |= by_vertex[v]
+            stack.append((size + 1, live & ~blocked))
     return best
 
 
 def rainbow_exact(family: Family) -> RainbowMatching | None:
     """A rainbow matching if one exists, else None.
 
-    Exhaustive backtracking; members are processed in ascending size order
-    (fail-first) with edges in lexicographic order, so the result is
-    deterministic. Choices are reported in the original member order.
+    Refuses at the root by pigeonhole when the members' edges together touch
+    fewer than k vertices on some side (partite) or fewer than r*k vertices
+    (general). Otherwise searches on an explicit stack: members are taken in
+    ascending size order (fail-first, ties by index) and each member's free
+    edges lowest bit first, which is lexicographic order, so the first
+    matching found is deterministic. A frame is (depth, remaining candidates,
+    blocked mask), and a node is pruned when some later member has no edge
+    left outside the blocked mask. Choices are reported in the original
+    member order.
     """
     g = family.ground
-    order = sorted(range(family.k), key=lambda i: (len(family[i]), i))
-    choices: list[Edge | None] = [None] * family.k
-    used: set = set()
-
-    def rec(pos: int) -> bool:
-        if pos == family.k:
-            return True
-        idx = order[pos]
-        for e in family[idx].edges:
-            keys = edge_vertices(g, e)
-            if any(key in used for key in keys):
-                continue
-            used.update(keys)
-            choices[idx] = e
-            if rec(pos + 1):
-                return True
-            used.difference_update(keys)
-            choices[idx] = None
-        return False
-
-    if not rec(0):
+    k = family.k
+    edges, masks, vertex = _edge_masks(g, family.members)
+    if g.kind == PARTITE:
+        if any(len(by_vertex) < k for by_vertex in vertex):
+            return None
+    elif len(vertex[0]) < g.r * k:
         return None
-    return RainbowMatching(tuple(choices))  # type: ignore[arg-type]
+    order = sorted(range(k), key=lambda i: (len(family[i]), i))
+    masks = [masks[i] for i in order]
+    if not all(masks):
+        return None
+    chosen = [0] * k
+    stack = [(0, masks[0], 0)]
+    while stack:
+        depth, candidates, blocked = stack.pop()
+        low = candidates & -candidates
+        if candidates != low:
+            stack.append((depth, candidates ^ low, blocked))
+        i = low.bit_length() - 1
+        chosen[depth] = i
+        for by_vertex, v in zip(vertex, edges[i]):
+            blocked |= by_vertex[v]
+        depth += 1
+        if depth == k:
+            choices: list[Edge] = [()] * k
+            for d, i in enumerate(chosen):
+                choices[order[d]] = edges[i]
+            return RainbowMatching(tuple(choices))
+        free = ~blocked
+        if all(m & free for m in masks[depth:]):
+            stack.append((depth, masks[depth] & free, blocked))
+    return None
 
 
 def pm_decomposition(n: int, r: int) -> list[tuple[Edge, ...]]:

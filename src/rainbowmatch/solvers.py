@@ -381,10 +381,16 @@ class DegreeMatrix:
     @classmethod
     def from_family(cls, family: Family, side: int = 1) -> "DegreeMatrix":
         _require_kind(family, PARTITE, r=2)
+        if side not in (0, 1):
+            raise InputError(f"side {side} out of range [0, 2)")
         n = family.ground.n
-        entries = tuple(
-            tuple(h.degree(j, side) for j in range(n)) for h in family.members)
-        return cls(entries, n)
+        entries = []
+        for h in family.members:
+            row = [0] * n
+            for e in h.edges:
+                row[e[side]] += 1
+            entries.append(tuple(row))
+        return cls(tuple(entries), n)
 
 
 def _perfect_assignment(allowed: list[list[bool]]) -> tuple[int, ...] | None:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
 from rainbowmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +169,16 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "nu", "--in", str(star))
         assert code == 0
         assert out == "F_1: nu = 1\nF_2: nu = 1\n"
+
+    def test_nu_on_a_long_path_exits_cleanly(self, tmp_path):
+        # one search level per matched edge: far deeper than the recursion limit
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"kind": "general", "r": 2, "n": 3000, "families": [
+            [[v, v + 1] for v in range(1, 3000)]]}))
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", "nu", "--in", str(path)],
+                              capture_output=True, text=True, env=SRC_ENV, timeout=120)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert proc.stdout == "F_1: nu = 1500\n"
 
     def test_check_steal(self, capsys):
         steal = FIXTURES / "steal_q3_n6.json"

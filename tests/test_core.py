@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+import reference_oracle as reference
 
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, is_matching, iter_shifted,
@@ -218,6 +221,67 @@ class TestRainbowExact:
             assert (m is not None) == brute_rainbow_exists(fam)
             if m is not None:
                 assert m.is_valid_for(fam)
+
+
+ORACLE_GROUNDS = [(PARTITE, 1, 4), (PARTITE, 2, 3), (PARTITE, 3, 3),
+                  (GENERAL, 2, 5), (GENERAL, 3, 7)]
+
+
+@st.composite
+def oracle_families(draw):
+    """Families of up to n + 2 members, which may be empty or share edges."""
+    kind, r, n_max = draw(st.sampled_from(ORACLE_GROUNDS))
+    ground = GroundSet(kind, r, draw(st.integers(r if kind == GENERAL else 1, n_max)))
+    cells = list(ground.cells())
+    members = []
+    for _ in range(draw(st.integers(1, ground.n + 2))):
+        keep = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        members.append(Hypergraph(ground, [c for c, k in zip(cells, keep) if k]))
+    return Family(members)
+
+
+class TestOraclesAgainstReference:
+    """The explicit-stack oracles against the recursive ones they replaced."""
+
+    # the lowest vertex must stay unmatched for a maximum matching
+    @example(Family([H(GroundSet(PARTITE, 3, 3), (0, 0, 0), (1, 0, 1), (2, 1, 0))]))
+    @example(Family([H(GroundSet(GENERAL, 3, 7), (0, 1, 2), (1, 3, 4), (2, 5, 6))]))
+    @settings(max_examples=300)
+    @given(oracle_families())
+    def test_same_matching_and_nu(self, fam):
+        assert rainbow_exact(fam) == reference.rainbow_exact(fam)
+        for h in fam:
+            assert nu_exact(h) == reference.nu_exact(h)
+
+
+class TestOracleLimits:
+    """Inputs far past the recursion limit or the search the oracles once made."""
+
+    @pytest.mark.parametrize("n,k", [(8, 7), (10, 9)])
+    def test_stars_are_refuted(self, n, k):
+        from rainbowmatch import star_family
+        assert rainbow_exact(star_family(n, 2, k)) is None
+
+    def test_many_members(self):
+        ground = GroundSet(PARTITE, 2, 1500)
+        fam = Family([H(ground, (i, i), (i, (i + 1) % 1500)) for i in range(1500)])
+        m = rainbow_exact(fam)
+        assert m is not None and m.choices == tuple((i, i) for i in range(1500))
+
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 10 ** 6),
+                                        GroundSet(GENERAL, 2, 10 ** 6)])
+    def test_memory_follows_edges_not_vertices(self, ground):
+        h = H(ground, (0, 1), (2, 3))
+        fam = Family([h, h])
+        for oracle, arg in [(nu_exact, h), (rainbow_exact, fam)]:
+            tracemalloc.start()
+            try:
+                oracle(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+        assert nu_exact(h) == 2 and rainbow_exact(fam).choices == ((0, 1), (2, 3))
 
 
 class TestPmDecomposition:
