@@ -381,16 +381,7 @@ class DegreeMatrix:
     @classmethod
     def from_family(cls, family: Family, side: int = 1) -> "DegreeMatrix":
         _require_kind(family, PARTITE, r=2)
-        if side not in (0, 1):
-            raise InputError(f"side {side} out of range [0, 2)")
-        n = family.ground.n
-        entries = []
-        for h in family.members:
-            row = [0] * n
-            for e in h.edges:
-                row[e[side]] += 1
-            entries.append(tuple(row))
-        return cls(tuple(entries), n)
+        return cls(tuple(h.degrees(side) for h in family.members), family.ground.n)
 
 
 def _perfect_assignment(allowed: list[list[bool]]) -> tuple[int, ...] | None:

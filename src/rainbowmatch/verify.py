@@ -297,7 +297,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         def hyp(fam: Family) -> bool:
             return all(
                 len(h) > (k - 1) * d
-                and max(h.degree(v, s) for s in (0, 1) for v in range(n)) <= d
+                and max(max(h.degrees(s)) for s in (0, 1)) <= d
                 for h in fam)
 
         def sample(rng: random.Random) -> Family:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -106,6 +107,14 @@ class TestDegree:
         hg = Hypergraph(GroundSet(GENERAL, 2, 4), [(0, 1)])
         with pytest.raises(InputError):
             hg.degree(0, side=0)
+
+    def test_degree_rows(self):
+        h = H(B3, (0, 0), (0, 2), (2, 2))
+        assert h.degrees(0) == (2, 0, 1) and h.degrees(1) == (1, 0, 2)
+        assert H(GroundSet(GENERAL, 2, 4), (0, 1), (1, 3)).degrees() == (1, 2, 0, 1)
+        for side in (None, -1, 2):
+            with pytest.raises(InputError):
+                h.degrees(side)
 
 
 class TestPackage:
@@ -253,6 +262,21 @@ class TestOraclesAgainstReference:
         for h in fam:
             assert nu_exact(h) == reference.nu_exact(h)
 
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 40), GroundSet(PARTITE, 3, 12),
+                                        GroundSet(GENERAL, 2, 50)])
+    def test_same_answers_past_a_kilobit_of_edges(self, ground):
+        # over 1,024 distinct edges, so every mask is set through a byte buffer
+        rng = random.Random(ground.n)
+        cells = list(ground.cells())
+        fam = Family([Hypergraph(ground, rng.sample(cells, len(cells) * 2 // 3))
+                      for _ in range(4)])
+        assert rainbow_exact(fam) == reference.rainbow_exact(fam)
+        for h in fam:
+            if ground.kind == PARTITE:
+                assert nu_exact(h) == reference.nu_exact(h)
+            else:  # perfect matchings, which the reference search takes minutes to find
+                assert nu_exact(h) == ground.n // 2
+
 
 class TestOracleLimits:
     """Inputs far past the recursion limit or the search the oracles once made."""
@@ -282,6 +306,25 @@ class TestOracleLimits:
                 tracemalloc.stop()
             assert peak < 2 ** 20
         assert nu_exact(h) == 2 and rainbow_exact(fam).choices == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("ground,nu,choices", [
+        (GroundSet(PARTITE, 2, 200), 200, ((0, 0), (1, 1))),
+        (GroundSet(GENERAL, 2, 280), 140, ((0, 1), (2, 3)))])
+    def test_memory_stays_linear_in_dense_edges(self, ground, nu, choices):
+        # about 40,000 edges: one int per edge, as 1 << i, would hold E^2/16
+        # bytes (about 100 MiB) before the search starts
+        h = Hypergraph(ground, ground.cells())
+        fam = Family([h, h])
+        results = []
+        for oracle, arg in [(nu_exact, h), (rainbow_exact, fam)]:
+            tracemalloc.start()
+            try:
+                results.append(oracle(arg))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
+        assert results[0] == nu and results[1].choices == choices
 
 
 class TestPmDecomposition:
