@@ -394,16 +394,16 @@ def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:
     return True
 
 
-def _mask(positions: Iterable[int], length: int) -> int:
-    """The int of at most length bits with exactly the given bits set.
+# Masks up to this many bits are built by ORing in one shifted int per edge,
+# the cheapest way while they are short. A shift costs a digit per 30 bits of
+# its result, so past it that would be quadratic in the edges, in time and in
+# the memory of the per-edge ints (|E|^2/16 bytes).
+SHIFT_MASK_BITS = 1024
 
-    Shifting 1 into place costs a digit per 30 bits of the result, so past
-    a kilobit the bits are set in a byte buffer instead: a long mask then
-    costs time linear in its length, where shifting would cost its length
-    per bit. (Below that the buffer's fixed cost is the larger: over small
-    exhaustive families it made the oracle's setup 1.4 times slower.)"""
-    if length <= 1024:
-        return sum(map((1).__lshift__, positions))
+
+def _mask(positions: Iterable[int], length: int) -> int:
+    """The int of at most length bits with exactly the given bits set, set
+    in a byte buffer: linear in length, however many bits are set."""
     buf = bytearray((length + 7) >> 3)
     for i in positions:
         buf[i >> 3] |= 1 << (i & 7)
@@ -419,27 +419,34 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     those edges, one edge mask per member, and one dict per vertex position
     mapping each vertex an edge touches there to the mask of edges holding
     it: a partite ground has one dict per side, and a general ground one
-    dict shared by all r positions. Each mask has at most |E| bits and is
-    built in time linear in that; no int is kept per edge, nothing is
-    allocated per vertex or cell that no edge touches, and the ground's
-    cell index is not built."""
+    dict shared by all r positions. Each mask has at most |E| bits; nothing
+    is allocated per vertex or cell that no edge touches, and the ground's
+    cell index is not built. Past SHIFT_MASK_BITS edges the positions of
+    each mask are gathered and set through _mask, so the build stays linear
+    in |E| (over small exhaustive families that way is 1.4 times slower)."""
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
-    position = dict(zip(edges, range(m)))
-    masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
-    if ground.kind == PARTITE:
-        vertex = []
-        for s in range(ground.r):
+    groups = [(s,) for s in range(ground.r)] if ground.kind == PARTITE else [range(ground.r)]
+    vertex = []
+    if m <= SHIFT_MASK_BITS:
+        bit = dict(zip(edges, map((1).__lshift__, range(m))))
+        masks = [sum(map(bit.__getitem__, h.edges)) for h in members]
+        for slots in groups:
+            by_vertex: dict[int, int] = {}
+            for e, b in bit.items():
+                for s in slots:
+                    by_vertex[e[s]] = by_vertex.get(e[s], 0) | b
+            vertex.append(by_vertex)
+    else:
+        position = dict(zip(edges, range(m)))
+        masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
+        for slots in groups:
             at: dict[int, list[int]] = {}
-            for i, e in enumerate(edges):
-                at.setdefault(e[s], []).append(i)
+            for e, i in position.items():
+                for s in slots:
+                    at.setdefault(e[s], []).append(i)
             vertex.append({v: _mask(p, m) for v, p in at.items()})
-        return edges, masks, vertex
-    at = {}
-    for i, e in enumerate(edges):
-        for v in e:
-            at.setdefault(v, []).append(i)
-    return edges, masks, [{v: _mask(p, m) for v, p in at.items()}] * ground.r
+    return edges, masks, vertex if ground.kind == PARTITE else vertex * ground.r
 
 
 def nu_exact(h: Hypergraph) -> int:
