@@ -333,8 +333,9 @@ def r3_solve(family: Family) -> RainbowMatching:
     shifted, log = shifted_closure(family)
     remaining = set(range(k))
     assign: list[int] = []
+    rows = [h.degrees(0) for h in shifted]
     for j in range(k):
-        best = max(remaining, key=lambda i: (shifted[i].degree(j, 0), -i))
+        best = max(remaining, key=lambda i: (rows[i][j], -i))
         assign.append(best)
         remaining.discard(best)
     bip = GroundSet(PARTITE, 2, n)
