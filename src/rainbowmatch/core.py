@@ -423,7 +423,7 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     is allocated per vertex or cell that no edge touches, and the ground's
     cell index is not built. Past SHIFT_MASK_BITS edges the positions of
     each mask are gathered and set through _mask, so the build stays linear
-    in |E| (over small exhaustive families that way is 1.4 times slower)."""
+    in |E| (over small families that way is about 1.5 times slower)."""
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
     groups = [(s,) for s in range(ground.r)] if ground.kind == PARTITE else [range(ground.r)]
