@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
 from rainbowmatch.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+CLI_GOLDENS = FIXTURES / "cli"
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
 
 
@@ -262,3 +264,62 @@ class TestOtherCommands:
             '{"kind":"partite","r":2,"n":2,"families":[[[1,1]]]}'))
         code, out, _ = run_cli(capsys, "nu")
         assert code == 0 and out == "F_1: nu = 1\n"
+
+
+def fx(name):
+    return str(FIXTURES / name)
+
+
+# (golden name, argv, exit status): each case is run in text and in JSON form
+# and its stdout compared byte for byte with cli/<name>.txt and cli/<name>.json
+GOLDEN_CASES = [
+    ("solve_hall_success", ["solve", "--algorithm", "hall", "--in", fx("cli/in_hall_pair.json")], 0),
+    ("solve_greedy_success", ["solve", "--algorithm", "greedy", "--in", fx("cli/in_bip_full.json")], 0),
+    ("solve_simple_success", ["solve", "--algorithm", "simple", "--in", fx("cli/in_hall_pair.json")], 0),
+    ("solve_meshulam_success", ["solve", "--algorithm", "meshulam", "--in", fx("cli/in_k4_pair.json")], 0),
+    ("solve_r3_success", ["solve", "--algorithm", "r3", "--in", fx("cli/in_r3_cube.json")], 0),
+    ("solve_large_n_success", ["solve", "--algorithm", "large-n", "--in", fx("cli/in_r3_cube.json")], 0),
+    ("solve_oracle_success", ["solve", "--algorithm", "oracle", "--in", fx("ekr_n6_r3.json")], 0),
+    ("solve_oracle_none", ["solve", "--algorithm", "oracle", "--in", fx("star_n3_r2_k2.json")], 2),
+    ("solve_greedy_failure", ["solve", "--algorithm", "greedy", "--in", fx("star_n3_r2_k2.json")], 2),
+    ("solve_simple_failure", ["solve", "--algorithm", "simple", "--in", fx("cli/in_simple_low.json")], 2),
+    ("solve_large_n_failure", ["solve", "--algorithm", "large-n", "--in", fx("cli/in_large_n_stuck.json")], 2),
+    ("solve_hall_halt", ["solve", "--algorithm", "hall", "--in", fx("steal_q3_n6.json")], 2),
+    ("nu_steal", ["nu", "--in", fx("steal_q3_n6.json")], 0),
+    ("check_violated", ["check", "--in", fx("steal_q3_n6.json")], 0),
+    ("check_holds", ["check", "--in", fx("cli/in_hall_pair.json")], 0),
+    ("shift_partite_r2", ["shift", "--in", fx("shift_in_partite_r2.json")], 0),
+    ("shift_partite_r3", ["shift", "--in", fx("shift_in_partite_r3.json")], 0),
+    ("shift_general_r2", ["shift", "--in", fx("shift_in_general_r2.json")], 0),
+    ("extremal_star", ["extremal", "--name", "star", "--n", "3", "--r", "2", "--k", "2"], 0),
+    ("extremal_steal", ["extremal", "--name", "steal", "--q", "3", "--n", "6"], 0),
+    ("extremal_r3counter", ["extremal", "--name", "r3counter", "--n", "3"], 0),
+    ("extremal_ekr", ["extremal", "--name", "ekr", "--n", "6", "--r", "3"], 0),
+    ("threshold_f_r2", ["verify", "--threshold", "f_r2_general", "--n", "4", "--k", "2"], 0),
+    ("threshold_g_partite", ["verify", "--threshold", "g_partite", "--n", "2", "--r", "2", "--k", "2"], 0),
+    ("conjecture_degree_random", ["verify", "--conjecture", "degree_condition", "--n", "2",
+                                  "--k", "2", "--d", "1", "--budget", "100", "--seed", "7"], 0),
+    ("conjecture_size_exhaustive", ["verify", "--conjecture", "size_condition", "--n", "2",
+                                    "--r", "2", "--k", "2", "--mode", "exhaustive"], 0),
+    ("trace_steal", ["trace", "--name", "steal", "--q", "3", "--n", "6"], 0),
+]
+
+# a verify report's run time is the one field that differs between runs
+ELAPSED_LINE = re.compile(r'^  "elapsed": .*\n', re.M)
+
+
+def golden_output(capsys, argv, format):
+    code = main([*argv, "--format", format])
+    captured = capsys.readouterr()
+    return code, ELAPSED_LINE.sub("", captured.out), captured.err
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("format", ["text", "json"])
+    @pytest.mark.parametrize("name,argv,status", GOLDEN_CASES,
+                             ids=[case[0] for case in GOLDEN_CASES])
+    def test_output_is_byte_identical(self, capsys, name, argv, status, format):
+        code, out, err = golden_output(capsys, argv, format)
+        assert (code, err) == (status, "")
+        suffix = ".txt" if format == "text" else ".json"
+        assert out == (CLI_GOLDENS / f"{name}{suffix}").read_bytes().decode()
