@@ -3,103 +3,30 @@
 Exit statuses: 0 success; 2 no matching found (a legitimate outcome);
 3 invalid input or precondition violation; 4 a guaranteed algorithm step
 failed (accompanied by an instance dump on stderr).
+
+Each command writes its result as text with 1-based m_i / w_j style labels,
+or as schema-versioned JSON.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .core import GroundSet, RainbowMatching, nu_exact, rainbow_exact
+from .core import PARTITE, Family, nu_exact, rainbow_exact
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
 from .extremal import ekr_star, r3_counterexample, star_family, steal_family
 from .instances import Instance, edge_text, parse_instance, serialize_instance
-from .shifting import ShiftLog, pullback_rainbow, shifted_closure
-from .solvers import (AlgoTrace, HallCheck, check_hall_condition,
-                      greedy_bipartite, hall_size_algorithm, large_n_procedure,
-                      meshulam_r2, r3_solve, simple_algorithm)
-from .verify import (ConjectureId, VerifyReport, check_conjecture,
-                     compute_threshold_exact)
+from .shifting import pullback_rainbow, shifted_closure
+from .solvers import (_require_kind, check_hall_condition, greedy_bipartite,
+                      hall_size_algorithm, large_n_procedure, meshulam_r2,
+                      r3_solve, simple_algorithm)
+from .verify import ConjectureId, check_conjecture, compute_threshold_exact
 
 EXIT_OK = 0
 EXIT_NO_MATCHING = 2
 EXIT_PRECONDITION = 3
 EXIT_THEOREM_VIOLATION = 4
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    ground: GroundSet
-    status: str  # success | none | failure | halt
-    matching: RainbowMatching | None = None
-    detail: str | None = None
-    halt_t: int | None = None
-
-
-@dataclass(frozen=True)
-class NuResult:
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ShiftResult:
-    instance: Instance
-    log: ShiftLog
-
-
-@dataclass(frozen=True)
-class ThresholdResult:
-    mode: str
-    n: int
-    r: int
-    k: int
-    value: int
-
-
-def emit_result(result, format: str = "text") -> str:
-    """Render any command result; JSON output is schema-versioned and text
-    output uses 1-based m_i / w_j style labels."""
-    if format not in ("text", "json"):
-        raise InputError(f"unknown format: {format!r}")
-    if isinstance(result, SolveResult):
-        return _emit_solve(result, format)
-    if isinstance(result, AlgoTrace):
-        return result.to_text() if format == "text" else _dump(result.to_json())
-    if isinstance(result, HallCheck):
-        return _emit_check(result, format)
-    if isinstance(result, Instance):
-        if format == "json":
-            return serialize_instance(result)
-        return _instance_text(result)
-    if isinstance(result, NuResult):
-        if format == "json":
-            return _dump({"schema_version": 1, "kind": "nu",
-                          "values": list(result.values)})
-        return "".join(f"F_{i + 1}: nu = {v}\n" for i, v in enumerate(result.values))
-    if isinstance(result, ShiftResult):
-        if format == "json":
-            return _dump({"schema_version": 1, "kind": "shift_result",
-                          "instance": result.instance.to_dict(),
-                          "log": result.log.to_json()})
-        return (_instance_text(result.instance)
-                + f"shift steps applied: {len(result.log.steps)}\n")
-    if isinstance(result, VerifyReport):
-        if format == "json":
-            return _dump(result.to_json())
-        lines = [f"conjecture: {result.conjecture}",
-                 "params: " + " ".join(f"{k}={v}" for k, v in sorted(result.params.items())),
-                 f"mode: {result.mode}",
-                 f"instances checked: {result.instances_checked}",
-                 f"counterexamples: {len(result.counterexamples)}"]
-        return "\n".join(lines) + "\n"
-    if isinstance(result, ThresholdResult):
-        if format == "json":
-            return _dump({"schema_version": 1, "kind": "threshold",
-                          "mode": result.mode, "n": result.n, "r": result.r,
-                          "k": result.k, "value": result.value})
-        return f"{result.mode}(n={result.n}, r={result.r}, k={result.k}) = {result.value}\n"
-    raise InputError(f"cannot emit a {type(result).__name__}")
 
 
 def _dump(obj) -> str:
@@ -110,175 +37,154 @@ def _instance_text(instance: Instance) -> str:
     g = instance.ground
     lines = [f"kind: {g.kind} r={g.r} n={g.n}"]
     for i, member in enumerate(instance.families):
-        edges = ", ".join(edge_text(g, e) for e in sorted(member))
+        edges = ", ".join(edge_text(g, e) for e in member.edges)
         lines.append(f"F_{i + 1}: {edges}" if edges else f"F_{i + 1}: (empty)")
     return "\n".join(lines) + "\n"
 
 
-def _emit_solve(result: SolveResult, format: str) -> str:
-    if format == "json":
-        payload: dict = {"schema_version": 1, "kind": "solve",
-                         "status": result.status, "matching": None}
-        if result.matching is not None:
-            payload["matching"] = [[v + 1 for v in e] for e in result.matching.choices]
-        if result.halt_t is not None:
-            payload["halt_t"] = result.halt_t
-        if result.detail:
-            payload["detail"] = result.detail
-        return _dump(payload)
-    if result.status == "success":
-        return "".join(
-            f"F_{i + 1}: {edge_text(result.ground, e)}\n"
-            for i, e in enumerate(result.matching.choices))
-    if result.status == "none":
-        return "no rainbow matching\n"
-    if result.status == "halt":
-        return f"no rainbow matching found (halted at t={result.halt_t})\n"
-    return "no rainbow matching found" + (f" ({result.detail})\n" if result.detail else "\n")
-
-
 def _read_instance(path: str) -> Instance:
-    if path == "-":
-        return parse_instance(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    source = "stdin" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_instance(text)
 
 
 def _cmd_solve(args) -> int:
     family = _read_instance(args.infile).to_family()
-    g = family.ground
-    algo = args.algorithm
-    result: SolveResult
-    if algo == "oracle":
-        m = rainbow_exact(family)
-        result = SolveResult(g, "success" if m else "none", m)
-    elif algo == "hall":
-        _need(g, "partite", 2, algo)
+    extra: dict = {}
+    if args.algorithm == "oracle":
+        matching = rainbow_exact(family)
+        status, text = "none", "no rainbow matching\n"
+    elif args.algorithm == "hall":
+        _require_kind(family, PARTITE, r=2)
         shifted, log = shifted_closure(family)
         trace = hall_size_algorithm(shifted)
-        if trace.succeeded:
-            m = pullback_rainbow(log, family, trace.matching)
-            result = SolveResult(g, "success", m)
-        else:
-            result = SolveResult(g, "halt", halt_t=trace.halt_t)
-    elif algo == "greedy":
-        _need(g, "partite", 2, algo)
-        m = greedy_bipartite(family)
-        result = SolveResult(g, "success" if m else "failure", m,
-                             detail=None if m else "greedy pass got stuck")
-    elif algo == "meshulam":
-        _need(g, "general", 2, algo)
-        result = SolveResult(g, "success", meshulam_r2(family))
-    elif algo == "r3":
-        _need(g, "partite", 3, algo)
-        result = SolveResult(g, "success", r3_solve(family))
-    elif algo == "simple":
-        _need(g, "partite", 2, algo)
-        m = simple_algorithm(family)
-        result = SolveResult(g, "success" if m else "failure", m,
-                             detail=None if m else "no degree-matrix permutation")
-    elif algo == "large-n":
-        _need(g, "partite", None, algo)
-        m = large_n_procedure(family)
-        result = SolveResult(g, "success" if m else "failure", m,
-                             detail=None if m else "a selection step was impossible")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown algorithm: {algo!r}")
-    sys.stdout.write(emit_result(result, args.format))
-    return EXIT_OK if result.status == "success" else EXIT_NO_MATCHING
-
-
-def _need(ground: GroundSet, kind: str, r: int | None, algo: str) -> None:
-    if ground.kind != kind or (r is not None and ground.r != r):
-        want = f"{kind} r={r}" if r is not None else kind
-        raise InputError(f"algorithm {algo!r} needs a {want} instance, "
-                         f"got {ground.kind} r={ground.r}")
+        matching = trace.matching and pullback_rainbow(log, family, trace.matching)
+        status, text = "halt", f"no rainbow matching found (halted at t={trace.halt_t})\n"
+        extra["halt_t"] = trace.halt_t
+    else:
+        # solvers that return a matching or None, with the detail reported on
+        # None (meshulam and r3 refuse below their hypotheses instead). Built
+        # per call, so that a solver replaced on this module (as perfbench's
+        # tracer does) is the one that runs.
+        solver, detail = {
+            "greedy": (greedy_bipartite, "greedy pass got stuck"),
+            "meshulam": (meshulam_r2, None),
+            "r3": (r3_solve, None),
+            "simple": (simple_algorithm, "no degree-matrix permutation"),
+            "large-n": (large_n_procedure, "a selection step was impossible"),
+        }[args.algorithm]
+        matching = solver(family)
+        status, text = "failure", "no rainbow matching found\n"
+        if detail:
+            text = f"no rainbow matching found ({detail})\n"
+            extra["detail"] = detail
+    choices = None
+    if matching:
+        status, extra = "success", {}
+        choices = [[v + 1 for v in e] for e in matching.choices]
+        text = "".join(f"F_{i + 1}: {edge_text(family.ground, e)}\n"
+                       for i, e in enumerate(matching.choices))
+    if args.format == "json":
+        text = _dump({"schema_version": 1, "kind": "solve", "status": status,
+                      "matching": choices, **extra})
+    sys.stdout.write(text)
+    return EXIT_OK if matching else EXIT_NO_MATCHING
 
 
 def _cmd_shift(args) -> int:
     family = _read_instance(args.infile).to_family()
     shifted, log = shifted_closure(family)
-    result = ShiftResult(Instance.from_family(shifted), log)
-    sys.stdout.write(emit_result(result, args.format))
+    instance = Instance.from_family(shifted)
+    if args.format == "json":
+        sys.stdout.write(_dump({"schema_version": 1, "kind": "shift_result",
+                                "instance": instance.to_dict(), "log": log.to_json()}))
+    else:
+        sys.stdout.write(_instance_text(instance)
+                         + f"shift steps applied: {len(log.steps)}\n")
     return EXIT_OK
 
 
 def _cmd_nu(args) -> int:
     family = _read_instance(args.infile).to_family()
-    result = NuResult(tuple(nu_exact(h) for h in family.members))
-    sys.stdout.write(emit_result(result, args.format))
+    values = [nu_exact(h) for h in family.members]
+    if args.format == "json":
+        sys.stdout.write(_dump({"schema_version": 1, "kind": "nu", "values": values}))
+    else:
+        sys.stdout.write("".join(f"F_{i + 1}: nu = {v}\n" for i, v in enumerate(values)))
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    family = _read_instance(args.infile).to_family()
-    sys.stdout.write(emit_result(check_hall_condition(family), args.format))
-    return EXIT_OK
-
-
-def _emit_check(check: HallCheck, format: str) -> str:
-    if format == "json":
+    check = check_hall_condition(_read_instance(args.infile).to_family())
+    if args.format == "json":
         payload: dict = {"schema_version": 1, "kind": "hall_check", "ok": check.ok,
                          "witness": None}
         if not check.ok:
-            payload["witness"] = [i + 1 for i in check.witness]
-            payload["total"] = check.total
-            payload["bound"] = check.bound
-        return _dump(payload)
-    if check.ok:
-        return "condition holds: size sums exceed n|I|(|I|-1) for every I\n"
-    witness = "{" + ", ".join(str(i + 1) for i in check.witness) + "}"
-    return (f"condition violated at I={witness}: "
-            f"sum = {check.total}, bound = {check.bound}\n")
+            payload.update(witness=[i + 1 for i in check.witness],
+                           total=check.total, bound=check.bound)
+        sys.stdout.write(_dump(payload))
+    elif check.ok:
+        sys.stdout.write("condition holds: size sums exceed n|I|(|I|-1) for every I\n")
+    else:
+        witness = "{" + ", ".join(str(i + 1) for i in check.witness) + "}"
+        sys.stdout.write(f"condition violated at I={witness}: "
+                         f"sum = {check.total}, bound = {check.bound}\n")
+    return EXIT_OK
 
 
 def _cmd_extremal(args) -> int:
-    name = args.name
-    if name == "star":
+    if args.name == "star":
         family = star_family(args.n, args.r, args.k)
-        instance = Instance.from_family(family)
-    elif name == "steal":
-        instance = Instance.from_family(steal_family(args.q, args.n))
-    elif name == "r3counter":
-        instance = Instance.from_family(r3_counterexample(args.n))
-    elif name == "ekr":
-        h = ekr_star(args.n, args.r)
-        instance = Instance(h.ground, (h.edges,))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown construction: {name!r}")
-    sys.stdout.write(emit_result(instance, args.format))
+    elif args.name == "steal":
+        family = steal_family(args.q, args.n)
+    elif args.name == "r3counter":
+        family = r3_counterexample(args.n)
+    else:  # ekr
+        family = Family([ekr_star(args.n, args.r)])
+    instance = Instance.from_family(family)
+    sys.stdout.write(serialize_instance(instance) if args.format == "json"
+                     else _instance_text(instance))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     if args.threshold is not None:
         value = compute_threshold_exact(args.threshold, args.n, args.r, args.k)
-        result = ThresholdResult(args.threshold, args.n, args.r, args.k, value)
-        sys.stdout.write(emit_result(result, args.format))
+        if args.format == "json":
+            sys.stdout.write(_dump({"schema_version": 1, "kind": "threshold",
+                                    "mode": args.threshold, "n": args.n, "r": args.r,
+                                    "k": args.k, "value": value}))
+        else:
+            sys.stdout.write(f"{args.threshold}(n={args.n}, r={args.r}, k={args.k}) = {value}\n")
         return EXIT_OK
-    if args.conjecture is None:
-        raise InputError("verify needs either --conjecture or --threshold")
     params: dict = {"n": args.n, "k": args.k, "r": args.r}
     if args.d is not None:
         params["d"] = args.d
     report = check_conjecture(ConjectureId(args.conjecture), params,
                               mode=args.mode, budget=args.budget,
                               seed=args.seed, workers=args.workers)
-    sys.stdout.write(emit_result(report, args.format))
+    sys.stdout.write(report.to_text() if args.format == "text" else _dump(report.to_json()))
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    if args.name is not None:
-        if args.name != "steal":
-            raise InputError(f"unknown named trace instance: {args.name!r}")
+    if args.name is not None:  # steal, the one named instance
         family = steal_family(args.q, args.n)
     elif args.infile is not None:
         family = _read_instance(args.infile).to_family()
     else:
         raise InputError("trace needs --name or --in")
     trace = hall_size_algorithm(family)
-    sys.stdout.write(emit_result(trace, args.format))
+    sys.stdout.write(trace.to_text() if args.format == "text" else _dump(trace.to_json()))
     return EXIT_OK
 
 

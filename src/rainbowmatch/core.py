@@ -251,6 +251,16 @@ class Hypergraph:
         self._mask = None
 
     @classmethod
+    def _from_sorted(cls, ground: GroundSet, edges: tuple[Edge, ...]) -> "Hypergraph":
+        """Trusted constructor: a sorted tuple of edges already checked valid
+        and distinct over ground."""
+        h = cls.__new__(cls)
+        h.ground = ground
+        h._edges = edges
+        h._edge_set = h._mask = None
+        return h
+
+    @classmethod
     def _from_mask(cls, ground: GroundSet, mask: int) -> "Hypergraph":
         """Trusted constructor: the edges of a mask over ground.index, which
         are valid and distinct by construction."""

@@ -11,28 +11,37 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class Instance:
-    """A ground-set descriptor plus one edge list per family member.
+    """A ground-set descriptor plus one hypergraph per family member.
 
-    Edges are 0-based internally; the dict/JSON form is 1-based and emits
-    edges in lexicographic order.
+    A member given as an edge list is validated into a Hypergraph here; the
+    parser hands over members it has already validated. Edges are 0-based
+    internally; the dict/JSON form is 1-based and emits edges in
+    lexicographic order, which is a Hypergraph's edge order.
     """
 
     ground: GroundSet
-    families: tuple[tuple[Edge, ...], ...]
+    families: tuple[Hypergraph, ...]
+
+    def __post_init__(self) -> None:
+        members = tuple(m if isinstance(m, Hypergraph) else Hypergraph(self.ground, m)
+                        for m in self.families)
+        if any(m.ground != self.ground for m in members):
+            raise InputError("instance members must lie on the instance's ground")
+        object.__setattr__(self, "families", members)
 
     @classmethod
     def from_family(cls, family: Family) -> "Instance":
-        return cls(family.ground, tuple(h.edges for h in family.members))
+        return cls(family.ground, family.members)
 
     def to_family(self) -> Family:
-        return Family([Hypergraph(self.ground, edges) for edges in self.families])
+        return Family(self.families)
 
     def to_dict(self) -> dict:
         return {
             "kind": self.ground.kind,
             "r": self.ground.r,
             "n": self.ground.n,
-            "families": [[[v + 1 for v in e] for e in sorted(member)]
+            "families": [[[v + 1 for v in e] for e in member.edges]
                          for member in self.families],
         }
 
@@ -72,7 +81,7 @@ def instance_from_dict(data, path: str = "instance") -> Instance:
                 raise InputError(f"{where}: duplicate edge")
             seen.add(e)
             edges.append(e)
-        members.append(tuple(sorted(edges)))
+        members.append(Hypergraph._from_sorted(ground, tuple(sorted(edges))))
     return Instance(ground, tuple(members))
 
 
@@ -89,6 +98,8 @@ def parse_instance(text: str) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError("JSON nested too deeply to parse") from None
     return instance_from_dict(data)
 
 
@@ -108,16 +119,11 @@ def serialize_instance(instance: Instance) -> str:
     )
 
 
-def vertex_label(ground: GroundSet, side: int | None, v: int) -> str:
-    """1-based display label; m_i / w_j on bipartite grounds."""
-    if ground.kind == GENERAL:
-        return f"v_{v + 1}"
-    if ground.r == 2:
-        return f"m_{v + 1}" if side == 0 else f"w_{v + 1}"
-    return f"v{side + 1}_{v + 1}"
-
-
 def edge_text(ground: GroundSet, edge: Edge) -> str:
+    """1-based display labels: v_i on a general ground, m_i / w_j on a
+    bipartite one, vs_i (vertex i of side s) on an r-partite one."""
     if ground.kind == GENERAL:
         return " ".join(f"v_{v + 1}" for v in edge)
-    return " ".join(vertex_label(ground, s, v) for s, v in enumerate(edge))
+    if ground.r == 2:
+        return f"m_{edge[0] + 1} w_{edge[1] + 1}"
+    return " ".join(f"v{s + 1}_{v + 1}" for s, v in enumerate(edge))

@@ -5,7 +5,9 @@ degree-matrix permutation solver, and the prefix-block procedure."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
                    RainbowMatching)
@@ -271,14 +273,12 @@ def greedy_bipartite(family: Family) -> RainbowMatching | None:
         return None
     picked: list[int] = []
     for i in range(k):
-        banned = set(picked)
-        degs = [0] * n
-        for e in family[i].edges:
-            if e[0] not in banned:
-                degs[e[0]] += 1
-        v = max((u for u in range(n) if u not in banned),
-                key=lambda u: (degs[u], -u))
-        if degs[v] < k - i:
+        degs = Counter(map(itemgetter(0), family[i].edges))
+        for u in picked:
+            degs.pop(u, None)
+        # an untouched vertex has degree 0 < k - i, so picking one would fail
+        v = max(degs, key=lambda u: (degs[u], -u), default=None)
+        if v is None or degs[v] < k - i:
             return None
         picked.append(v)
     choices: list[Edge | None] = [None] * k

@@ -65,6 +65,13 @@ class VerifyReport:
             "seed": self.seed,
         }
 
+    def to_text(self) -> str:
+        """Summary lines; counterexamples are counted here, listed in to_json."""
+        params = " ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+        return (f"conjecture: {self.conjecture}\nparams: {params}\nmode: {self.mode}\n"
+                f"instances checked: {self.instances_checked}\n"
+                f"counterexamples: {len(self.counterexamples)}\n")
+
 
 @dataclass(frozen=True)
 class MatrixCheck:

@@ -71,6 +71,32 @@ class TestParseInstance:
             parse_instance(
                 '{"kind":"general","r":2,"n":4,"families":[[[3,2]]]}')
 
+    def test_each_edge_is_validated_once(self, monkeypatch):
+        checked = []
+        original = GroundSet.check_edge
+
+        def counting(self, edge):
+            checked.append(tuple(edge))
+            return original(self, edge)
+
+        monkeypatch.setattr(GroundSet, "check_edge", counting)
+        inst = parse_instance((FIXTURES / "steal_q3_n6.json").read_text())
+        parsed = len(checked)
+        fam = inst.to_family()
+        assert parsed <= sum(map(len, fam))  # at most once per edge while parsing
+        assert len(checked) == parsed  # and not again: to_family trusts the parser
+
+    def test_hand_built_instance_is_validated(self):
+        with pytest.raises(InputError, match="out of range"):
+            Instance(GroundSet(PARTITE, 2, 2), (((0, 0), (0, 2)),))
+        with pytest.raises(InputError, match="duplicate"):
+            Instance(GroundSet(PARTITE, 2, 2), (((0, 0), (0, 0)),))
+
+    def test_hand_built_member_on_another_ground_is_refused(self):
+        with pytest.raises(InputError, match="ground"):
+            Instance(GroundSet(PARTITE, 2, 2),
+                     (Hypergraph(GroundSet(PARTITE, 2, 3), [(0, 0)]),))
+
     def test_fixture_corpus_round_trips(self):
         for path in sorted(FIXTURES.glob("*.json")):
             if path.name.startswith(("verify_", "shift_log_", "ideals_")):
@@ -151,6 +177,19 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--algorithm", "greedy",
                                "--in", str(star))
         assert code == 2 and "no rainbow matching found" in out
+
+    def test_hall_on_general_is_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--algorithm", "hall",
+                                 "--in", str(FIXTURES / "ekr_n6_r3.json"))
+        assert (code, out) == (3, "") and "partite" in err
+
+    def test_greedy_allocates_nothing_per_vertex(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"kind": "partite", "r": 2, "n": 10 ** 30,
+                                    "families": [[[1, 10 ** 30]]]}))
+        code, out, err = run_cli(capsys, "solve", "--algorithm", "greedy",
+                                 "--in", str(path))
+        assert (code, out, err) == (0, f"F_1: m_1 w_{10 ** 30}\n", "")
 
     def test_r3_solve(self, tmp_path, capsys):
         import itertools
@@ -258,6 +297,46 @@ class TestOtherCommands:
                                  "--workers", workers)
         assert code == 3 and out == "" and "workers" in err
 
+    def test_missing_file_exits_3(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "nu", "--in", str(tmp_path / "missing.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read") and "No such file" in err
+
+    def test_directory_exits_3(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "nu", "--in", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read") and "directory" in err
+
+    def test_file_not_utf8_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        code, out, err = run_cli(capsys, "nu", "--in", str(path))
+        assert (code, out) == (3, "") and "not UTF-8" in err
+
+    def test_stdin_not_utf8_exits_3(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xfe\xff"),
+                                                          encoding="utf-8"))
+        code, out, err = run_cli(capsys, "nu")
+        assert (code, out) == (3, "") and "stdin: not UTF-8" in err
+
+    def test_deeply_nested_json_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "nu", "--in", str(path))
+        assert (code, out) == (3, "") and "nested too deeply" in err
+
+    @pytest.mark.parametrize("argv,stdin", [
+        (["nu", "--in", "/nonexistent/i.json"], b""),
+        (["nu"], b"\xfe\xff"),
+        (["nu"], b"[" * 100_000),
+    ], ids=["missing-file", "not-utf8", "deep-nesting"])
+    def test_unreadable_input_has_no_traceback(self, argv, stdin):
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
+                              input=stdin, capture_output=True, env=SRC_ENV, timeout=120)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(
@@ -270,8 +349,11 @@ def fx(name):
     return str(FIXTURES / name)
 
 
-# (golden name, argv, exit status): each case is run in text and in JSON form
-# and its stdout compared byte for byte with cli/<name>.txt and cli/<name>.json
+# (golden name, argv, exit status[, formats]): each case runs in each of its
+# formats, by default text and JSON, and its stdout is compared byte for byte
+# with cli/<name>.txt or cli/<name>.json. The JSON of shift and extremal, and
+# the text of trace, are pinned by the goldens in fixtures/ itself.
+TEXT = ("text",)
 GOLDEN_CASES = [
     ("solve_hall_success", ["solve", "--algorithm", "hall", "--in", fx("cli/in_hall_pair.json")], 0),
     ("solve_greedy_success", ["solve", "--algorithm", "greedy", "--in", fx("cli/in_bip_full.json")], 0),
@@ -288,38 +370,36 @@ GOLDEN_CASES = [
     ("nu_steal", ["nu", "--in", fx("steal_q3_n6.json")], 0),
     ("check_violated", ["check", "--in", fx("steal_q3_n6.json")], 0),
     ("check_holds", ["check", "--in", fx("cli/in_hall_pair.json")], 0),
-    ("shift_partite_r2", ["shift", "--in", fx("shift_in_partite_r2.json")], 0),
-    ("shift_partite_r3", ["shift", "--in", fx("shift_in_partite_r3.json")], 0),
-    ("shift_general_r2", ["shift", "--in", fx("shift_in_general_r2.json")], 0),
-    ("extremal_star", ["extremal", "--name", "star", "--n", "3", "--r", "2", "--k", "2"], 0),
-    ("extremal_steal", ["extremal", "--name", "steal", "--q", "3", "--n", "6"], 0),
-    ("extremal_r3counter", ["extremal", "--name", "r3counter", "--n", "3"], 0),
-    ("extremal_ekr", ["extremal", "--name", "ekr", "--n", "6", "--r", "3"], 0),
+    ("shift_partite_r2", ["shift", "--in", fx("shift_in_partite_r2.json")], 0, TEXT),
+    ("shift_partite_r3", ["shift", "--in", fx("shift_in_partite_r3.json")], 0, TEXT),
+    ("shift_general_r2", ["shift", "--in", fx("shift_in_general_r2.json")], 0, TEXT),
+    ("extremal_star", ["extremal", "--name", "star", "--n", "3", "--r", "2", "--k", "2"], 0, TEXT),
+    ("extremal_steal", ["extremal", "--name", "steal", "--q", "3", "--n", "6"], 0, TEXT),
+    ("extremal_r3counter", ["extremal", "--name", "r3counter", "--n", "3"], 0, TEXT),
+    ("extremal_ekr", ["extremal", "--name", "ekr", "--n", "6", "--r", "3"], 0, TEXT),
     ("threshold_f_r2", ["verify", "--threshold", "f_r2_general", "--n", "4", "--k", "2"], 0),
     ("threshold_g_partite", ["verify", "--threshold", "g_partite", "--n", "2", "--r", "2", "--k", "2"], 0),
     ("conjecture_degree_random", ["verify", "--conjecture", "degree_condition", "--n", "2",
                                   "--k", "2", "--d", "1", "--budget", "100", "--seed", "7"], 0),
     ("conjecture_size_exhaustive", ["verify", "--conjecture", "size_condition", "--n", "2",
                                     "--r", "2", "--k", "2", "--mode", "exhaustive"], 0),
-    ("trace_steal", ["trace", "--name", "steal", "--q", "3", "--n", "6"], 0),
+    ("trace_steal", ["trace", "--name", "steal", "--q", "3", "--n", "6"], 0, ("json",)),
 ]
 
 # a verify report's run time is the one field that differs between runs
 ELAPSED_LINE = re.compile(r'^  "elapsed": .*\n', re.M)
 
 
-def golden_output(capsys, argv, format):
-    code = main([*argv, "--format", format])
-    captured = capsys.readouterr()
-    return code, ELAPSED_LINE.sub("", captured.out), captured.err
+GOLDEN_RUNS = [pytest.param(name, argv, status, format, id=f"{name}-{format}")
+               for name, argv, status, *formats in GOLDEN_CASES
+               for format in (formats[0] if formats else ("text", "json"))]
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("format", ["text", "json"])
-    @pytest.mark.parametrize("name,argv,status", GOLDEN_CASES,
-                             ids=[case[0] for case in GOLDEN_CASES])
+    @pytest.mark.parametrize("name,argv,status,format", GOLDEN_RUNS)
     def test_output_is_byte_identical(self, capsys, name, argv, status, format):
-        code, out, err = golden_output(capsys, argv, format)
+        code, out, err = run_cli(capsys, *argv, "--format", format)
         assert (code, err) == (status, "")
         suffix = ".txt" if format == "text" else ".json"
-        assert out == (CLI_GOLDENS / f"{name}{suffix}").read_bytes().decode()
+        golden = (CLI_GOLDENS / f"{name}{suffix}").read_bytes().decode()
+        assert ELAPSED_LINE.sub("", out) == golden
