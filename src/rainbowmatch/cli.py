@@ -46,7 +46,11 @@ def _read_instance(path: str) -> Instance:
     source = "stdin" if path == "-" else path
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # decoded here, strictly: the stream's own decoding may escape
+            # bad bytes (as under the C locale). A stream without a byte
+            # buffer holds text already.
+            raw = getattr(sys.stdin, "buffer", None)
+            text = raw.read().decode("utf-8") if raw is not None else sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

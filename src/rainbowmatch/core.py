@@ -111,6 +111,30 @@ def _repeat(block: int, period: int, length: int) -> int:
     return block & ((1 << length) - 1)
 
 
+# Largest ground that gets a cell index. The index holds r*n^r bits on a
+# partite ground (n*C(n, r) on a general one), and the shifted closure that
+# builds it sweeps r*n(n-1)/2 shift pairs (n(n-1)/2 on a general one);
+# either past this limit is refused. 2^28 bits is 32 MiB of index masks.
+MAX_INDEX_BITS = 1 << 28
+
+
+def _guard_index(ground: GroundSet) -> None:
+    """Refuse a ground whose cell index or closure sweep passes
+    MAX_INDEX_BITS, with both sizes as the estimate. Exponents are cut where
+    the limit is passed already, so an absurd r costs nothing."""
+    n, r = ground.n, ground.r
+    cut = MAX_INDEX_BITS.bit_length()
+    if ground.kind == PARTITE:
+        bits, pairs = r * n ** min(r, cut), r * (n * (n - 1) // 2)
+    else:
+        bits, pairs = n * math.comb(n, min(r, n - r, cut)), n * (n - 1) // 2
+    if bits > MAX_INDEX_BITS or pairs > MAX_INDEX_BITS:
+        raise InputError(
+            f"ground too large to shift: its cell index needs at least {bits} "
+            f"bits and each closure sweep {pairs} shift pairs "
+            f"(limit {MAX_INDEX_BITS} each)")
+
+
 class CellIndex:
     """Lexicographic numbering of a ground's cells. An edge set becomes an int
     mask with bit i set iff cell(i) is an edge, and bit order is sorted edge
@@ -131,6 +155,7 @@ class CellIndex:
                  "_tail", "_tail_pos", "_sets", "_by_set", "_vertex")
 
     def __init__(self, ground: GroundSet):
+        _guard_index(ground)
         self._ground = ground
         n, r = ground.n, ground.r
         self._n = n

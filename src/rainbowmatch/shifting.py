@@ -7,6 +7,7 @@ Members are shifted as int masks over the ground's cell index
 general-kind shift maps each moving cell through the position map."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -154,17 +155,17 @@ def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
     """
     g = family.ground
     members = list(family.members)
-    shifts = [(side, x, y) for side in g.sides
-              for x in range(g.n - 1) for y in range(x + 1, g.n)]
     steps: list[ShiftStep] = []
-    # a sweep over a family of shifted members would change nothing
+    # a sweep over a family of shifted members would change nothing; the
+    # first test builds the cell index, which refuses a ground too large
     while not all(_is_shifted_mask(g, h.mask) for h in members):
-        for side, x, y in shifts:
-            shifted = [shift_hypergraph(h, x, y, side) for h in members]
-            images = tuple(step.images[0] for _, step in shifted)
-            if any(images):
-                members = [h for h, _ in shifted]
-                steps.append(ShiftStep(g, side, x, y, images))
+        for side in g.sides:
+            for x, y in itertools.combinations(range(g.n), 2):
+                shifted = [shift_hypergraph(h, x, y, side) for h in members]
+                images = tuple(step.images[0] for _, step in shifted)
+                if any(images):
+                    members = [h for h, _ in shifted]
+                    steps.append(ShiftStep(g, side, x, y, images))
     return Family(members), ShiftLog(tuple(steps))
 
 

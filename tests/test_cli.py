@@ -320,6 +320,32 @@ class TestOtherCommands:
         code, out, err = run_cli(capsys, "nu")
         assert (code, out) == (3, "") and "stdin: not UTF-8" in err
 
+    @pytest.mark.parametrize("data", [b"\xfe\xff", b'{"kind": "partite\xff"}'],
+                             ids=["bad-start", "bad-string"])
+    def test_stdin_decoded_strictly_under_an_escaping_locale(self, capsys, monkeypatch,
+                                                             data):
+        # the C locale's UTF-8 mode decodes stdin with surrogateescape, which
+        # would pass bad bytes on to the JSON parser
+        import io
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+        code, out, err = run_cli(capsys, "nu")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: stdin: not UTF-8 text") and "\\udc" not in err
+
+    @pytest.mark.parametrize("argv", [["solve", "--algorithm", "hall"], ["shift"]],
+                             ids=["hall", "shift"])
+    def test_ground_too_large_to_shift_exits_3(self, tmp_path, capsys, argv):
+        # refused before the cell index or the shift pairs are allocated
+        path = tmp_path / "i.json"
+        path.write_text('{"kind": "partite", "r": 2, "n": %d, "families": [[[5, 7]]]}'
+                        % 10 ** 30)
+        code, out, err = run_cli(capsys, *argv, "--in", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ground too large to shift")
+        assert f"needs at least {2 * 10 ** 60} bits" in err
+        assert f"{10 ** 30 * (10 ** 30 - 1)} shift pairs" in err
+
     def test_deeply_nested_json_exits_3(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

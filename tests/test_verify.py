@@ -303,3 +303,108 @@ class TestMatrixConjectureViaFamilies:
         rep = check_conjecture(ConjectureId.MATRIX, {"n": 2, "k": 2},
                                mode="exhaustive")
         assert rep.ok and rep.instances_checked > 0
+
+
+# every parameter set here admits some size above the bound
+MONOTONE_CASES = (
+    [("size_condition", {"n": 2, "r": 2, "k": 2})]
+    + [("size_condition", {"n": n, "r": 2, "k": k}) for n in (3, 4) for k in (2, 3)]
+    + [("size_condition", {"n": 2, "r": 3, "k": 2})]
+    + [("rainbow_general", {"n": n, "r": 2, "k": 2}) for n in (4, 5, 6)]
+    + [("rainbow_general", {"n": 6, "r": 2, "k": 3}),
+       ("rainbow_general", {"n": 6, "r": 3, "k": 2})]
+    + [("simple", {"n": n, "k": 2}) for n in (2, 3, 4)] + [("simple", {"n": 3, "k": 3})])
+
+
+def _case_id(case):
+    conjecture, params = case
+    return conjecture + "-" + "-".join(f"{k}{v}" for k, v in sorted(params.items()))
+
+
+class TestMinimalFamilies:
+    """Monotone conjectures are checked on minimal member multisets; the
+    ordered walk over every family stays the reference."""
+
+    @pytest.mark.parametrize("case", MONOTONE_CASES, ids=_case_id)
+    def test_report_equals_the_ordered_walk(self, case, monkeypatch):
+        from rainbowmatch import verify
+        conjecture, params = case
+        fast = check_conjecture(conjecture, params, mode="exhaustive")
+        monkeypatch.setattr(verify, "_run_exhaustive", verify._run_ordered)
+        ordered = check_conjecture(conjecture, params, mode="exhaustive")
+        assert fast == ordered and fast.instances_checked > 0
+
+    @pytest.mark.parametrize("conjecture,params,inside", [
+        ("size_condition", {"n": 3, "r": 2, "k": 2}, [(0, 0), (0, 1), (0, 2), (1, 0)]),
+        ("size_condition", {"n": 2, "r": 3, "k": 2},
+         [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1)]),
+        ("rainbow_general", {"n": 5, "r": 2, "k": 2}, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),
+        ("simple", {"n": 3, "k": 2}, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]),
+    ])
+    def test_planted_downward_closed_failure(self, conjecture, params, inside):
+        # a family fails iff every member lies inside one shifted set, so a
+        # family of subsets fails whenever a family of supersets does
+        from dataclasses import replace
+        from rainbowmatch import verify
+        ground = verify._make_checker(ConjectureId(conjecture), params).ground
+        fixed = Hypergraph(ground, inside)
+        assert is_shifted(fixed)
+        checker = replace(verify._make_checker(ConjectureId(conjecture), params),
+                          conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam))
+        checked, counters = verify._run_exhaustive(checker)
+        assert (checked, counters) == verify._run_ordered(checker)
+        assert counters
+        for inst in counters:
+            family = instance_from_dict(inst).to_family()
+            assert all(h.mask & ~fixed.mask == 0 for h in family)
+
+    def test_ordered_walk_runs_only_on_a_failure(self, monkeypatch):
+        from rainbowmatch import verify
+        calls = []
+        ordered = verify._run_ordered
+        monkeypatch.setattr(verify, "_run_ordered",
+                            lambda checker: calls.append(checker) or ordered(checker))
+        check_conjecture("size_condition", {"n": 3, "r": 2, "k": 2}, mode="exhaustive")
+        assert calls == []
+        check_conjecture("matrix", {"n": 2, "k": 2}, mode="exhaustive")
+        assert len(calls) == 1  # matrix is not monotone
+
+    @pytest.mark.parametrize("n,r,k,checked", [(3, 3, 2, 625_681), (5, 2, 3, 4_492_125)])
+    def test_newly_reachable_through_the_cli(self, capsys, n, r, k, checked):
+        from rainbowmatch.cli import main
+        code = main(["verify", "--conjecture", "size_condition", "--n", str(n),
+                     "--r", str(r), "--k", str(k), "--mode", "exhaustive",
+                     "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["instances_checked"] == checked
+        assert payload["counterexamples"] == []
+
+    def test_refuses_past_the_cell_limit_at_once(self):
+        import time
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=r"64 cells \(limit 36\); up to 2\^64"):
+            check_conjecture("size_condition", {"n": 4, "r": 3, "k": 2}, mode="exhaustive")
+        assert time.perf_counter() - start < 1.0
+
+    def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
+        import time
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_INSTANCES", 400_000)
+        monkeypatch.setattr(verify, "rainbow_exact", lambda fam: pytest.fail("oracle called"))
+        start = time.perf_counter()
+        with pytest.raises(InputError,
+                           match=r"about 424270 minimal families \(limit 400000\)"):
+            check_conjecture("size_condition", {"n": 6, "r": 2, "k": 4}, mode="exhaustive")
+        assert time.perf_counter() - start < 1.0
+
+    def test_covered_counts_ordered_dominating_families(self):
+        from collections import Counter
+        from rainbowmatch.verify import _covered
+        histogram = Counter({1: 2, 2: 3, 3: 1, 4: 5})
+        floors = (2, 4)
+        sizes = [s for s, m in histogram.items() for _ in range(m)]
+        brute = sum(1 for a, b in itertools.product(sizes, repeat=2)
+                    if min(a, b) >= 2 and max(a, b) >= 4)
+        assert _covered(floors, histogram) == brute
+        assert _covered((3, 3, 3), histogram) == 6 ** 3
