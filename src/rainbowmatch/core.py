@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -118,21 +119,38 @@ def _repeat(block: int, period: int, length: int) -> int:
 MAX_INDEX_BITS = 1 << 28
 
 
+def capped_cells(kind: str, r: int, n: int) -> int:
+    """Cells of a ground of this kind with uniformity r (0 allowed) and n
+    vertices: the exact count while it is at most MAX_INDEX_BITS, else a
+    lower bound that is still above it. Exponents are cut where the limit is
+    passed already, so an absurd r costs nothing to count or to print."""
+    cut = MAX_INDEX_BITS.bit_length()
+    if kind == PARTITE:
+        return n ** min(r, cut)
+    return math.comb(n, min(r, n - r, cut))
+
+
 def _guard_index(ground: GroundSet) -> None:
     """Refuse a ground whose cell index or closure sweep passes
-    MAX_INDEX_BITS, with both sizes as the estimate. Exponents are cut where
-    the limit is passed already, so an absurd r costs nothing."""
+    MAX_INDEX_BITS, with both sizes as the estimate."""
     n, r = ground.n, ground.r
-    cut = MAX_INDEX_BITS.bit_length()
-    if ground.kind == PARTITE:
-        bits, pairs = r * n ** min(r, cut), r * (n * (n - 1) // 2)
-    else:
-        bits, pairs = n * math.comb(n, min(r, n - r, cut)), n * (n - 1) // 2
+    partite = ground.kind == PARTITE
+    bits = (r if partite else n) * capped_cells(ground.kind, r, n)
+    pairs = (r if partite else 1) * (n * (n - 1) // 2)
     if bits > MAX_INDEX_BITS or pairs > MAX_INDEX_BITS:
         raise InputError(
             f"ground too large to shift: its cell index needs at least {bits} "
             f"bits and each closure sweep {pairs} shift pairs "
             f"(limit {MAX_INDEX_BITS} each)")
+
+
+def _mask(positions: Iterable[int], length: int) -> int:
+    """The int of at most length bits with exactly the given bits set, set
+    in a byte buffer: linear in length, however many bits are set."""
+    buf = bytearray((length + 7) >> 3)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 class CellIndex:
@@ -174,11 +192,11 @@ class CellIndex:
         # replacing one vertex is two XORs and a lookup
         self._sets = tuple(map(sum, itertools.combinations([1 << v for v in range(n)], r)))
         self._by_set = dict(zip(self._sets, itertools.count()))
-        rows = [bytearray((len(self._cells) + 7) // 8) for _ in range(n)]
+        at: list[list[int]] = [[] for _ in range(n)]
         for i, e in enumerate(self._cells):
             for v in e:
-                rows[v][i >> 3] |= 1 << (i & 7)
-        self._vertex = tuple(int.from_bytes(row, "little") for row in rows)
+                at[v].append(i)
+        self._vertex = tuple(_mask(p, len(self._cells)) for p in at)
 
     @property
     def cells(self) -> tuple[Edge, ...]:
@@ -199,10 +217,7 @@ class CellIndex:
         return self._cells[i]
 
     def mask(self, edges: Iterable[Edge]) -> int:
-        row = bytearray((self._ground.cell_count + 7) // 8)
-        for i in map(self.position, edges):
-            row[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(row, "little")
+        return _mask(map(self.position, edges), self._ground.cell_count)
 
     def edges(self, mask: int) -> tuple[Edge, ...]:
         """The cells of a mask's set bits, in position order."""
@@ -257,22 +272,21 @@ def edge_vertices(ground: GroundSet, edge: Edge) -> tuple:
 
 
 class Hypergraph:
-    """An immutable edge set with O(1) membership and sorted iteration.
+    """An immutable edge set with sorted iteration.
 
     The edges are held as a sorted tuple, as an int mask over ground.index,
     or both: each form is derived from the other on first use, so a chain of
-    shifts never decodes its intermediate masks."""
+    shifts never decodes its intermediate masks. Membership is a bit test
+    when the mask is held and a bisection of the tuple otherwise."""
 
-    __slots__ = ("ground", "_edges", "_edge_set", "_mask")
+    __slots__ = ("ground", "_edges", "_mask")
 
     def __init__(self, ground: GroundSet, edges: Iterable[Sequence[int]]):
-        checked = [ground.check_edge(e) for e in edges]
-        edge_set = frozenset(checked)
-        if len(edge_set) != len(checked):
+        checked = sorted(ground.check_edge(e) for e in edges)
+        if any(map(operator.eq, checked, itertools.islice(checked, 1, None))):
             raise InputError("duplicate edges in hypergraph")
         self.ground = ground
-        self._edges = tuple(sorted(edge_set))
-        self._edge_set = edge_set
+        self._edges = tuple(checked)
         self._mask = None
 
     @classmethod
@@ -282,7 +296,7 @@ class Hypergraph:
         h = cls.__new__(cls)
         h.ground = ground
         h._edges = edges
-        h._edge_set = h._mask = None
+        h._mask = None
         return h
 
     @classmethod
@@ -291,7 +305,7 @@ class Hypergraph:
         are valid and distinct by construction."""
         h = cls.__new__(cls)
         h.ground = ground
-        h._edges = h._edge_set = None
+        h._edges = None
         h._mask = mask
         return h
 
@@ -309,11 +323,6 @@ class Hypergraph:
             self._mask = self.ground.index.mask(self._edges)
         return self._mask
 
-    def _frozen(self) -> frozenset[Edge]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
-
     def __len__(self) -> int:
         return len(self._edges) if self._edges is not None else self._mask.bit_count()
 
@@ -321,17 +330,24 @@ class Hypergraph:
         return iter(self.edges)
 
     def __contains__(self, edge) -> bool:
-        return tuple(edge) in self._frozen()
+        e = tuple(edge)
+        try:
+            if self._mask is not None:
+                return bool(self._mask >> self.ground.index.position(e) & 1)
+            i = bisect_left(self._edges, e)
+        except (LookupError, TypeError, ValueError):  # not a cell of the ground
+            return False
+        return i < len(self._edges) and self._edges[i] == e
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph) or self.ground != other.ground:
             return False
         if self._mask is not None and other._mask is not None:
             return self._mask == other._mask
-        return self._frozen() == other._frozen()
+        return self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.ground, self._frozen()))
+        return hash((self.ground, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.ground.kind}, r={self.ground.r}, n={self.ground.n}, {len(self)} edges)"
@@ -384,6 +400,11 @@ class Family:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(m) for m in self.members)
 
+    def by_size(self) -> tuple[int, ...]:
+        """Member indices in ascending size order, ties by index: the order
+        in which the solvers and the exact search take the members."""
+        return tuple(sorted(range(self.k), key=self.sizes().__getitem__))
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -434,15 +455,6 @@ def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:
 # its result, so past it that would be quadratic in the edges, in time and in
 # the memory of the per-edge ints (|E|^2/16 bytes).
 SHIFT_MASK_BITS = 1024
-
-
-def _mask(positions: Iterable[int], length: int) -> int:
-    """The int of at most length bits with exactly the given bits set, set
-    in a byte buffer: linear in length, however many bits are set."""
-    buf = bytearray((length + 7) >> 3)
-    for i in positions:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
 
 
 def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
@@ -550,7 +562,7 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
             return None
     elif len(vertex[0]) < g.r * k:
         return None
-    order = sorted(range(k), key=lambda i: (len(family[i]), i))
+    order = family.by_size()
     masks = [masks[i] for i in order]
     if not all(masks):
         return None
@@ -586,7 +598,5 @@ def pm_decomposition(n: int, r: int) -> list[tuple[Edge, ...]]:
     """
     if n < 1 or r < 1:
         raise InputError("pm_decomposition needs n >= 1 and r >= 1")
-    out = []
-    for offsets in itertools.product(range(n), repeat=r - 1):
-        out.append(tuple((i, *(((i + c) % n) for c in offsets)) for i in range(n)))
-    return out
+    return [tuple((i, *((i + c) % n for c in offsets)) for i in range(n))
+            for offsets in itertools.product(range(n), repeat=r - 1)]

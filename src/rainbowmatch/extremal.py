@@ -1,10 +1,20 @@
 """Closed-form thresholds and the sharpness / counterexample constructions."""
 from __future__ import annotations
 
+import itertools
 import math
 
-from .core import GENERAL, PARTITE, Family, GroundSet, Hypergraph
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
+                   capped_cells)
 from .errors import InputError
+
+
+def _member(ground: GroundSet, count: int, edges) -> Hypergraph:
+    """The member of these sorted edges, refused first if count passes MAX_INDEX_BITS."""
+    if count > MAX_INDEX_BITS:
+        raise InputError(f"construction refused: a member would have at least "
+                         f"{count} edges (limit {MAX_INDEX_BITS})")
+    return Hypergraph._from_sorted(ground, tuple(edges))
 
 
 def f_r2(n: int, k: int) -> int:
@@ -44,7 +54,8 @@ def star_family(n: int, r: int, k: int) -> Family:
     if k - 1 > n:
         raise InputError(f"star family needs k - 1 <= n, got k={k}, n={n}")
     ground = GroundSet(PARTITE, r, n)
-    member = Hypergraph(ground, (e for e in ground.cells() if e[0] < k - 1))
+    member = _member(ground, (k - 1) * capped_cells(PARTITE, r - 1, n),
+                     itertools.product(range(k - 1), *[range(n)] * (r - 1)))
     return Family([member] * k)
 
 
@@ -61,10 +72,9 @@ def steal_family(q: int, n: int) -> Family:
     if q >= n:
         raise InputError(f"needs q < n, got q={q}, n={n}")
     ground = GroundSet(PARTITE, 2, n)
-    first = Hypergraph(ground, ((c, d) for c in range(q) for d in range(q)))
-    rest_edges = {(c, d) for c in range(q) for d in range(n)}
-    rest_edges.update((c, 0) for c in range(n))
-    rest = Hypergraph(ground, rest_edges)
+    first = _member(ground, q * q, itertools.product(range(q), repeat=2))
+    rest = _member(ground, (q + 1) * n - q,
+                   ((c, d) for c in range(n) for d in (range(n) if c < q else (0,))))
     return Family([first] + [rest] * q)
 
 
@@ -76,7 +86,9 @@ def r3_counterexample(n: int) -> Family:
         raise InputError(f"needs n >= 2, got {n}")
     ground = GroundSet(PARTITE, 3, n)
     f1 = Hypergraph(ground, [(0, 0, 0)])
-    f2 = Hypergraph(ground, (e for e in ground.cells() if 0 in e))
+    f2 = _member(ground, n ** 3 - (n - 1) ** 3,
+                 ((a, b, c) for a in range(n) for b in range(n)
+                  for c in (range(n) if 0 in (a, b) else (0,))))
     return Family([f1, f2])
 
 
@@ -87,4 +99,5 @@ def ekr_star(n: int, r: int) -> Hypergraph:
     if 2 * r > n:
         raise InputError(f"needs r <= n/2, got r={r}, n={n}")
     ground = GroundSet(GENERAL, r, n)
-    return Hypergraph(ground, (e for e in ground.cells() if e[0] == 0))
+    return _member(ground, capped_cells(GENERAL, r - 1, n - 1),
+                   ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))

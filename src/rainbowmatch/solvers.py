@@ -4,6 +4,7 @@ the shifted-pair construction on K_n, the 3-partite link reduction, the
 degree-matrix permutation solver, and the prefix-block procedure."""
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -43,20 +44,32 @@ class HallCheck:
         return self.ok
 
 
+def _hall_violation(sizes, n: int) -> int:
+    """The length j of the shortest ascending-size prefix whose sum is at
+    most n*j*(j-1), or 0 if every prefix sum is above it."""
+    prefix_sums = itertools.accumulate(sorted(sizes))
+    return next((j for j, total in enumerate(prefix_sums, start=1)
+                 if total <= n * j * (j - 1)), 0)
+
+
+def _dominates(sizes, floors) -> bool:
+    """True iff the i-th smallest size is at least the i-th of the ascending
+    floors, for every i."""
+    return all(s >= f for s, f in zip(sorted(sizes), floors))
+
+
 def check_hall_condition(family: Family) -> HallCheck:
     """True iff sum of |F_i| over I strictly exceeds n|I|(|I|-1) for every
     nonempty I. Only the ascending-size prefixes need checking: for fixed |I|
     the minimum sum is attained by the smallest members."""
     _require_kind(family, PARTITE, r=2)
     n = family.ground.n
-    order = sorted(range(family.k), key=lambda i: (len(family[i]), i))
-    total = 0
-    for j, idx in enumerate(order, start=1):
-        total += len(family[idx])
-        bound = n * j * (j - 1)
-        if total <= bound:
-            return HallCheck(False, tuple(sorted(order[:j])), total, bound)
-    return HallCheck(True)
+    j = _hall_violation(family.sizes(), n)
+    if not j:
+        return HallCheck(True)
+    prefix = family.by_size()[:j]
+    return HallCheck(False, tuple(sorted(prefix)), sum(len(family[i]) for i in prefix),
+                     n * j * (j - 1))
 
 
 @dataclass(frozen=True)
@@ -181,15 +194,14 @@ def hall_size_algorithm(family: Family) -> AlgoTrace:
         if not is_shifted(h):
             raise PreconditionError(f"member {i + 1} is not shifted; "
                                     "run shifted_closure first")
-    n, k = family.ground.n, family.k
-    order = tuple(sorted(range(k), key=lambda i: (len(family[i]), i)))
+    k = family.k
+    order = family.by_size()
     covered_m: set[int] = set()
     covered_w: set[int] = set()
     raw: list[dict] = []
     halt_t = None
     for t, idx in enumerate(order, start=1):
-        a = _first_free(covered_m, n)
-        b = _first_free(covered_w, n)
+        a, b = _first_free(covered_m), _first_free(covered_w)
         state = {"t": t, "member": idx, "a": a, "b": b,
                  "covered_m": tuple(sorted(covered_m)),
                  "covered_w": tuple(sorted(covered_w))}
@@ -200,29 +212,22 @@ def hall_size_algorithm(family: Family) -> AlgoTrace:
             raw.append(state | {"edge": None})
             break
         length = lambda e: abs((e[1] - b) - (e[0] - a))
-        best_len = max(length(e) for e in cand)
-        best = [e for e in cand if length(e) == best_len]
-        through_w = [e for e in best if e[1] == b]
-        e = min(through_w) if through_w else min(best)
+        # longest, then through w_b, then lexicographically least
+        e = min(cand, key=lambda e: (-length(e), e[1] != b, e))
         if e[0] != a and e[1] != b:
             raise TheoremViolationError(
                 "a longest edge avoids both first uncovered vertices although "
                 "the member is shifted", instance=family)
-        raw.append(state | {"edge": e, "length": best_len,
+        raw.append(state | {"edge": e, "length": length(e),
                             "tail_side": 0 if e[0] == a else 1})
         covered_m.add(e[0])
         covered_w.add(e[1])
 
-    final_a = raw[-1]["a"] if halt_t is not None else _first_free(covered_m, n)
-    final_b = raw[-1]["b"] if halt_t is not None else _first_free(covered_w, n)
-
-    steps = []
-    for state in raw:
-        short = None
-        if state["edge"] is not None:
-            short = state["edge"][0] < final_a and state["edge"][1] < final_b
-        steps.append(StepRecord(**state, short=short))
-
+    # a halted run covers nothing after its last recorded state
+    final_a, final_b = _first_free(covered_m), _first_free(covered_w)
+    steps = [StepRecord(**state, short=None if state["edge"] is None else
+                        state["edge"][0] < final_a and state["edge"][1] < final_b)
+             for state in raw]
     _assert_tail_observation(steps, family)
 
     matching = None
@@ -238,11 +243,8 @@ def hall_size_algorithm(family: Family) -> AlgoTrace:
                      final_a, final_b)
 
 
-def _first_free(covered: set[int], n: int) -> int:
-    i = 0
-    while i < n and i in covered:
-        i += 1
-    return i
+def _first_free(covered: set[int]) -> int:
+    return next(i for i in itertools.count() if i not in covered)
 
 
 def _assert_tail_observation(steps, family) -> None:
@@ -251,11 +253,8 @@ def _assert_tail_observation(steps, family) -> None:
         if early.edge is None:
             continue
         for later in steps[i + 1:]:
-            if early.tail_side == 0:
-                ok = early.edge[0] < later.a
-            else:
-                ok = early.edge[1] < later.b
-            if not ok:
+            if not (early.edge[0] < later.a if early.tail_side == 0
+                    else early.edge[1] < later.b):
                 raise TheoremViolationError(
                     f"tail of e_{early.t} escapes R_{later.t}", instance=family)
 
@@ -284,10 +283,10 @@ def greedy_bipartite(family: Family) -> RainbowMatching | None:
     choices: list[Edge | None] = [None] * k
     used_w: set[int] = set()
     for i in range(k - 1, -1, -1):
-        cand = [e for e in family[i].edges if e[0] == picked[i] and e[1] not in used_w]
-        if not cand:
+        e = min((e for e in family[i].edges if e[0] == picked[i] and e[1] not in used_w),
+                default=None)
+        if e is None:
             return None
-        e = min(cand)
         choices[i] = e
         used_w.add(e[1])
     return RainbowMatching(tuple(choices))  # type: ignore[arg-type]
@@ -418,8 +417,8 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
     n, k = family.ground.n, family.k
     if n <= math.comb(k, 2):
         raise PreconditionError(f"needs n > C(k, 2) = {math.comb(k, 2)}, got n={n}")
-    order = sorted(range(k), key=lambda i: (len(family[i]), i))
-    sizes_ok = all(len(family[order[i]]) >= (i + 1) * n for i in range(k))
+    order = family.by_size()
+    sizes_ok = _dominates(family.sizes(), range(n, (k + 1) * n, n))
     shifted, log = shifted_closure(family)
     dm = DegreeMatrix.from_family(shifted)
     allowed = [[dm.entries[order[i]][j] > k - (j + 1) for j in range(k)]
@@ -435,13 +434,12 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
     used_m: set[int] = set()
     for j in range(k - 1, -1, -1):
         member = order[pi[j]]
-        cand = [e for e in shifted[member].edges
-                if e[1] == j and e[0] not in used_m]
-        if not cand:
+        e = min((e for e in shifted[member].edges if e[1] == j and e[0] not in used_m),
+                default=None)
+        if e is None:
             raise TheoremViolationError(
                 f"greedy completion stuck at w_{j + 1} despite the marked cell",
                 instance=family)
-        e = min(cand)
         used_m.add(e[0])
         choices[member] = e
     return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))  # type: ignore[arg-type]
@@ -465,39 +463,23 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     if k == 1:
         return pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))
     a = k - 1
-    used_x: set[tuple[int, int]] = set()
     xs: list[tuple[int, int]] = []
     for i in range(k - 1):
-        found = None
-        for side in range(r):
-            for v in range(a):
-                if (side, v) in used_x:
-                    continue
-                if any(e[side] == v and all(e[s] >= a for s in range(r) if s != side)
-                       for e in shifted[i].edges):
-                    found = (side, v)
-                    break
-            if found:
-                break
+        found = next(((side, v) for side in range(r) for v in range(a)
+                      if (side, v) not in xs
+                      and any(e[side] == v and all(e[s] >= a for s in range(r) if s != side)
+                              for e in shifted[i].edges)), None)
         if found is None:
             return None
-        used_x.add(found)
         xs.append(found)
-    ek_cands = [e for e in shifted[k - 1].edges
-                if all(e[side] != v for side, v in xs)]
-    if not ek_cands:
-        return None
     # the k-1 block edges must tile the block, so prefer a last edge outside it
-    ek = min(ek_cands, key=lambda e: (sum(1 for v in e if v < a), e))
-    x_values: list[set[int]] = [set() for _ in range(r)]
-    for s, v in xs:
-        x_values[s].add(v)
-    used: list[set[int]] = [set() for _ in range(r)]
-    for s in range(r):
-        if ek[s] < a:
-            used[s].add(ek[s])
-    choices: list[Edge | None] = [None] * k
-    choices[k - 1] = ek
+    ek = min((e for e in shifted[k - 1].edges if all(e[side] != v for side, v in xs)),
+             key=lambda e: (sum(1 for v in e if v < a), e), default=None)
+    if ek is None:
+        return None
+    x_values = [{v for side, v in xs if side == s} for s in range(r)]
+    used = [{ek[s]} if ek[s] < a else set() for s in range(r)]
+    choices: list[Edge | None] = [None] * (k - 1) + [ek]
     for i in range(k - 1):
         side_i, x_i = xs[i]
         coords = []

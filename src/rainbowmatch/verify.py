@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
 
-from .core import (GENERAL, PARTITE, Family, GroundSet, Hypergraph, nu_exact,
-                   rainbow_exact)
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
+                   capped_cells, nu_exact, rainbow_exact)
 from .errors import InputError, TheoremViolationError
 from .extremal import f_r2, g_formula
 from .instances import Instance
 from .shifting import shifted_closure
-from .solvers import DegreeMatrix, check_hall_condition, large_n_procedure
+from .solvers import (DegreeMatrix, _dominates, _hall_violation, check_hall_condition,
+                      large_n_procedure)
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
 # 21 cells admits the smallest valid r=3 general universe (C(6,3) = 20) while
@@ -98,9 +99,8 @@ class MatrixCheck:
 # ---------------------------------------------------------------------------
 # Enumeration of shifted edge sets
 
-def _ideal_dfs(ground: GroundSet, size: int | None = None) -> Iterator[int]:
-    """All downward-closed edge masks over ground.index (of one exact size
-    when given), each once.
+def _ideal_dfs(ground: GroundSet) -> Iterator[int]:
+    """All downward-closed edge masks over ground.index, each once.
 
     Walks the cells graded by coordinate sum, a linear extension of the
     dominance order; a cell may join only when its immediate predecessors (the
@@ -115,26 +115,24 @@ def _ideal_dfs(ground: GroundSet, size: int | None = None) -> Iterator[int]:
                   and (j := index.replace(i, side, v, v - 1)) is not None)
               for i in walk]
 
-    def rec(t: int, mask: int, count: int) -> Iterator[int]:
-        if size is not None and (count > size or count + (m - t) < size):
-            return
+    def rec(t: int, mask: int) -> Iterator[int]:
         if t == m:
-            if size is None or count == size:
-                yield mask
+            yield mask
             return
-        yield from rec(t + 1, mask, count)
+        yield from rec(t + 1, mask)
         if mask & covers[t] == covers[t]:
-            yield from rec(t + 1, mask | 1 << walk[t], count + 1)
+            yield from rec(t + 1, mask | 1 << walk[t])
 
-    yield from rec(0, 0, 0)
+    yield from rec(0, 0)
 
 
 def enumerate_shifted(ground: GroundSet, size: int) -> Iterator[Hypergraph]:
     """Every downward-closed edge set of exactly the given size, each once."""
     if size < 0 or size > ground.cell_count:
         raise InputError(f"size {size} out of range [0, {ground.cell_count}]")
-    for mask in _ideal_dfs(ground, size):
-        yield Hypergraph._from_mask(ground, mask)
+    for h in iter_shifted(ground):
+        if len(h) == size:
+            yield h
 
 
 def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
@@ -144,11 +142,12 @@ def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
 
 
 def _guard_cells(ground: GroundSet, limit: int = MAX_EXHAUSTIVE_CELLS) -> None:
-    if ground.cell_count > limit:
-        raise InputError(
-            f"exhaustive enumeration refused: universe has {ground.cell_count} "
-            f"cells (limit {limit}); up to "
-            f"2^{ground.cell_count} candidate edge sets")
+    cells = capped_cells(ground.kind, ground.r, ground.n)
+    if cells > limit:
+        exact = cells <= MAX_INDEX_BITS  # else cells is a lower bound
+        raise InputError(f"exhaustive enumeration refused: universe has "
+                         f"{'' if exact else 'at least '}{cells} cells (limit {limit}); "
+                         f"{'up to' if exact else 'at least'} 2^{cells} candidate edge sets")
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +234,8 @@ def _sample_member(rng: random.Random, ground: GroundSet, size: int) -> Hypergra
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
                            floors: list[int]) -> Family:
     u = ground.cell_count
-    members = [_sample_member(rng, ground, rng.randint(f, u)) for f in floors]
-    shifted, _ = shifted_closure(Family(members))
-    return shifted
+    return shifted_closure(Family([_sample_member(rng, ground, rng.randint(f, u))
+                                   for f in floors]))[0]
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
@@ -271,8 +269,7 @@ def _rainbow_checker(ground: GroundSet, floors: list[int]) -> _Checker:
     every family of supersets, so the checker is monotone."""
     return _Checker(
         ground, len(floors), floors[0],
-        hypothesis=lambda fam: all(
-            s >= f for s, f in zip(sorted(fam.sizes()), floors)),
+        hypothesis=lambda fam: _dominates(fam.sizes(), floors),
         conclusion=_rainbow_concl,
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
         floors=tuple(floors))
@@ -334,8 +331,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             u = ground.cell_count
             for _ in range(1000):
                 sizes = [rng.randint(1, u) for _ in range(k)]
-                pref = sorted(sizes)
-                if all(sum(pref[:j]) > n * j * (j - 1) for j in range(1, k + 1)):
+                if not _hall_violation(sizes, n):
                     return _sample_shifted_family(rng, ground, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
 
@@ -360,19 +356,19 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
         raise InputError(f"workers must be at least 1, got {workers}")
     checker = _make_checker(conjecture, params)
     start = time.perf_counter()
-    if mode == "exhaustive":
+    if mode == "random":
+        if budget < 1:
+            raise InputError(f"budget must be positive, got {budget}")
+        checked, counters = _run_random(conjecture, params, budget, seed, workers)
+    elif mode == "exhaustive":
         if not checker.exhaustive_allowed:
             raise InputError(
                 f"{conjecture.value}: no shifted reduction is available, "
                 "exhaustive mode is refused; use random mode")
         checked, counters = _run_exhaustive(checker)
-        return VerifyReport(conjecture.value, dict(params), mode, checked,
-                            tuple(counters), time.perf_counter() - start, None)
-    if mode != "random":
+        seed = None  # nothing is drawn
+    else:
         raise InputError(f"unknown mode: {mode!r}")
-    if budget < 1:
-        raise InputError(f"budget must be positive, got {budget}")
-    checked, counters = _run_random(conjecture, params, budget, seed, workers)
     return VerifyReport(conjecture.value, dict(params), mode, checked,
                         tuple(counters), time.perf_counter() - start, seed)
 
@@ -512,14 +508,13 @@ def check_matrix_conjecture(dm: DegreeMatrix) -> MatrixCheck:
         raise InputError(f"permutation search is limited to k <= 10, got k={k}")
     if k > dm.n:
         raise InputError(f"needs k <= n, got k={k}, n={dm.n}")
-    sums = sorted(dm.row_sums())
-    hypothesis = all(sum(sums[:j]) > dm.n * j * (j - 1) for j in range(1, k + 1))
+    hypothesis = not _hall_violation(dm.row_sums(), dm.n)
     strong = weak = None
     for perm in itertools.permutations(range(k)):
-        sel = sorted(dm.entries[i][perm[i]] for i in range(k))
-        if strong is None and all(sum(sel[:j]) > j * (j - 1) for j in range(1, k + 1)):
+        sel = [dm.entries[i][perm[i]] for i in range(k)]
+        if strong is None and not _hall_violation(sel, 1):
             strong = perm
-        if weak is None and all(sel[j - 1] >= j for j in range(1, k + 1)):
+        if weak is None and _dominates(sel, range(1, k + 1)):
             weak = perm
         if strong is not None and weak is not None:
             break
@@ -543,9 +538,8 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         rng = random.Random(f"{seed}:{r}:{k}:{n}")
         successes = 0
         for _ in range(trials):
-            members = [_sample_member(rng, ground, rng.randint(bound + 1, ground.cell_count))
-                       for _ in range(k)]
-            family = Family(members)
+            family = Family([_sample_member(rng, ground, rng.randint(bound + 1, ground.cell_count))
+                             for _ in range(k)])
             matching = large_n_procedure(family)
             if matching is not None:
                 if not matching.is_valid_for(family):

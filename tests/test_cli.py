@@ -363,6 +363,25 @@ class TestOtherCommands:
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--threshold", "g_partite", "--n", "2", "--r", "20000", "--k", "2"],
+        ["verify", "--conjecture", "size_condition", "--n", "2", "--r", "20000",
+         "--k", "2", "--mode", "exhaustive"],
+        ["verify", "--conjecture", "rainbow_general", "--n", "40000", "--r", "20000",
+         "--k", "2", "--mode", "exhaustive"],
+        ["extremal", "--name", "star", "--n", "2", "--r", "100000"],
+        ["extremal", "--name", "ekr", "--n", "60", "--r", "30"],
+        ["extremal", "--name", "steal", "--n", "1000000000"],
+    ], ids=["threshold", "size-condition", "rainbow-general", "star", "ekr", "steal"])
+    def test_huge_grounds_are_refused_with_a_short_message(self, argv):
+        # the estimate is capped, so it prints in a few digits however large
+        # the ground, and nothing is enumerated or generated first
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
+                              capture_output=True, env=SRC_ENV, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+        assert len(proc.stderr) < 500
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(

@@ -48,6 +48,23 @@ class TestGroundSet:
             assert lazy.edges == h.edges and all(e in lazy for e in h)
             other = Hypergraph._from_mask(ground, mask ^ 1)
             assert other != lazy and other != h and len(other) != len(h)
+            # a tuple-only, a mask-only and a two-form copy agree on every
+            # cell, on equality and on hash
+            both = Hypergraph(ground, h.edges)
+            both.mask  # now held in both forms
+            forms = (Hypergraph(ground, h.edges), Hypergraph._from_mask(ground, mask), both)
+            for cell in index.cells:
+                assert len({cell in f for f in forms}) == 1
+                assert (cell in forms[0]) == (cell in h.edges)
+            for a, b in itertools.product(forms, repeat=2):
+                assert a == b and hash(a) == hash(b)
+            # non-cells are not members, in either form
+            n, r = ground.n, ground.r
+            for f in forms:
+                for bad in [(), (0,) * (r - 1), (0,) * (r + 1), (n,) * r, (-1,) * r,
+                            (n,) + (0,) * (r - 1), (-1,) + (0,) * (r - 1),
+                            ("a",) * r, (None,) * r, (0.5,) * r, [[0]] * r]:
+                    assert bad not in f
 
     def test_index_is_lazy_and_skipped_by_direct_paths(self):
         from rainbowmatch import check_hall_condition, greedy_bipartite

@@ -135,3 +135,45 @@ class TestEkrStar:
     def test_domain(self):
         with pytest.raises(InputError):
             ekr_star(3, 2)
+
+
+class TestDirectGeneration:
+    """Each construction lists its edges directly, in sorted order; over small
+    grounds they are exactly the cells the definitions select."""
+
+    @pytest.mark.parametrize("n,r,k", [(3, 1, 2), (3, 2, 2), (2, 3, 3), (4, 2, 5), (3, 3, 1)])
+    def test_star_is_the_cells_through_the_first_vertices(self, n, r, k):
+        ground = GroundSet(PARTITE, r, n)
+        assert star_family(n, r, k)[0] == Hypergraph(
+            ground, [e for e in ground.cells() if e[0] < k - 1])
+
+    @pytest.mark.parametrize("q,n", [(3, 4), (3, 6), (4, 7)])
+    def test_steal_members_are_the_blocks(self, q, n):
+        ground = GroundSet(PARTITE, 2, n)
+        first, rest = steal_family(q, n)[0], steal_family(q, n)[1]
+        assert first == Hypergraph(ground, [e for e in ground.cells() if max(e) < q])
+        assert rest == Hypergraph(ground, [e for e in ground.cells()
+                                           if e[0] < q or e[1] == 0])
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_r3_member_is_the_cells_through_zero(self, n):
+        ground = GroundSet(PARTITE, 3, n)
+        assert r3_counterexample(n)[1] == Hypergraph(
+            ground, [e for e in ground.cells() if 0 in e])
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (6, 3), (9, 4)])
+    def test_ekr_is_the_cells_through_the_first_vertex(self, n, r):
+        ground = GroundSet(GENERAL, r, n)
+        assert ekr_star(n, r) == Hypergraph(ground, [e for e in ground.cells() if e[0] == 0])
+
+    @pytest.mark.parametrize("build,estimate", [
+        (lambda: star_family(2, 100_000, 2), "536870912"),
+        (lambda: ekr_star(60, 30), str(math.comb(59, 29))),
+        (lambda: r3_counterexample(10_000), str(10_000 ** 3 - 9_999 ** 3)),
+        (lambda: steal_family(3, 10 ** 9), str(4 * 10 ** 9 - 3)),
+        (lambda: steal_family(10 ** 5, 10 ** 5 + 1), str(10 ** 10)),
+    ], ids=["star", "ekr", "r3counter", "steal", "steal-block"])
+    def test_members_past_the_index_limit_are_refused_with_their_count(self, build,
+                                                                        estimate):
+        with pytest.raises(InputError, match=f"at least {estimate} edges"):
+            build()
