@@ -76,8 +76,11 @@ class GroundSet:
         e = tuple(edge)
         if len(e) != self.r:
             raise InputError(f"edge {e} has {len(e)} vertices, expected {self.r}")
-        if any(v < 0 or v >= self.n for v in e):
-            raise InputError(f"edge {e}: vertex index out of range [0, {self.n})")
+        n = self.n
+        if not all(type(v) is int and 0 <= v < n for v in e):  # bools are refused too
+            if any(type(v) is not int for v in e):
+                raise InputError(f"edge {e}: vertices must be integers")
+            raise InputError(f"edge {e}: vertex index out of range [0, {n})")
         if self.kind == GENERAL and any(e[i] >= e[i + 1] for i in range(self.r - 1)):
             raise InputError(f"edge {e} on a general ground must be strictly increasing")
         return e
@@ -130,6 +133,16 @@ def capped_cells(kind: str, r: int, n: int) -> int:
     return math.comb(n, min(r, n - r, cut))
 
 
+def estimate_text(count: int) -> str:
+    """A non-negative count in decimal, or, if it has more digits than
+    Python converts to text, the power of ten at or below it, taken from its
+    bit length."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"10^{int((count.bit_length() - 1) * math.log10(2))}"
+
+
 def _guard_index(ground: GroundSet) -> None:
     """Refuse a ground whose cell index or closure sweep passes
     MAX_INDEX_BITS, with both sizes as the estimate."""
@@ -139,9 +152,9 @@ def _guard_index(ground: GroundSet) -> None:
     pairs = (r if partite else 1) * (n * (n - 1) // 2)
     if bits > MAX_INDEX_BITS or pairs > MAX_INDEX_BITS:
         raise InputError(
-            f"ground too large to shift: its cell index needs at least {bits} "
-            f"bits and each closure sweep {pairs} shift pairs "
-            f"(limit {MAX_INDEX_BITS} each)")
+            f"ground too large to shift: its cell index needs at least "
+            f"{estimate_text(bits)} bits and each closure sweep "
+            f"{estimate_text(pairs)} shift pairs (limit {MAX_INDEX_BITS} each)")
 
 
 def _mask(positions: Iterable[int], length: int) -> int:
@@ -166,7 +179,8 @@ class CellIndex:
     general index keeps the cell tuple, a position map, each cell's vertex
     set and one mask per vertex: O(cell_count) entries plus n*cell_count
     bits. The full cell tuple of a partite index is only listed when asked
-    for (the random samplers draw from it).
+    for: only the degree-capped sampler does, to shuffle it. The other random
+    samplers draw cell positions.
     """
 
     __slots__ = ("_ground", "_n", "_partite", "_cells", "_pos", "_stride", "_zero",

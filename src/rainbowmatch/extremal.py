@@ -3,18 +3,22 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable, Iterable
 
-from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
-                   capped_cells)
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Edge, Family, GroundSet,
+                   Hypergraph, capped_cells, estimate_text)
 from .errors import InputError
 
 
-def _member(ground: GroundSet, count: int, edges) -> Hypergraph:
-    """The member of these sorted edges, refused first if count passes MAX_INDEX_BITS."""
+def _member(ground: GroundSet, count: int, edges: Callable[[], Iterable[Edge]]) -> Hypergraph:
+    """The member of the sorted edges that edges() lists, refused before
+    they are listed if count passes MAX_INDEX_BITS. A callable, because some
+    iterators (itertools.product over range(n)) allocate per vertex as soon
+    as they are made."""
     if count > MAX_INDEX_BITS:
         raise InputError(f"construction refused: a member would have at least "
-                         f"{count} edges (limit {MAX_INDEX_BITS})")
-    return Hypergraph._from_sorted(ground, tuple(edges))
+                         f"{estimate_text(count)} edges (limit {MAX_INDEX_BITS})")
+    return Hypergraph._from_sorted(ground, tuple(edges()))
 
 
 def f_r2(n: int, k: int) -> int:
@@ -55,7 +59,7 @@ def star_family(n: int, r: int, k: int) -> Family:
         raise InputError(f"star family needs k - 1 <= n, got k={k}, n={n}")
     ground = GroundSet(PARTITE, r, n)
     member = _member(ground, (k - 1) * capped_cells(PARTITE, r - 1, n),
-                     itertools.product(range(k - 1), *[range(n)] * (r - 1)))
+                     lambda: itertools.product(range(k - 1), *[range(n)] * (r - 1)))
     return Family([member] * k)
 
 
@@ -72,9 +76,9 @@ def steal_family(q: int, n: int) -> Family:
     if q >= n:
         raise InputError(f"needs q < n, got q={q}, n={n}")
     ground = GroundSet(PARTITE, 2, n)
-    first = _member(ground, q * q, itertools.product(range(q), repeat=2))
+    first = _member(ground, q * q, lambda: itertools.product(range(q), repeat=2))
     rest = _member(ground, (q + 1) * n - q,
-                   ((c, d) for c in range(n) for d in (range(n) if c < q else (0,))))
+                   lambda: ((c, d) for c in range(n) for d in (range(n) if c < q else (0,))))
     return Family([first] + [rest] * q)
 
 
@@ -87,8 +91,8 @@ def r3_counterexample(n: int) -> Family:
     ground = GroundSet(PARTITE, 3, n)
     f1 = Hypergraph(ground, [(0, 0, 0)])
     f2 = _member(ground, n ** 3 - (n - 1) ** 3,
-                 ((a, b, c) for a in range(n) for b in range(n)
-                  for c in (range(n) if 0 in (a, b) else (0,))))
+                 lambda: ((a, b, c) for a in range(n) for b in range(n)
+                          for c in (range(n) if 0 in (a, b) else (0,))))
     return Family([f1, f2])
 
 
@@ -100,4 +104,4 @@ def ekr_star(n: int, r: int) -> Hypergraph:
         raise InputError(f"needs r <= n/2, got r={r}, n={n}")
     ground = GroundSet(GENERAL, r, n)
     return _member(ground, capped_cells(GENERAL, r - 1, n - 1),
-                   ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))
+                   lambda: ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))

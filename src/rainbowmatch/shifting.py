@@ -169,6 +169,22 @@ def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
     return Family(members), ShiftLog(tuple(steps))
 
 
+def _closed_mask(ground: GroundSet, mask: int) -> int:
+    """One member's edge mask after shifted_closure, with no log kept.
+
+    Sweeps in shifted_closure's (side, x, y) order until the mask is shifted.
+    A shift acts on each member on its own, and a sweep leaves a shifted
+    member unchanged, so this is the member's mask in shifted_closure's
+    result whatever family it is closed in."""
+    move = ground.index.move
+    while not _is_shifted_mask(ground, mask):
+        for side in ground.sides:
+            for x, y in itertools.combinations(range(ground.n), 2):
+                origins, images = move(mask, side, x, y)
+                mask ^= origins | images
+    return mask
+
+
 def pullback_rainbow(log: ShiftLog, original: Family,
                      matching: RainbowMatching) -> RainbowMatching:
     """Translate a rainbow matching of the shifted family back to the original.

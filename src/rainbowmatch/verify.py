@@ -16,11 +16,12 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
-                   capped_cells, nu_exact, rainbow_exact)
+                   _guard_index, _mask, capped_cells, estimate_text, nu_exact,
+                   rainbow_exact)
 from .errors import InputError, TheoremViolationError
 from .extremal import f_r2, g_formula
 from .instances import Instance
-from .shifting import shifted_closure
+from .shifting import _closed_mask
 from .solvers import (DegreeMatrix, _dominates, _hall_violation, check_hall_condition,
                       large_n_procedure)
 
@@ -145,9 +146,10 @@ def _guard_cells(ground: GroundSet, limit: int = MAX_EXHAUSTIVE_CELLS) -> None:
     cells = capped_cells(ground.kind, ground.r, ground.n)
     if cells > limit:
         exact = cells <= MAX_INDEX_BITS  # else cells is a lower bound
+        text = estimate_text(cells)
         raise InputError(f"exhaustive enumeration refused: universe has "
-                         f"{'' if exact else 'at least '}{cells} cells (limit {limit}); "
-                         f"{'up to' if exact else 'at least'} 2^{cells} candidate edge sets")
+                         f"{'' if exact else 'at least '}{text} cells (limit {limit}); "
+                         f"{'up to' if exact else 'at least'} 2^{text} candidate edge sets")
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +230,23 @@ def _matrix_concl(family: Family) -> bool:
 
 
 def _sample_member(rng: random.Random, ground: GroundSet, size: int) -> Hypergraph:
-    return Hypergraph(ground, rng.sample(ground.index.cells, size))
+    """A uniform member of the given size, drawn as cell positions: the same
+    random calls and positions as sampling from ground.index.cells."""
+    ground.index  # refuses a ground too large to index before anything is drawn
+    u = ground.cell_count
+    return Hypergraph._from_mask(ground, _mask(rng.sample(range(u), size), u))
 
 
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
                            floors: list[int]) -> Family:
+    """Uniform members of sizes drawn from [floor, cell_count], each closed
+    as shifted_closure would close their family."""
     u = ground.cell_count
-    return shifted_closure(Family([_sample_member(rng, ground, rng.randint(f, u))
-                                   for f in floors]))[0]
+    members = []
+    for f in floors:
+        drawn = _sample_member(rng, ground, rng.randint(f, u))
+        members.append(Hypergraph._from_mask(ground, _closed_mask(ground, drawn.mask)))
+    return Family(members)
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
@@ -289,6 +300,9 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
     if conjecture is ConjectureId.SIZE_CONDITION:
         r = _params_int(params, "r", 2)
         ground = GroundSet(PARTITE, r, n)
+        # every mode needs the cell index: refused here at its capped size,
+        # before the bound and the cell count are computed in full
+        _guard_index(ground)
         bound = g_formula(n, r, k)
         if bound >= ground.cell_count:
             raise InputError(f"hypothesis bound {bound} leaves no admissible size")

@@ -382,6 +382,37 @@ class TestOtherCommands:
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
         assert len(proc.stderr) < 500
 
+    def test_estimate_past_the_int_to_text_limit_is_a_power_of_ten(self):
+        # n^29 has 5,800 digits, past what Python converts to text by default
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", "verify", "--threshold",
+                               "g_partite", "--n", str(10 ** 200), "--r", "30", "--k", "2"],
+                              capture_output=True, env=SRC_ENV, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert b"at least 10^5799 cells" in proc.stderr
+
+    def test_size_condition_ground_refused_before_its_bound(self, capsys, monkeypatch):
+        # the bound (k-1) n^(r-1) and the cell count n^r are not computed for
+        # a ground too large to index
+        from rainbowmatch import verify
+
+        def no_bound(*args):
+            raise AssertionError("g_formula called before the guard")
+        monkeypatch.setattr(verify, "g_formula", no_bound)
+        for mode in ("exhaustive", "random"):
+            code, out, err = run_cli(capsys, "verify", "--conjecture", "size_condition",
+                                     "--n", "3", "--r", "3000000", "--k", "2", "--mode", mode)
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ground too large to shift")
+
+    @pytest.mark.parametrize("name", ["star", "ekr"])
+    def test_construction_on_a_huge_ground_is_refused_before_listing(self, capsys, name):
+        code, out, err = run_cli(capsys, "extremal", "--name", name,
+                                 "--n", str(10 ** 200), "--r", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: construction refused")
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(

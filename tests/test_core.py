@@ -95,6 +95,14 @@ class TestGroundSet:
         with pytest.raises(InputError):
             H(B2, (0, 0), (0, 0))
 
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0, 1.0), (True, 0), (0, False), ("0", 1)],
+                             ids=["floats", "one-float", "true", "false", "string"])
+    def test_non_int_vertices_are_refused(self, edge):
+        # refused as parse_instance refuses them, before any mask is built
+        for ground in (B2, GroundSet(GENERAL, 2, 4)):
+            with pytest.raises(InputError, match="vertices must be integers"):
+                Hypergraph(ground, [edge])
+
 
 class TestDegree:
     def test_two_edges_at_m1(self):

@@ -8,6 +8,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching, is_shifted, nu_exact,
                           pullback_rainbow, rainbow_exact, shift_hypergraph,
                           shifted_closure)
+from rainbowmatch.shifting import _closed_mask
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -269,3 +270,17 @@ class TestAgainstReference:
         assert log.to_json() == ref_log.to_json()
         if ground.kind == PARTITE:
             assert ground.index._cells is None  # positions are computed, not looked up
+
+
+class TestClosedMask:
+    """The log-free member closure of the random samplers against
+    shifted_closure, whose grounds cover partite r=1..3 and general r=2..3."""
+
+    @settings(max_examples=300)
+    @given(small_families())
+    def test_equals_the_closure_member_by_member(self, fam):
+        g = fam.ground
+        shifted, _ = shifted_closure(fam)
+        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        for h in fam:
+            assert _closed_mask(g, h.mask) == shifted_closure(Family([h]))[0][0].mask

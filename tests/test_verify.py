@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+import reference_sampler as reference
 from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           GroundSet, Hypergraph, InputError,
                           check_conjecture, check_matrix_conjecture,
@@ -12,6 +14,7 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           rainbow_exact, shifted_closure)
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
+from rainbowmatch.verify import _make_checker
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -187,12 +190,14 @@ class TestCheckConjecture:
         assert a == b  # elapsed is excluded from comparison
 
     def test_workers_do_not_change_the_report(self):
-        params = {"n": 2, "k": 2, "d": 1}
-        a = check_conjecture(ConjectureId.DEGREE_CONDITION, params,
-                             mode="random", budget=600, seed=3, workers=1)
-        b = check_conjecture(ConjectureId.DEGREE_CONDITION, params,
-                             mode="random", budget=600, seed=3, workers=3)
-        assert a == b
+        # a raw sampler and a shifted one
+        for conjecture, params in [(ConjectureId.DEGREE_CONDITION, {"n": 2, "k": 2, "d": 1}),
+                                   (ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})]:
+            a = check_conjecture(conjecture, params,
+                                 mode="random", budget=600, seed=3, workers=1)
+            b = check_conjecture(conjecture, params,
+                                 mode="random", budget=600, seed=3, workers=3)
+            assert a == b
 
     def test_workers_below_one_are_refused(self):
         for workers in (0, -5):
@@ -408,3 +413,33 @@ class TestMinimalFamilies:
                     if min(a, b) >= 2 and max(a, b) >= 4)
         assert _covered(floors, histogram) == brute
         assert _covered((3, 3, 3), histogram) == 6 ** 3
+
+
+class TestSamplerAgainstReference:
+    """The cell-position sampler and log-free closure against the edge-tuple
+    sampler and shifted_closure they replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 977])
+    @pytest.mark.parametrize("case", [
+        ("size_condition", {"n": 3, "r": 3, "k": 2}),
+        ("size_condition", {"n": 4, "r": 2, "k": 3}),
+        ("simple", {"n": 4, "k": 3}),
+        ("rainbow_general", {"n": 7, "r": 2, "k": 3}),
+        ("rainbow_general", {"n": 6, "r": 3, "k": 2}),
+        ("matrix", {"n": 4, "k": 3}),
+    ], ids=_case_id)
+    def test_same_families_from_a_twin_generator(self, case, seed):
+        conjecture, params = case
+        checker = _make_checker(ConjectureId(conjecture), params)
+        rng, twin = random.Random(seed), random.Random(seed)
+        families = [checker.sample(rng) for _ in range(40)]
+        if checker.ground.kind == PARTITE:
+            assert checker.ground.index._cells is None  # positions, not the cell tuple
+        for family in families:
+            if conjecture == "matrix":
+                expected = reference.sample_matrix(twin, checker.ground, checker.k)
+            else:
+                expected = reference._sample_shifted_family(twin, checker.ground,
+                                                            list(checker.floors))
+            assert [h.edges for h in family] == [h.edges for h in expected]
+        assert rng.getstate() == twin.getstate()
