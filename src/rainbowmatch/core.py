@@ -5,7 +5,6 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -16,8 +15,67 @@ PARTITE = "partite"
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class _Record:
+    """Base of the immutable records: a subclass lists its fields as
+    annotations, in order, and a field's default as its class attribute.
+
+    The constructor takes the fields by position or name and then runs
+    __post_init__; ==, hash and repr follow the fields, those named in
+    _uncompared are left out of == and hash, and no attribute can be set
+    afterwards. Plain methods and nothing generated, so defining a record
+    costs a class statement."""
+
+    _uncompared = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls._key = operator.attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value, given some by position and some by name, with
+        the defaults for the rest."""
+        fields = cls._fields
+        given = dict(zip(fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}, each "
+                            f"once; got {len(args)} by position and {sorted(kwargs)} by name")
+        return [values[f] for f in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroundSet(_Record):
     """Vertex universe: either r sides of n ordered vertices, or one ordered n-set.
 
     Vertices are 0-based internally everywhere; serialized forms are 1-based.
@@ -439,8 +497,7 @@ class Family:
         return f"Family(k={self.k}, sizes={self.sizes()})"
 
 
-@dataclass(frozen=True)
-class RainbowMatching:
+class RainbowMatching(_Record):
     """One edge per family member, pairwise vertex-disjoint."""
 
     choices: tuple[Edge, ...]

@@ -3,14 +3,12 @@ order-normalizing serialization with 1-based vertex labels."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .core import GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph
+from .core import GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph, _Record
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A ground-set descriptor plus one hypergraph per family member.
 
     A member given as an edge list is validated into a Hypergraph here; the

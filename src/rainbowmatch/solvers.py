@@ -7,11 +7,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching)
+                   RainbowMatching, _Record)
 from .errors import InputError, PreconditionError, TheoremViolationError
 from .extremal import f_r2, g_formula
 from .shifting import is_shifted, pullback_rainbow, shifted_closure
@@ -31,8 +30,7 @@ def _require_sizes_above(family: Family, bound: int) -> None:
                 f"member {i + 1} has {len(h)} edges; needs more than {bound}")
 
 
-@dataclass(frozen=True)
-class HallCheck:
+class HallCheck(_Record):
     """Result of the Hall-type size condition; falsy when violated."""
 
     ok: bool
@@ -72,8 +70,7 @@ def check_hall_condition(family: Family) -> HallCheck:
                      n * j * (j - 1))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Record):
     """State and choice of one step of the longest-edge algorithm.
 
     a and b are the least uncovered indices on sides M and W (0-based); the
@@ -102,8 +99,7 @@ class StepRecord:
         return tuple(range(self.b))
 
 
-@dataclass(frozen=True)
-class AlgoTrace:
+class AlgoTrace(_Record):
     """Full record of a longest-edge run: per-step states, the outcome, and
     the processing order (original member indices, ascending by size)."""
 
@@ -354,8 +350,7 @@ def r3_solve(family: Family) -> RainbowMatching:
     return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
+class DegreeMatrix(_Record):
     """Row i holds the degrees of w_1..w_n in member i. For shifted members
     every row is non-increasing, and row sums equal the member sizes."""
 

@@ -9,14 +9,12 @@ import os
 import random
 import time
 from bisect import bisect_right
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections import Counter, deque
 from enum import Enum
 from typing import Callable, Iterator
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
-                   _guard_index, _mask, capped_cells, estimate_text, nu_exact,
+                   _guard_index, _mask, _Record, capped_cells, estimate_text, nu_exact,
                    rainbow_exact)
 from .errors import InputError, TheoremViolationError
 from .extremal import f_r2, g_formula
@@ -45,16 +43,17 @@ class ConjectureId(str, Enum):
     MATRIX = "matrix"                      # degree-matrix permutation with growing prefix sums
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of a verification run; counterexamples carry full instances."""
+class VerifyReport(_Record):
+    """Outcome of a verification run; counterexamples carry full instances.
+    Its run time is left out of ==."""
 
+    _uncompared = ("elapsed",)
     conjecture: str
     params: dict
     mode: str
     instances_checked: int
     counterexamples: tuple[dict, ...]
-    elapsed: float = field(compare=False, default=0.0)
+    elapsed: float = 0.0
     seed: int | None = None
 
     @property
@@ -82,8 +81,7 @@ class VerifyReport:
                 f"counterexamples: {len(self.counterexamples)}\n")
 
 
-@dataclass(frozen=True)
-class MatrixCheck:
+class MatrixCheck(_Record):
     """Degree-matrix check: the row-sum hypothesis, a permutation whose sorted
     selected entries have every prefix sum above j(j-1), and a weaker witness
     whose sorted entries dominate (1, 2, ..., k)."""
@@ -206,8 +204,7 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class _Checker:
+class _Checker(_Record):
     ground: GroundSet
     k: int
     prefilter_size: int                     # members below this can never qualify
@@ -467,25 +464,19 @@ def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
     return checked, counters
 
 
-def _shard_spans(budget: int) -> list[tuple[int, int]]:
-    return [(s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
-            for s in range((budget + SHARD_TRIALS - 1) // SHARD_TRIALS)]
-
-
-def _run_shard(args: tuple) -> tuple[int, list[tuple[int, dict]]]:
+def _run_shard(args: tuple) -> tuple[int, list[dict]]:
     conjecture, params, seed, shard, count = args
     checker = _make_checker(ConjectureId(conjecture), params)
     rng = random.Random(f"{seed}:{shard}")
-    counters: list[tuple[int, dict]] = []
-    for t in range(count):
+    counters: list[dict] = []
+    for _ in range(count):
         family = checker.sample(rng)
         if not checker.hypothesis(family):
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
                 instance=family)
         if not checker.conclusion(family):
-            counters.append((shard * SHARD_TRIALS + t,
-                             Instance.from_family(family).to_dict()))
+            counters.append(Instance.from_family(family).to_dict())
     return count, counters
 
 
@@ -494,18 +485,45 @@ def _pool_size(workers: int, shards: int) -> int:
     return min(workers, os.cpu_count() or 1, shards)
 
 
+POOL_WINDOW = 4  # shards in flight per worker process
+
+
+def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict]]]:
+    """_run_shard's results over a pool of size processes, in shard order.
+    Shards are submitted POOL_WINDOW per process ahead of the result read,
+    so the pending ones never outgrow that window."""
+    # imported here: the pool costs a command tens of milliseconds to import,
+    # and only a run with more than one worker uses it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        pending: deque = deque()
+        try:
+            for shard in shards:
+                pending.append(pool.submit(_run_shard, shard))
+                if len(pending) == POOL_WINDOW * size:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _run_random(conjecture: ConjectureId, params: dict, budget: int,
                 seed: int, workers: int) -> tuple[int, list[dict]]:
-    shards = [(conjecture.value, params, seed, s, c) for s, c in _shard_spans(budget)]
-    size = _pool_size(workers, len(shards))
-    if size > 1:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            results = list(pool.map(_run_shard, shards))
-    else:
-        results = [_run_shard(s) for s in shards]
-    checked = sum(c for c, _ in results)
-    ranked = sorted((item for _, items in results for item in items))
-    return checked, [inst for _, inst in ranked]
+    """Trials checked and counterexamples in trial order. Shards are made one
+    at a time, so a huge budget costs no memory before its first trial, and
+    folded in shard order, so the report does not depend on workers."""
+    count = -(-budget // SHARD_TRIALS)
+    shards = ((conjecture.value, params, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
+              for s in range(count))
+    size = _pool_size(workers, count)
+    checked = 0
+    counters: list[dict] = []
+    for trials, found in _pooled(size, shards) if size > 1 else map(_run_shard, shards):
+        checked += trials
+        counters.extend(found)
+    return checked, counters
 
 
 # ---------------------------------------------------------------------------

@@ -479,3 +479,18 @@ class TestGoldenOutput:
         suffix = ".txt" if format == "text" else ".json"
         golden = (CLI_GOLDENS / f"{name}{suffix}").read_bytes().decode()
         assert ELAPSED_LINE.sub("", out) == golden
+
+
+def test_import_loads_neither_the_process_pool_nor_dataclasses():
+    # every command pays for what importing the CLI loads; compared against a
+    # bare interpreter, so modules that a site hook loads do not count
+    show = "import sys; print(*sorted(sys.modules))"
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=SRC_ENV, timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import rainbowmatch.cli; " + show) - loaded(show)
+    assert "rainbowmatch.verify" in added
+    assert not added & {"dataclasses", "inspect", "concurrent.futures", "multiprocessing"}

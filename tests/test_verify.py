@@ -215,6 +215,71 @@ class TestCheckConjecture:
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         assert verify._pool_size(8, 10) == 1    # CPU count unknown: serial
 
+    def test_huge_budget_fails_at_once(self, monkeypatch):
+        # shards are made one at a time: the second shard's error surfaces
+        # before a third is made. Listing every shard first, as a regression
+        # would, takes tens of MB at this budget, over the bound many times
+        # but harmless; at the 10^12 of a real run it exhausts memory.
+        import tracemalloc
+        from rainbowmatch import verify
+        run_shard, calls = verify._run_shard, []
+
+        def failing(args):
+            calls.append(args[3])
+            if len(calls) > 1:
+                raise RuntimeError("second shard")
+            return run_shard(args)
+
+        monkeypatch.setattr(verify, "_run_shard", failing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="second shard"):
+                check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
+                                 mode="random", budget=verify.SHARD_TRIALS * 10 ** 5,
+                                 workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [0, 1]
+        assert peak < 1 << 20
+
+    def test_pool_is_fed_in_windows_and_folded_in_order(self, monkeypatch):
+        import concurrent.futures
+        from rainbowmatch import verify
+
+        class Future(concurrent.futures.Future):
+            def result(self, timeout=None):
+                Pool.pending -= 1
+                return super().result(timeout)
+
+        class Pool:
+            pending = most = 0
+
+            def __init__(self, max_workers):
+                assert max_workers == 3
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, args):
+                Pool.pending += 1
+                Pool.most = max(Pool.most, Pool.pending)
+                future = Future()
+                future.set_result(fn(args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(verify, "_run_shard", lambda args: (args[4], [{"shard": args[3]}]))
+        budget = verify.SHARD_TRIALS * 40 + 7
+        checked, counters = verify._run_random(ConjectureId.SIZE_CONDITION, {}, budget,
+                                               seed=0, workers=3)
+        assert checked == budget and counters == [{"shard": s} for s in range(41)]
+        assert Pool.most == verify.POOL_WINDOW * 3 and Pool.pending == 0
+
     def test_size_condition_random_r3(self):
         rep = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
                                mode="random", budget=300, seed=21)
@@ -349,13 +414,15 @@ class TestMinimalFamilies:
     def test_planted_downward_closed_failure(self, conjecture, params, inside):
         # a family fails iff every member lies inside one shifted set, so a
         # family of subsets fails whenever a family of supersets does
-        from dataclasses import replace
         from rainbowmatch import verify
-        ground = verify._make_checker(ConjectureId(conjecture), params).ground
-        fixed = Hypergraph(ground, inside)
+        base = verify._make_checker(ConjectureId(conjecture), params)
+        fixed = Hypergraph(base.ground, inside)
         assert is_shifted(fixed)
-        checker = replace(verify._make_checker(ConjectureId(conjecture), params),
-                          conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam))
+        checker = verify._Checker(
+            base.ground, base.k, base.prefilter_size, base.hypothesis,
+            conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam),
+            sample=base.sample, exhaustive_allowed=base.exhaustive_allowed,
+            floors=base.floors)
         checked, counters = verify._run_exhaustive(checker)
         assert (checked, counters) == verify._run_ordered(checker)
         assert counters
