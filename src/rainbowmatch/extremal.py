@@ -9,16 +9,22 @@ from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Edge, Family, GroundSet,
                    Hypergraph, capped_cells, estimate_text)
 from .errors import InputError
 
+# Vertices (edges times r) one member may list: up to 150 MB to build and print.
+MAX_LISTED_VERTICES = 1 << 20
+
 
 def _member(ground: GroundSet, count: int, edges: Callable[[], Iterable[Edge]]) -> Hypergraph:
     """The member of the sorted edges that edges() lists, refused before
-    they are listed if count passes MAX_INDEX_BITS. A callable, because some
-    iterators (itertools.product over range(n)) allocate per vertex as soon
-    as they are made."""
+    they are listed if count passes MAX_INDEX_BITS or count * r passes
+    MAX_LISTED_VERTICES. A callable, because some iterators (itertools.product
+    over range(n)) allocate per vertex as soon as they are made."""
     if count > MAX_INDEX_BITS:
         raise InputError(f"construction refused: a member would have at least "
                          f"{estimate_text(count)} edges (limit {MAX_INDEX_BITS})")
-    return Hypergraph._from_sorted(ground, tuple(edges()))
+    if (listed := count * ground.r) > MAX_LISTED_VERTICES:
+        raise InputError(f"construction refused: a member would list {estimate_text(listed)} "
+                         f"vertices, edges times r (limit {MAX_LISTED_VERTICES})")
+    return Hypergraph._from_sorted(ground, tuple(edges()) if count else ())
 
 
 def f_r2(n: int, k: int) -> int:

@@ -98,6 +98,8 @@ def parse_instance(text: str) -> Instance:
         raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise InputError("JSON nested too deeply to parse") from None
+    except ValueError as exc:  # an integer past Python's int-from-text limit
+        raise InputError(f"JSON integer too long: {str(exc).split(';')[0]}") from None
     return instance_from_dict(data)
 
 

@@ -8,7 +8,7 @@ general-kind shift maps each moving cell through the position map."""
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching,
                    _Record)
@@ -49,8 +49,6 @@ def _apply(step: ShiftStep, masks: list[int], backward: bool = False) -> None:
     """Apply a logged step to per-member edge masks in place, or undo it."""
     index = step.ground.index
     for i, images in enumerate(step.images):
-        if not images:
-            continue
         origins = index.origins(images, step.side, step.x, step.y)
         gone, new = (images, origins) if backward else (origins, images)
         if masks[i] & gone != gone or masks[i] & new:
@@ -82,23 +80,14 @@ class ShiftLog(_Record):
         return Family([Hypergraph._from_mask(g, m) for m in self._masks_after(family)])
 
     def to_json(self) -> list[dict]:
-        out = []
-        for step in self.steps:
-            moved = []
-            for i, images in enumerate(step.images):
-                if images:
-                    moved.append({
-                        "member": i + 1,
-                        "pairs": [[[v + 1 for v in orig], [v + 1 for v in img]]
-                                  for orig, img in step.pairs(i)],
-                    })
-            out.append({
-                "side": None if step.side is None else step.side + 1,
-                "x": step.x + 1,
-                "y": step.y + 1,
-                "moved": moved,
-            })
-        return out
+        return [{"side": None if step.side is None else step.side + 1,
+                 "x": step.x + 1,
+                 "y": step.y + 1,
+                 "moved": [{"member": i + 1,
+                            "pairs": [[[v + 1 for v in orig], [v + 1 for v in img]]
+                                      for orig, img in step.pairs(i)]}
+                           for i, images in enumerate(step.images) if images]}
+                for step in self.steps]
 
 
 def _check_shift_args(ground: GroundSet, x: int, y: int, side: int | None) -> None:
@@ -135,52 +124,54 @@ def is_shifted(h: Hypergraph) -> bool:
 
     It suffices to test the shifts v -> v-1: each longer replacement is a
     chain of them through edges that must then be present."""
-    return _is_shifted_mask(h.ground, h.mask)
+    g = h.ground
+    return not any(g.index.move(h.mask, side, v - 1, v)[1]
+                   for side in g.sides for v in range(1, g.n))
 
 
-def _is_shifted_mask(ground: GroundSet, mask: int) -> bool:
-    index = ground.index
-    return not any(index.move(mask, side, v - 1, v)[1]
-                   for side in ground.sides for v in range(1, ground.n))
+def _sweep(ground: GroundSet) -> Iterator[tuple[int | None, int, int]]:
+    """The closure's shift pairs (side, x, y): side by side, then x and y
+    ascending, listed once the cell index's guard has passed.
+
+    One sweep leaves a set shifted (Frankl, 1987). Write S_ab for b -> a. If F
+    is stable under every S_ab with a < x, so is S_xy(F). Take A in it with b
+    in A, a not in A, and A' = A - b + a. If A is in F, so is A', and S_xy
+    keeps it, else A - y + x (x not in A) or A - y + a (b = x) would put
+    A' - y + x in F. If A = B - y + x is new, A' is B - y + a (b = x), which
+    avoids y, or C - y + x for C = B - b + a, which S_xy keeps or makes. S_xy
+    also keeps every S_xy' with y' < y: it adds only edges through x and
+    removes only edges avoiding x. So by induction on x the sweep ends
+    shifted. Pairs on different sides share no vertex, so side order is free."""
+    ground.index
+    for side in ground.sides:
+        for x, y in itertools.combinations(range(ground.n), 2):
+            yield side, x, y
 
 
 def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
-    """Sweep all (side, x, y) pairs in canonical order, shifting every member
-    simultaneously, until a full sweep changes nothing. Partite grounds shift
-    within each side, general grounds over the one ordered vertex set.
-
-    Terminates because every effective shift strictly decreases the total sum
-    of vertex indices over all edges of all members.
-    """
+    """Shift every member simultaneously by each pair of one sweep (_sweep),
+    logging the shifts that move an edge. Partite grounds shift within each
+    side, general grounds over the one ordered vertex set."""
     g = family.ground
     members = list(family.members)
     steps: list[ShiftStep] = []
-    # a sweep over a family of shifted members would change nothing; the
-    # first test builds the cell index, which refuses a ground too large
-    while not all(_is_shifted_mask(g, h.mask) for h in members):
-        for side in g.sides:
-            for x, y in itertools.combinations(range(g.n), 2):
-                shifted = [shift_hypergraph(h, x, y, side) for h in members]
-                images = tuple(step.images[0] for _, step in shifted)
-                if any(images):
-                    members = [h for h, _ in shifted]
-                    steps.append(ShiftStep(g, side, x, y, images))
+    for side, x, y in _sweep(g):
+        shifted = [shift_hypergraph(h, x, y, side) for h in members]
+        images = tuple(step.images[0] for _, step in shifted)
+        if any(images):
+            members = [h for h, _ in shifted]
+            steps.append(ShiftStep(g, side, x, y, images))
     return Family(members), ShiftLog(tuple(steps))
 
 
 def _closed_mask(ground: GroundSet, mask: int) -> int:
-    """One member's edge mask after shifted_closure, with no log kept.
-
-    Sweeps in shifted_closure's (side, x, y) order until the mask is shifted.
-    A shift acts on each member on its own, and a sweep leaves a shifted
-    member unchanged, so this is the member's mask in shifted_closure's
-    result whatever family it is closed in."""
+    """One member's edge mask after shifted_closure, with no log kept. A
+    shift acts on each member on its own, so this is the member's mask in
+    shifted_closure's result whatever family it is closed in."""
     move = ground.index.move
-    while not _is_shifted_mask(ground, mask):
-        for side in ground.sides:
-            for x, y in itertools.combinations(range(ground.n), 2):
-                origins, images = move(mask, side, x, y)
-                mask ^= origins | images
+    for side, x, y in _sweep(ground):
+        origins, images = move(mask, side, x, y)
+        mask ^= origins | images
     return mask
 
 

@@ -17,6 +17,18 @@ CLI_GOLDENS = FIXTURES / "cli"
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
 
 
+# 5,000 digits: past Python's default limit (4,300) for int from text
+HUGE_N = '{"kind": "partite", "r": 2, "n": %s, "families": [[[1, 1]]]}' % ("9" * 5000)
+HUGE_LABEL = '{"kind": "partite", "r": 2, "n": 2, "families": [[[1, %s]]]}' % ("9" * 5000)
+
+
+def limit_memory():
+    """Cap a child's address space at 1 GB, so that a command that would
+    allocate per vertex fails at once instead of filling the machine."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -50,6 +62,14 @@ class TestParseInstance:
     def test_malformed_json_reports_position(self):
         with pytest.raises(InputError, match=r"line 1 column"):
             parse_instance("{nope")
+
+    @pytest.mark.parametrize("text", [HUGE_N, HUGE_LABEL], ids=["n", "label"])
+    def test_integer_past_the_digit_limit_is_refused(self, text):
+        if hasattr(sys, "get_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            with pytest.raises(InputError,
+                               match=rf"JSON integer too long: .*\({limit} digits\)"):
+                parse_instance(text)
 
     def test_duplicate_edge_reports_path(self):
         with pytest.raises(InputError, match=r"families\[0\]\[1\].*duplicate"):
@@ -363,6 +383,22 @@ class TestOtherCommands:
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text,from_file", [(HUGE_N, True), (HUGE_LABEL, False)],
+                             ids=["n-in-file", "label-on-stdin"])
+    def test_integer_past_the_digit_limit_has_no_traceback(self, tmp_path, text, from_file):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        argv = ["nu", "--in", str(path)] if from_file else ["nu"]
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
+                              input=b"" if from_file else text.encode(),
+                              capture_output=True, env=SRC_ENV, timeout=60)
+        assert b"Traceback" not in proc.stderr
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert proc.returncode == 3 and proc.stdout == b""
+            assert proc.stderr.startswith(b"error: JSON integer too long")
+        else:
+            assert proc.returncode in (0, 3)
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--threshold", "g_partite", "--n", "2", "--r", "20000", "--k", "2"],
         ["verify", "--conjecture", "size_condition", "--n", "2", "--r", "20000",
@@ -372,15 +408,26 @@ class TestOtherCommands:
         ["extremal", "--name", "star", "--n", "2", "--r", "100000"],
         ["extremal", "--name", "ekr", "--n", "60", "--r", "30"],
         ["extremal", "--name", "steal", "--n", "1000000000"],
-    ], ids=["threshold", "size-condition", "rainbow-general", "star", "ekr", "steal"])
+        ["extremal", "--name", "star", "--n", "1", "--r", "1000000000", "--k", "2"],
+    ], ids=["threshold", "size-condition", "rainbow-general", "star", "ekr", "steal",
+            "star-one-edge"])
     def test_huge_grounds_are_refused_with_a_short_message(self, argv):
         # the estimate is capped, so it prints in a few digits however large
         # the ground, and nothing is enumerated or generated first
         proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
-                              capture_output=True, env=SRC_ENV, timeout=60)
+                              capture_output=True, env=SRC_ENV, timeout=60,
+                              preexec_fn=limit_memory)
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
         assert len(proc.stderr) < 500
+
+    def test_star_of_no_edges_on_a_huge_ground_lists_nothing(self):
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", "extremal", "--name",
+                               "star", "--n", "3", "--r", "1000000000", "--k", "1"],
+                              capture_output=True, env=SRC_ENV, timeout=60,
+                              preexec_fn=limit_memory)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == b"kind: partite r=1000000000 n=3\nF_1: (empty)\n"
 
     def test_estimate_past_the_int_to_text_limit_is_a_power_of_ten(self):
         # n^29 has 5,800 digits, past what Python converts to text by default

@@ -70,6 +70,17 @@ class TestStarFamily:
         with pytest.raises(InputError):
             star_family(2, 2, 4)  # k - 1 > n
 
+    def test_member_of_no_edges_lists_nothing(self, monkeypatch):
+        # k = 1 gives one empty member: nothing is listed, so nothing is
+        # allocated per side however many sides there are
+        from rainbowmatch import extremal
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("an empty member listed its edges")
+        monkeypatch.setattr(extremal.itertools, "product", no_listing)
+        fam = star_family(3, 5, 1)
+        assert fam.k == 1 and len(fam[0]) == 0
+
 
 class TestStealFamily:
     def test_sizes_and_total(self):
@@ -177,3 +188,16 @@ class TestDirectGeneration:
                                                                         estimate):
         with pytest.raises(InputError, match=f"at least {estimate} edges"):
             build()
+
+    @pytest.mark.parametrize("build,estimate", [
+        (lambda: star_family(1, 2 ** 20 + 1, 2), str(2 ** 20 + 1)),
+        (lambda: r3_counterexample(342), str(3 * (342 ** 3 - 341 ** 3))),
+        (lambda: ekr_star(2 ** 19 + 2, 2), str(2 * (2 ** 19 + 1))),
+    ], ids=["star-one-edge", "r3counter", "ekr"])
+    def test_members_past_the_vertex_limit_are_refused_with_their_count(self, build,
+                                                                         estimate):
+        with pytest.raises(InputError, match=f"would list {estimate} vertices"):
+            build()
+
+    def test_members_at_the_vertex_limit_are_built(self):
+        assert len(ekr_star(2 ** 19 + 1, 2)) == 2 ** 19

@@ -123,6 +123,25 @@ class TestIsShifted:
             assert is_shifted(h) == upward
 
 
+class TestOneSweepLemma:
+    """One sweep in the closure's order, side by side and then x and y
+    ascending, leaves every edge set shifted. Swept here with bare
+    CellIndex.move, not through the shifting module."""
+
+    @pytest.mark.parametrize("ground", [GroundSet(GENERAL, 2, 6), GroundSet(GENERAL, 4, 6),
+                                        GroundSet(PARTITE, 2, 4)],
+                             ids=["general-r2-n6", "general-r4-n6", "partite-r2-n4"])
+    def test_every_edge_set_is_shifted_after_one_sweep(self, ground):
+        move = ground.index.move
+        pairs = list(all_shift_args(ground))
+        for mask in range(1 << ground.cell_count):
+            swept = mask
+            for x, y, side in pairs:
+                origins, images = move(swept, side, x, y)
+                swept ^= origins | images
+            assert not any(move(swept, side, x, y)[1] for x, y, side in pairs), mask
+
+
 class TestShiftedClosure:
     def test_identity_on_shifted(self):
         fam = Family([Hypergraph(B2, [(0, 0), (0, 1)])])
