@@ -131,16 +131,16 @@ class GroundSet(_Record):
             return self._index
 
     def check_edge(self, edge: Sequence[int]) -> Edge:
+        """The edge as a tuple, or InputError naming its fault but no vertex."""
         e = tuple(edge)
         if len(e) != self.r:
-            raise InputError(f"edge {e} has {len(e)} vertices, expected {self.r}")
-        n = self.n
-        if not all(type(v) is int and 0 <= v < n for v in e):  # bools are refused too
-            if any(type(v) is not int for v in e):
-                raise InputError(f"edge {e}: vertices must be integers")
-            raise InputError(f"edge {e}: vertex index out of range [0, {n})")
-        if self.kind == GENERAL and any(e[i] >= e[i + 1] for i in range(self.r - 1)):
-            raise InputError(f"edge {e} on a general ground must be strictly increasing")
+            raise InputError(f"{len(e)} vertices, expected {self.r}")
+        if any(type(v) is not int for v in e):  # bools are refused too
+            raise InputError("vertices must be integers")
+        if min(e) < 0 or max(e) >= self.n:
+            raise InputError(f"vertex out of range for n={self.n}")
+        if self.kind == GENERAL and any(map(operator.ge, e, e[1:])):
+            raise InputError("general edges must be strictly increasing")
         return e
 
 
@@ -354,22 +354,27 @@ class Hypergraph:
     __slots__ = ("ground", "_edges", "_mask")
 
     def __init__(self, ground: GroundSet, edges: Iterable[Sequence[int]]):
-        checked = sorted(ground.check_edge(e) for e in edges)
-        if any(map(operator.eq, checked, itertools.islice(checked, 1, None))):
-            raise InputError("duplicate edges in hypergraph")
+        """The sorted edges, or InputError "[j]: <fault>" at the first bad edge j."""
+        edges = list(map(tuple, edges))
+        r, labels = ground.r, list(itertools.chain.from_iterable(edges))
+        checked = None if (
+            set(map(len, edges)) - {r} or set(map(type, labels)) - {int}  # bools too
+            or labels and (min(labels) < 0 or max(labels) >= ground.n)
+            or ground.kind == GENERAL and not all(
+                all(map(operator.lt, labels[s::r], labels[s + 1::r])) for s in range(r - 1))
+        ) else sorted(edges)
+        if checked is None or any(map(operator.eq, checked, checked[1:])):
+            seen: set[Edge] = set()
+            for j, e in enumerate(edges):
+                try:
+                    if ground.check_edge(e) in seen:
+                        raise InputError("duplicate edge")
+                except InputError as exc:
+                    raise InputError(f"[{j}]: {exc}") from None
+                seen.add(e)
         self.ground = ground
         self._edges = tuple(checked)
         self._mask = None
-
-    @classmethod
-    def _from_sorted(cls, ground: GroundSet, edges: tuple[Edge, ...]) -> "Hypergraph":
-        """Trusted constructor: a sorted tuple of edges already checked valid
-        and distinct over ground."""
-        h = cls.__new__(cls)
-        h.ground = ground
-        h._edges = edges
-        h._mask = None
-        return h
 
     @classmethod
     def _from_mask(cls, ground: GroundSet, mask: int) -> "Hypergraph":

@@ -9,22 +9,34 @@ from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Edge, Family, GroundSet,
                    Hypergraph, capped_cells, estimate_text)
 from .errors import InputError
 
-# Vertices (edges times r) one member may list: up to 150 MB to build and print.
+# Vertices (members times edges times r) a family may list: up to 150 MB to
+# build and print.
 MAX_LISTED_VERTICES = 1 << 20
 
 
-def _member(ground: GroundSet, count: int, edges: Callable[[], Iterable[Edge]]) -> Hypergraph:
-    """The member of the sorted edges that edges() lists, refused before
-    they are listed if count passes MAX_INDEX_BITS or count * r passes
-    MAX_LISTED_VERTICES. A callable, because some iterators (itertools.product
-    over range(n)) allocate per vertex as soon as they are made."""
-    if count > MAX_INDEX_BITS:
-        raise InputError(f"construction refused: a member would have at least "
-                         f"{estimate_text(count)} edges (limit {MAX_INDEX_BITS})")
-    if (listed := count * ground.r) > MAX_LISTED_VERTICES:
-        raise InputError(f"construction refused: a member would list {estimate_text(listed)} "
-                         f"vertices, edges times r (limit {MAX_LISTED_VERTICES})")
-    return Hypergraph._from_sorted(ground, tuple(edges()) if count else ())
+def _family(ground: GroundSet,
+            parts: list[tuple[int, int, Callable[[], Iterable[Edge]]]]) -> Family:
+    """The family of each part (copies, count, edges) as copies of the
+    member of the sorted edges that edges() lists. Refused before anything
+    is listed if a member's count passes MAX_INDEX_BITS or its vertices
+    (count times r) pass MAX_LISTED_VERTICES, and then if the family's do
+    (every copy counted). A callable, because some iterators
+    (itertools.product over range(n)) allocate per vertex once made."""
+    r = ground.r
+    for _, count, _ in parts:
+        if count > MAX_INDEX_BITS:
+            raise InputError(f"construction refused: a member would have at least "
+                             f"{estimate_text(count)} edges (limit {MAX_INDEX_BITS})")
+        if (listed := count * r) > MAX_LISTED_VERTICES:
+            raise InputError(f"construction refused: a member would list "
+                             f"{estimate_text(listed)} vertices, edges times r "
+                             f"(limit {MAX_LISTED_VERTICES})")
+    if (listed := r * sum(copies * count for copies, count, _ in parts)) > MAX_LISTED_VERTICES:
+        raise InputError(f"construction refused: the family would list "
+                         f"{estimate_text(listed)} vertices, members times edges times r "
+                         f"(limit {MAX_LISTED_VERTICES})")
+    return Family([h for copies, count, edges in parts
+                   for h in [Hypergraph(ground, edges() if count else ())] * copies])
 
 
 def f_r2(n: int, k: int) -> int:
@@ -63,10 +75,9 @@ def star_family(n: int, r: int, k: int) -> Family:
         raise InputError(f"k must be at least 1, got {k}")
     if k - 1 > n:
         raise InputError(f"star family needs k - 1 <= n, got k={k}, n={n}")
-    ground = GroundSet(PARTITE, r, n)
-    member = _member(ground, (k - 1) * capped_cells(PARTITE, r - 1, n),
-                     lambda: itertools.product(range(k - 1), *[range(n)] * (r - 1)))
-    return Family([member] * k)
+    return _family(GroundSet(PARTITE, r, n), [
+        (k, (k - 1) * capped_cells(PARTITE, r - 1, n),
+         lambda: itertools.product(range(k - 1), *[range(n)] * (r - 1)))])
 
 
 def steal_family(q: int, n: int) -> Family:
@@ -81,11 +92,10 @@ def steal_family(q: int, n: int) -> Family:
         raise InputError(f"needs q >= 3, got q={q}")
     if q >= n:
         raise InputError(f"needs q < n, got q={q}, n={n}")
-    ground = GroundSet(PARTITE, 2, n)
-    first = _member(ground, q * q, lambda: itertools.product(range(q), repeat=2))
-    rest = _member(ground, (q + 1) * n - q,
-                   lambda: ((c, d) for c in range(n) for d in (range(n) if c < q else (0,))))
-    return Family([first] + [rest] * q)
+    return _family(GroundSet(PARTITE, 2, n), [
+        (1, q * q, lambda: itertools.product(range(q), repeat=2)),
+        (q, (q + 1) * n - q,
+         lambda: ((c, d) for c in range(n) for d in (range(n) if c < q else (0,))))])
 
 
 def r3_counterexample(n: int) -> Family:
@@ -94,12 +104,11 @@ def r3_counterexample(n: int) -> Family:
     for n >= 3, yet there is no rainbow matching."""
     if n < 2:
         raise InputError(f"needs n >= 2, got {n}")
-    ground = GroundSet(PARTITE, 3, n)
-    f1 = Hypergraph(ground, [(0, 0, 0)])
-    f2 = _member(ground, n ** 3 - (n - 1) ** 3,
-                 lambda: ((a, b, c) for a in range(n) for b in range(n)
-                          for c in (range(n) if 0 in (a, b) else (0,))))
-    return Family([f1, f2])
+    return _family(GroundSet(PARTITE, 3, n), [
+        (1, 1, lambda: [(0, 0, 0)]),
+        (1, n ** 3 - (n - 1) ** 3,
+         lambda: ((a, b, c) for a in range(n) for b in range(n)
+                  for c in (range(n) if 0 in (a, b) else (0,))))])
 
 
 def ekr_star(n: int, r: int) -> Hypergraph:
@@ -108,6 +117,6 @@ def ekr_star(n: int, r: int) -> Hypergraph:
         raise InputError(f"r must be at least 1, got {r}")
     if 2 * r > n:
         raise InputError(f"needs r <= n/2, got r={r}, n={n}")
-    ground = GroundSet(GENERAL, r, n)
-    return _member(ground, capped_cells(GENERAL, r - 1, n - 1),
-                   lambda: ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))
+    return _family(GroundSet(GENERAL, r, n), [
+        (1, capped_cells(GENERAL, r - 1, n - 1),
+         lambda: ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))])[0]

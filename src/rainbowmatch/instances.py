@@ -2,6 +2,7 @@
 order-normalizing serialization with 1-based vertex labels."""
 from __future__ import annotations
 
+import itertools
 import json
 
 from .core import GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph, _Record
@@ -63,23 +64,16 @@ def instance_from_dict(data, path: str = "instance") -> Instance:
     for fi, fam in enumerate(fams):
         if not isinstance(fam, list):
             raise InputError(f"{path}.families[{fi}]: expected a list of edges")
-        seen: set[Edge] = set()
-        edges = []
-        for ei, raw in enumerate(fam):
-            where = f"{path}.families[{fi}][{ei}]"
-            if (not isinstance(raw, list) or len(raw) != r
-                    or any(not isinstance(v, int) or isinstance(v, bool) for v in raw)):
-                raise InputError(f"{where}: expected a list of {r} integers")
-            if any(v < 1 or v > n for v in raw):
-                raise InputError(f"{where}: vertex labels must lie in [1, {n}]")
-            e = tuple(v - 1 for v in raw)
-            if kind == GENERAL and any(e[i] >= e[i + 1] for i in range(r - 1)):
-                raise InputError(f"{where}: general edges must be strictly increasing")
-            if e in seen:
-                raise InputError(f"{where}: duplicate edge")
-            seen.add(e)
-            edges.append(e)
-        members.append(Hypergraph._from_sorted(ground, tuple(sorted(edges))))
+        arrays = list(itertools.takewhile(lambda raw: isinstance(raw, list), fam))
+        # integer labels become 0-based; the member check refuses the rest
+        edges = [tuple([v - 1 if type(v) is int else v for v in raw]) for raw in arrays]
+        try:
+            members.append(Hypergraph(ground, edges))
+        except InputError as exc:
+            raise InputError(f"{path}.families[{fi}]{exc}") from None
+        if len(arrays) < len(fam):  # a non-array, once the edges before it pass
+            raise InputError(f"{path}.families[{fi}][{len(arrays)}]: "
+                             f"expected a list of {r} integers")
     return Instance(ground, tuple(members))
 
 

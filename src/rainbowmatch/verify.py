@@ -140,7 +140,7 @@ def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
         yield Hypergraph._from_mask(ground, mask)
 
 
-def _guard_cells(ground: GroundSet, limit: int = MAX_EXHAUSTIVE_CELLS) -> None:
+def _guard_cells(ground: GroundSet, limit: int) -> None:
     cells = capped_cells(ground.kind, ground.r, ground.n)
     if cells > limit:
         exact = cells <= MAX_INDEX_BITS  # else cells is a lower bound
@@ -186,7 +186,7 @@ def _exact_f(n: int, r: int, k: int) -> int:
 def _largest_shifted_below(ground: GroundSet, k: int) -> int:
     """Largest size of a shifted edge set over the ground with matching
     number below k, by full enumeration."""
-    _guard_cells(ground)
+    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     best = 0
     for h in iter_shifted(ground):
         if len(h) > best and nu_exact(h) < k:
@@ -273,8 +273,11 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
 
 def _rainbow_checker(ground: GroundSet, floors: list[int]) -> _Checker:
     """The rainbow-matching checker for families whose sorted member sizes
-    dominate the (ascending) floors. A rainbow matching of a family is one of
-    every family of supersets, so the checker is monotone."""
+    dominate the (ascending) floors, refused if the top floor passes the
+    cell count. A rainbow matching of a family is one of every family of
+    supersets, so the checker is monotone."""
+    if floors[-1] > ground.cell_count:
+        raise InputError(f"hypothesis bound {floors[-1] - 1} leaves no admissible size")
     return _Checker(
         ground, len(floors), floors[0],
         hypothesis=lambda fam: _dominates(fam.sizes(), floors),
@@ -300,10 +303,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         # every mode needs the cell index: refused here at its capped size,
         # before the bound and the cell count are computed in full
         _guard_index(ground)
-        bound = g_formula(n, r, k)
-        if bound >= ground.cell_count:
-            raise InputError(f"hypothesis bound {bound} leaves no admissible size")
-        return _rainbow_checker(ground, [bound + 1] * k)
+        return _rainbow_checker(ground, [g_formula(n, r, k) + 1] * k)
 
     if conjecture is ConjectureId.SIMPLE:
         ground = GroundSet(PARTITE, 2, n)
@@ -444,7 +444,7 @@ def _covered(floors: tuple[int, ...], histogram: Counter[int]) -> int:
 
 def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
     """Every ordered k-tuple of shifted members above the prefilter size."""
-    _guard_cells(checker.ground)
+    _guard_cells(checker.ground, MAX_EXHAUSTIVE_CELLS)
     candidates = [h for h in iter_shifted(checker.ground)
                   if len(h) >= checker.prefilter_size]
     estimate = len(candidates) ** checker.k

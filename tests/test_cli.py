@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_parser
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, Instance, parse_instance,
                           serialize_instance)
 from rainbowmatch.cli import main
+from rainbowmatch.instances import instance_from_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CLI_GOLDENS = FIXTURES / "cli"
@@ -93,18 +96,27 @@ class TestParseInstance:
 
     def test_each_edge_is_validated_once(self, monkeypatch):
         checked = []
+        built = []
         original = GroundSet.check_edge
+        init = Hypergraph.__init__
 
         def counting(self, edge):
             checked.append(tuple(edge))
             return original(self, edge)
 
+        def building(self, ground, edges):
+            built.append(ground)
+            init(self, ground, edges)
+
         monkeypatch.setattr(GroundSet, "check_edge", counting)
+        monkeypatch.setattr(Hypergraph, "__init__", building)
         inst = parse_instance((FIXTURES / "steal_q3_n6.json").read_text())
-        parsed = len(checked)
+        parsed, members = len(checked), len(built)
         fam = inst.to_family()
         assert parsed <= sum(map(len, fam))  # at most once per edge while parsing
+        assert members == fam.k  # and one member check per member
         assert len(checked) == parsed  # and not again: to_family trusts the parser
+        assert len(built) == members
 
     def test_hand_built_instance_is_validated(self):
         with pytest.raises(InputError, match="out of range"):
@@ -123,6 +135,114 @@ class TestParseInstance:
                 continue  # a report, shift-result or ideal-list fixture, not an instance
             text = path.read_text()
             assert serialize_instance(parse_instance(text)) == text
+
+
+# One injected fault each: a bad label in place i, a bad length, a repeat of
+# an earlier edge, or an edge that is no array at all.
+FAULTS = {
+    "bool": lambda e, i, n: e[:i] + [True] + e[i + 1:],
+    "float": lambda e, i, n: e[:i] + [float(e[i])] + e[i + 1:],
+    "string": lambda e, i, n: e[:i] + [str(e[i])] + e[i + 1:],
+    "nested": lambda e, i, n: e[:i] + [[e[i]]] + e[i + 1:],
+    "long": lambda e, i, n: e + [e[i]],
+    "short": lambda e, i, n: e[:i] + e[i + 1:],
+    "zero": lambda e, i, n: e[:i] + [0] + e[i + 1:],
+    "past-n": lambda e, i, n: e[:i] + [n + 1] + e[i + 1:],
+    "not-increasing": lambda e, i, n: e[:i] + [e[i - 1]] + e[i + 1:] if i else e[::-1],
+    "not-an-array": lambda e, i, n: [None, 7, "edge", {"v": 1}][i % 4],
+}
+# The reference's fault words, and the words each may become here: the
+# reference's shape and type fault is split in three.
+FAULT_WORDS = {"expected a list of": ("expected a list of", "vertices, expected",
+                                      "vertices must be integers"),
+               "must lie in": ("out of range",),
+               "increasing": ("increasing",),
+               "duplicate": ("duplicate",)}
+
+
+@st.composite
+def documents(draw):
+    """A JSON instance document of 1-3 members of distinct valid edges, in
+    any order, with up to two faults injected."""
+    kind = draw(st.sampled_from([PARTITE, GENERAL]))
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r if kind == GENERAL else 1, 4))
+    cells = [[v + 1 for v in e] for e in GroundSet(kind, r, n).cells()]
+    families = [draw(st.permutations(cells))[:draw(st.integers(0, len(cells)))]
+                for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        member = draw(st.sampled_from(families))
+        j = draw(st.integers(0, len(member)))
+        arrays = [e for e in member if isinstance(e, list)]
+        if arrays and draw(st.booleans()):
+            bad = list(draw(st.sampled_from(arrays)))  # a repeat if inserted after it
+        else:
+            fault = draw(st.sampled_from(sorted(FAULTS)))
+            bad = FAULTS[fault](list(draw(st.sampled_from(cells))), draw(st.integers(0, r - 1)), n)
+        member.insert(j, bad)
+    return {"kind": kind, "r": r, "n": n, "families": families}
+
+
+def outcome(parse):
+    """The sorted 0-based edges of each member, or the path and words of the
+    first bad edge."""
+    try:
+        return parse()
+    except InputError as exc:
+        where, _, words = str(exc).partition(": ")
+        return where, words
+
+
+class TestMemberCheckAgainstReference:
+    """The parser's shape check plus Hypergraph's member check accept what
+    the per-edge reference parser accepts and refuse the same first edge."""
+
+    @settings(max_examples=400)
+    @given(documents())
+    def test_parser_agrees_with_the_reference(self, doc):
+        ours = outcome(lambda: [h.edges for h in instance_from_dict(doc).families])
+        ref = outcome(lambda: reference_parser.parse_members(
+            doc["kind"], doc["r"], doc["n"], doc["families"]))
+        if isinstance(ref, list):
+            assert ours == ref
+            return
+        assert isinstance(ours, tuple) and ours[0] == ref[0]
+        allowed = next(v for k, v in FAULT_WORDS.items() if k in ref[1])
+        assert any(w in ours[1] for w in allowed), (ours, ref)
+        assert "[0," not in ours[1] and "[1," not in ours[1]  # no interval, either base
+
+    @settings(max_examples=400)
+    @given(documents())
+    def test_hypergraph_decides_each_member_as_its_edge_walk(self, doc):
+        ground = GroundSet(doc["kind"], doc["r"], doc["n"])
+        for member in doc["families"]:
+            if not all(isinstance(raw, list) for raw in member):
+                continue  # the parser's shape check refuses it first
+            edges = [tuple(v - 1 if type(v) is int else v for v in raw) for raw in member]
+            walked = None  # the first edge check_edge refuses or that repeats
+            for j, e in enumerate(edges):
+                try:
+                    ground.check_edge(e)
+                except InputError:
+                    walked = j
+                    break
+                if e in edges[:j]:
+                    walked = j
+                    break
+            calls = []
+            check_edge = GroundSet.check_edge
+            GroundSet.check_edge = lambda self, e: calls.append(e) or check_edge(self, e)
+            try:
+                ours = outcome(lambda: Hypergraph(ground, edges).edges)
+            finally:
+                GroundSet.check_edge = check_edge
+            ref = outcome(lambda: reference_parser.parse_members(
+                doc["kind"], doc["r"], doc["n"], [member], path="")[0])
+            if walked is None:
+                # accepted on the whole member, without walking its edges
+                assert ours == ref and not calls
+            else:
+                assert ours[0] == f"[{walked}]" and ref[0] == f".families[0][{walked}]"
 
 
 class TestTraceCommand:
@@ -283,6 +403,13 @@ class TestOtherCommands:
             assert code == 0
             assert out == (FIXTURES / fixture).read_text()
 
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_rainbow_general_threshold_of_every_cell_exits_3(self, capsys, mode):
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "rainbow_general",
+                                 "--n", "4", "--r", "2", "--k", "3", "--mode", mode)
+        assert (code, out) == (3, "")
+        assert err == "error: hypothesis bound 6 leaves no admissible size\n"
+
     def test_extremal_bad_params_exit(self, capsys):
         code, _, err = run_cli(capsys, "extremal", "--name", "steal",
                                "--q", "3", "--n", "3")
@@ -409,8 +536,9 @@ class TestOtherCommands:
         ["extremal", "--name", "ekr", "--n", "60", "--r", "30"],
         ["extremal", "--name", "steal", "--n", "1000000000"],
         ["extremal", "--name", "star", "--n", "1", "--r", "1000000000", "--k", "2"],
+        ["extremal", "--name", "star", "--n", "1024", "--r", "2", "--k", "513"],
     ], ids=["threshold", "size-condition", "rainbow-general", "star", "ekr", "steal",
-            "star-one-edge"])
+            "star-one-edge", "star-copies"])
     def test_huge_grounds_are_refused_with_a_short_message(self, argv):
         # the estimate is capped, so it prints in a few digits however large
         # the ground, and nothing is enumerated or generated first

@@ -201,3 +201,15 @@ class TestDirectGeneration:
 
     def test_members_at_the_vertex_limit_are_built(self):
         assert len(ekr_star(2 ** 19 + 1, 2)) == 2 ** 19
+
+    @pytest.mark.parametrize("build,estimate", [
+        (lambda: star_family(1024, 2, 513), str(513 * 512 * 1024 * 2)),
+        (lambda: steal_family(100, 5000), str(2 * (100 * 100 + 100 * (101 * 5000 - 100)))),
+    ], ids=["star", "steal"])
+    def test_families_past_the_vertex_limit_are_refused_before_listing(self, build,
+                                                                       estimate, monkeypatch):
+        # every member is under both limits; their copies together are not
+        from rainbowmatch import extremal
+        monkeypatch.setattr(extremal, "Hypergraph", lambda *a: pytest.fail("member listed"))
+        with pytest.raises(InputError, match=f"the family would list {estimate} vertices"):
+            build()

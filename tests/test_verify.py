@@ -114,6 +114,15 @@ class TestComputeThreshold:
         with pytest.raises(InputError, match="refused"):
             compute_threshold_exact("g_partite", 3, 3, 2)
 
+    def test_a_lowered_cell_limit_is_obeyed(self, monkeypatch):
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_CELLS", 15)
+        with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
+            compute_threshold_exact("g_partite", 4, 2, 3)
+        checker = _make_checker(ConjectureId.MATRIX, {"n": 4, "k": 2})
+        with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
+            verify._run_ordered(checker)
+
     def test_rejects_bad_mode(self):
         with pytest.raises(InputError):
             compute_threshold_exact("nope", 4, 2, 2)
@@ -166,6 +175,16 @@ class TestCheckConjecture:
             assert all(h.degree(v, s) <= 1
                        for h in fam for s in (0, 1) for v in range(2))
             assert rainbow_exact(fam) is None
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    @pytest.mark.parametrize("n,r,k,bound", [(4, 2, 3, 6), (5, 2, 3, 10), (6, 3, 3, 20)])
+    def test_rainbow_general_threshold_of_every_cell_is_refused(self, n, r, k, bound, mode):
+        # no member can pass a threshold of every cell, so nothing is drawn
+        # or enumerated
+        with pytest.raises(InputError,
+                           match=f"hypothesis bound {bound} leaves no admissible size"):
+            check_conjecture(ConjectureId.RAINBOW_GENERAL, {"n": n, "r": r, "k": k},
+                             mode=mode, budget=10)
 
     def test_degree_condition_exhaustive_refused(self):
         with pytest.raises(InputError):
