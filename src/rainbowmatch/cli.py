@@ -1,8 +1,8 @@
 """Command-line surface: solve, shift, nu, check, extremal, verify, trace.
 
 Exit statuses: 0 success; 2 no matching found (a legitimate outcome);
-3 invalid input or precondition violation; 4 a guaranteed algorithm step
-failed (accompanied by an instance dump on stderr).
+3 invalid input (a usage error too) or precondition violation; 4 a
+guaranteed algorithm step failed (accompanied by an instance dump on stderr).
 
 Each command writes its result as text with 1-based m_i / w_j style labels,
 or as schema-versioned JSON.
@@ -192,8 +192,17 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error exiting 3 (invalid input), not 2 (no
+    matching). Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowmatch",
         description="Rainbow matchings in bipartite, r-partite and general "
                     "uniform hypergraphs: solvers, shifting, constructions, "

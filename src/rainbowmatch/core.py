@@ -241,14 +241,13 @@ class CellIndex:
     samplers draw cell positions.
     """
 
-    __slots__ = ("_ground", "_n", "_partite", "_cells", "_pos", "_stride", "_zero",
+    __slots__ = ("_ground", "_partite", "_cells", "_pos", "_stride", "_zero",
                  "_tail", "_tail_pos", "_sets", "_by_set", "_vertex")
 
     def __init__(self, ground: GroundSet):
         _guard_index(ground)
         self._ground = ground
         n, r = ground.n, ground.r
-        self._n = n
         self._partite = ground.kind == PARTITE
         if self._partite:
             self._cells = None
@@ -295,19 +294,6 @@ class CellIndex:
         """The cells of a mask's set bits, in position order."""
         return tuple(map(self.cell, bits(mask)))
 
-    def has(self, i: int, side: int | None, v: int) -> bool:
-        """True iff cell i has vertex v (on the given side if partite)."""
-        if side is not None:
-            return i // self._stride[side] % self._n == v
-        return bool(self._sets[i] >> v & 1)
-
-    def replace(self, i: int, side: int | None, old: int, new: int) -> int | None:
-        """Position of cell i with vertex old replaced by new (on the given
-        side if partite), or None if that is no cell. Cell i must hold old."""
-        if side is not None:
-            return i + (new - old) * self._stride[side]
-        return self._by_set.get(self._sets[i] ^ (1 << old | 1 << new))
-
     def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
         """The shift y -> x of an edge mask, as (origins, images): the edges
         that move and the edges they become. Every edge holding y (on the
@@ -327,13 +313,11 @@ class CellIndex:
         return origins, images
 
     def origins(self, images: int, side: int | None, x: int, y: int) -> int:
-        """The origins of a mask of images of the shift y -> x."""
+        """The origins of a mask of images of the shift y -> x. On a general
+        ground, a bit that is no such image has none: it is dropped."""
         if side is not None:
             return images << ((y - x) * self._stride[side])
-        out = 0
-        for j in bits(images):
-            out |= 1 << self.replace(j, None, x, y)
-        return out
+        return self.move(images, None, y, x)[1]  # the shift x -> y
 
 
 def edge_vertices(ground: GroundSet, edge: Edge) -> tuple:

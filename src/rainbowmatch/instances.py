@@ -22,11 +22,15 @@ class Instance(_Record):
     families: tuple[Hypergraph, ...]
 
     def __post_init__(self) -> None:
-        members = tuple(m if isinstance(m, Hypergraph) else Hypergraph(self.ground, m)
-                        for m in self.families)
+        members = []
+        for i, m in enumerate(self.families):
+            try:
+                members.append(m if isinstance(m, Hypergraph) else Hypergraph(self.ground, m))
+            except InputError as exc:
+                raise InputError(f"families[{i}]{exc}") from None
         if any(m.ground != self.ground for m in members):
             raise InputError("instance members must lie on the instance's ground")
-        object.__setattr__(self, "families", members)
+        object.__setattr__(self, "families", tuple(members))
 
     @classmethod
     def from_family(cls, family: Family) -> "Instance":

@@ -51,7 +51,8 @@ def _apply(step: ShiftStep, masks: list[int], backward: bool = False) -> None:
     for i, images in enumerate(step.images):
         origins = index.origins(images, step.side, step.x, step.y)
         gone, new = (images, origins) if backward else (origins, images)
-        if masks[i] & gone != gone or masks[i] & new:
+        if (origins.bit_count() != images.bit_count()  # a bit with no origin
+                or masks[i] & gone != gone or masks[i] & new):
             raise InputError("shift log does not apply to this family")
         masks[i] ^= origins | images
 
@@ -179,10 +180,11 @@ def pullback_rainbow(log: ShiftLog, original: Family,
                      matching: RainbowMatching) -> RainbowMatching:
     """Translate a rainbow matching of the shifted family back to the original.
 
-    Walks the log backward. At each reversed step with shift pair (x, y), at
-    most one chosen edge can be an image a+x missing from the pre-step member;
-    it is replaced by a+y, and if another chosen edge b+y exists, that one is
-    swapped to b+x (present, else b+y would itself have been shifted).
+    Walks the log backward with each chosen edge as a one-bit mask. At each
+    reversed step (x, y), at most one chosen edge can be an image a+x of the
+    step; it gets back its origin a+y, and the chosen edge b+y, if any, that
+    the shift y -> x moves (only a+x holds x) is swapped to its image b+x
+    (present, else b+y would itself have been shifted).
     """
     g = original.ground
     if len(original.members) != len(matching.choices):
@@ -192,27 +194,27 @@ def pullback_rainbow(log: ShiftLog, original: Family,
         raise InputError("not a rainbow matching of the shifted family")
 
     index = g.index
-    chosen = [index.position(e) for e in matching.choices]
+    chosen = [1 << index.position(e) for e in matching.choices]
     for step in reversed(log.steps):
         _apply(step, masks, backward=True)
-        bad = [i for i, c in enumerate(chosen) if not masks[i] >> c & 1]
-        if not bad:
-            continue  # no chosen edge was created by this step
-        if len(bad) > 1:
+        lost = [i for i, c in enumerate(chosen) if step.images[i] & c]
+        if not lost:
+            continue
+        if len(lost) > 1:
             raise TheoremViolationError(
                 "multiple chosen edges lost by one reversed shift", instance=original)
-        j = bad[0]
-        chosen[j] = index.replace(chosen[j], step.side, step.x, step.y)
-        holder = next((i for i, c in enumerate(chosen) if i != j
-                       and index.has(c, step.side, step.y)), None)
-        if holder is not None:
-            swapped = index.replace(chosen[holder], step.side, step.y, step.x)
-            if swapped is None or not masks[holder] >> swapped & 1:
-                raise TheoremViolationError(
-                    "expected swap partner edge is missing", instance=original)
-            chosen[holder] = swapped
+        for i, c in enumerate(chosen):
+            swapped = index.move(c, step.side, step.x, step.y)[1]
+            if swapped:
+                if not masks[i] & swapped:
+                    raise TheoremViolationError(
+                        "expected swap partner edge is missing", instance=original)
+                chosen[i] = swapped
+                break
+        j = lost[0]
+        chosen[j] = index.origins(chosen[j], step.side, step.x, step.y)
 
-    result = RainbowMatching(tuple(index.cell(c) for c in chosen))
+    result = RainbowMatching(tuple(index.cell(c.bit_length() - 1) for c in chosen))
     if not result.is_valid_for(original):
         raise TheoremViolationError("pull-back produced an invalid matching",
                                     instance=original)

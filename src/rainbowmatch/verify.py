@@ -109,20 +109,19 @@ def _ideal_dfs(ground: GroundSet) -> Iterator[int]:
     index = ground.index
     m = ground.cell_count
     walk = sorted(range(m), key=lambda i: (sum(index.cell(i)), i))
-    covers = [sum(1 << j for side in ground.sides for v in range(1, ground.n)
-                  if index.has(i, side, v)
-                  and (j := index.replace(i, side, v, v - 1)) is not None)
+    # a cell's lower covers are its images under the shifts v -> v-1
+    covers = [sum(index.move(1 << i, side, v - 1, v)[1]
+                  for side in ground.sides for v in range(1, ground.n))
               for i in walk]
-
-    def rec(t: int, mask: int) -> Iterator[int]:
-        if t == m:
-            yield mask
-            return
-        yield from rec(t + 1, mask)
-        if mask & covers[t] == covers[t]:
-            yield from rec(t + 1, mask | 1 << walk[t])
-
-    yield from rec(0, 0)
+    # depth first, leaving cell walk[t] out before taking it: a popped (t, mask)
+    # leaves out every later cell and stacks the branches that take one
+    stack = [(0, 0)]
+    while stack:
+        t, mask = stack.pop()
+        for u in range(t, m):
+            if mask & covers[u] == covers[u]:
+                stack.append((u + 1, mask | 1 << walk[u]))
+        yield mask
 
 
 def enumerate_shifted(ground: GroundSet, size: int) -> Iterator[Hypergraph]:

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_parser
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
-                          InputError, Instance, parse_instance,
-                          serialize_instance)
+                          InputError, Instance, TheoremViolationError,
+                          parse_instance, serialize_instance)
+from rainbowmatch import cli
 from rainbowmatch.cli import main
 from rainbowmatch.instances import instance_from_dict
 
@@ -123,6 +124,10 @@ class TestParseInstance:
             Instance(GroundSet(PARTITE, 2, 2), (((0, 0), (0, 2)),))
         with pytest.raises(InputError, match="duplicate"):
             Instance(GroundSet(PARTITE, 2, 2), (((0, 0), (0, 0)),))
+
+    def test_hand_built_instance_names_the_bad_member(self):
+        with pytest.raises(InputError, match=r"^families\[1\]\[1\]: duplicate edge$"):
+            Instance(GroundSet(PARTITE, 2, 2), (((0, 0),), ((0, 0), (0, 0))))
 
     def test_hand_built_member_on_another_ground_is_refused(self):
         with pytest.raises(InputError, match="ground"):
@@ -263,6 +268,11 @@ class TestTraceCommand:
         assert payload["steps"][0]["tail"] == "w_1"
         assert payload["final_R"] == {"m": [1, 2, 3], "w": [1]}
 
+    def test_neither_name_nor_input_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "trace")
+        assert (code, out) == (3, "")
+        assert err == "error: trace needs --name or --in\n"
+
     def test_unshifted_instance_is_a_precondition_error(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         path.write_text('{"kind":"partite","r":2,"n":2,"families":[[[2,2]]]}')
@@ -330,6 +340,19 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, "solve", "--algorithm", "greedy",
                                  "--in", str(path))
         assert (code, out, err) == (0, f"F_1: m_1 w_{10 ** 30}\n", "")
+
+    def test_theorem_violation_exits_4_with_the_instance(self, capsys, monkeypatch):
+        def violate(family):
+            raise TheoremViolationError("greedy step failed", instance=family)
+
+        monkeypatch.setattr(cli, "greedy_bipartite", violate)
+        star = FIXTURES / "star_n3_r2_k2.json"
+        code, out, err = run_cli(capsys, "solve", "--algorithm", "greedy",
+                                 "--in", str(star))
+        assert (code, out) == (4, "")
+        first, dump = err.split("\n", 1)
+        assert first == "theorem violation: greedy step failed"
+        assert parse_instance(dump) == parse_instance(star.read_text())
 
     def test_r3_solve(self, tmp_path, capsys):
         import itertools
@@ -443,6 +466,24 @@ class TestOtherCommands:
                                  "--n", "2", "--k", "2", "--budget", "10",
                                  "--workers", workers)
         assert code == 3 and out == "" and "workers" in err
+
+    @pytest.mark.parametrize("argv", [["solve", "--algorithm", "bogus"],
+                                      ["verify", "--conjecture", "simple", "--n", "x"],
+                                      []])
+    def test_usage_error_exits_3(self, capsys, argv):
+        # argparse's own status, 2, would read as "no rainbow matching"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 3 and captured.out == ""
+        assert re.fullmatch(r"usage: rainbowmatch.*\nrainbowmatch[a-z ]*: error: .+\n",
+                            captured.err, re.DOTALL)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "nu", "--in", str(tmp_path / "missing.json"))

@@ -8,7 +8,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching, is_shifted, nu_exact,
                           pullback_rainbow, rainbow_exact, shift_hypergraph,
                           shifted_closure)
-from rainbowmatch.shifting import _closed_mask
+from rainbowmatch.shifting import ShiftLog, ShiftStep, _closed_mask
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -226,6 +226,51 @@ class TestPullback:
                 assert rainbow_exact(shifted) is None
                 hits += 1
         assert hits > 10
+
+
+class TestLogRefusals:
+    """A log or matching that does not fit the family is refused with
+    InputError, by replay and by the pull-back alike."""
+
+    G4 = GroundSet(GENERAL, 2, 4)
+
+    @staticmethod
+    def refusals(log, fam, matching, match):
+        with pytest.raises(InputError, match=match):
+            log.replay(fam)
+        with pytest.raises(InputError, match=match):
+            pullback_rainbow(log, fam, matching)
+
+    @pytest.mark.parametrize("image", [(0, 1), 40])  # holds y as well; past the cells
+    def test_general_image_no_shift_makes(self, image):
+        g = self.G4
+        bit = 1 << (g.index.position(image) if isinstance(image, tuple) else image)
+        fam = Family([Hypergraph(g, [(0, 1)])])
+        log = ShiftLog((ShiftStep(g, None, 0, 1, (bit,)),))
+        self.refusals(log, fam, RainbowMatching(((0, 1),)),
+                      "shift log does not apply to this family")
+
+    def test_log_of_another_ground(self):
+        _, log = shifted_closure(Family([Hypergraph(B3, [(1, 0)])]))
+        self.refusals(log, Family([Hypergraph(B2, [(1, 0)])]), RainbowMatching(((1, 0),)),
+                      "different ground")
+
+    def test_log_of_another_member_count(self):
+        _, log = shifted_closure(Family([Hypergraph(B2, [(1, 0)])]))
+        fam = Family([Hypergraph(B2, [(1, 0)]), Hypergraph(B2, [(1, 1)])])
+        self.refusals(log, fam, RainbowMatching(((1, 0), (1, 1))),
+                      "different member count")
+
+    def test_partite_log_of_another_family(self):
+        _, log = shifted_closure(Family([Hypergraph(B2, [(1, 0)])]))
+        self.refusals(log, Family([Hypergraph(B2, [(0, 0)])]), RainbowMatching(((0, 0),)),
+                      "shift log does not apply to this family")
+
+    def test_matching_of_another_size(self):
+        fam = Family([Hypergraph(B2, [(1, 0)])])
+        _, log = shifted_closure(fam)
+        with pytest.raises(InputError, match="matching size does not fit"):
+            pullback_rainbow(log, fam, RainbowMatching(((0, 0), (1, 1))))
 
 
 # (kind, r, largest n) of the grounds the differential test draws from
