@@ -313,10 +313,12 @@ class CellIndex:
         return origins, images
 
     def origins(self, images: int, side: int | None, x: int, y: int) -> int:
-        """The origins of a mask of images of the shift y -> x. On a general
-        ground, a bit that is no such image has none: it is dropped."""
+        """The origins of a mask of images of the shift y -> x. A bit that is
+        no such image (its cell lacks x, on the side if partite) has none:
+        it is dropped."""
         if side is not None:
-            return images << ((y - x) * self._stride[side])
+            t = self._stride[side]
+            return (images & self._zero[side] << x * t) << (y - x) * t
         return self.move(images, None, y, x)[1]  # the shift x -> y
 
 
@@ -519,18 +521,30 @@ SHIFT_MASK_BITS = 1024
 
 def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
                 ) -> tuple[tuple[Edge, ...], list[int], list[dict[int, int]]]:
-    """Local bit numbering of the members' edges, for the exact oracles.
+    """Bit numbering of the members' edges, for the exact oracles.
 
-    Numbers the distinct edges of the members in lexicographic order, so bit
-    i is the i-th smallest edge and lowest bit first is edge order. Returns
-    those edges, one edge mask per member, and one dict per vertex position
-    mapping each vertex an edge touches there to the mask of edges holding
-    it: a partite ground has one dict per side, and a general ground one
-    dict shared by all r positions. Each mask has at most |E| bits; nothing
-    is allocated per vertex or cell that no edge touches, and the ground's
+    Returns a tuple of edges, where bit i stands for the i-th, one edge mask
+    per member, and one dict per vertex position mapping each vertex an
+    edge touches there to a mask of the edges holding it: a partite ground
+    has one dict per side, and a general ground one dict shared by all r
+    positions. Lowest bit first is lexicographic edge order either way.
+
+    When every member holds a mask over ground.index and the ground has at
+    most SHIFT_MASK_BITS cells, the numbering is the index's own: the edges
+    are index.cells, the member masks are the members' masks, nothing is
+    decoded, and a vertex's mask holds every cell through it (an edge of no
+    member is never a candidate, so the extra bits change nothing). Index
+    positions are lexicographic, so on the members' edges they keep the
+    order of the local numbering below, and the search takes the same path.
+
+    Otherwise the distinct edges of the members are numbered locally in
+    lexicographic order. Each mask has at most |E| bits; nothing is
+    allocated per vertex or cell that no edge touches, and the ground's
     cell index is not built. Past SHIFT_MASK_BITS edges the positions of
     each mask are gathered and set through _mask, so the build stays linear
     in |E| (over small families that way is about 1.5 times slower)."""
+    if all(h._mask is not None for h in members) and ground.cell_count <= SHIFT_MASK_BITS:
+        return _index_masks(ground, [h._mask for h in members])
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
     groups = [(s,) for s in range(ground.r)] if ground.kind == PARTITE else [range(ground.r)]
@@ -554,6 +568,25 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
                     at.setdefault(e[s], []).append(i)
             vertex.append({v: _mask(p, m) for v, p in at.items()})
     return edges, masks, vertex if ground.kind == PARTITE else vertex * ground.r
+
+
+def _index_masks(ground: GroundSet, masks: list[int]
+                 ) -> tuple[tuple[Edge, ...], list[int], list[dict[int, int]]]:
+    """_edge_masks on the index numbering, for member masks over ground.index:
+    vertex v's cells are side s's vertex-0 cells shifted by v*n^(r-1-s) on a
+    partite ground, and the index's vertex mask on a general one."""
+    index = ground.index
+    union = 0
+    for m in masks:
+        union |= m
+    if ground.kind == PARTITE:
+        vertex = []
+        for t, zero in zip(index._stride, index._zero):
+            at = (zero << v * t for v in range(ground.n))
+            vertex.append({v: m for v, m in enumerate(at) if union & m})
+    else:
+        vertex = [{v: m for v, m in enumerate(index._vertex) if union & m}] * ground.r
+    return index.cells, masks, vertex
 
 
 def nu_exact(h: Hypergraph) -> int:

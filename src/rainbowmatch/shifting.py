@@ -47,6 +47,7 @@ class ShiftStep(NamedTuple):
 
 def _apply(step: ShiftStep, masks: list[int], backward: bool = False) -> None:
     """Apply a logged step to per-member edge masks in place, or undo it."""
+    _check_shift_args(step.ground, step.x, step.y, step.side)
     index = step.ground.index
     for i, images in enumerate(step.images):
         origins = index.origins(images, step.side, step.x, step.y)

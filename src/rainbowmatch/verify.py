@@ -225,12 +225,13 @@ def _matrix_concl(family: Family) -> bool:
     return check_matrix_conjecture(DegreeMatrix.from_family(family)).ok
 
 
-def _sample_member(rng: random.Random, ground: GroundSet, size: int) -> Hypergraph:
-    """A uniform member of the given size, drawn as cell positions: the same
-    random calls and positions as sampling from ground.index.cells."""
+def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
+    """The mask of a uniform member of the given size, drawn as cell
+    positions: the same random calls and positions as sampling from
+    ground.index.cells."""
     ground.index  # refuses a ground too large to index before anything is drawn
     u = ground.cell_count
-    return Hypergraph._from_mask(ground, _mask(rng.sample(range(u), size), u))
+    return _mask(rng.sample(range(u), size), u)
 
 
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
@@ -238,11 +239,8 @@ def _sample_shifted_family(rng: random.Random, ground: GroundSet,
     """Uniform members of sizes drawn from [floor, cell_count], each closed
     as shifted_closure would close their family."""
     u = ground.cell_count
-    members = []
-    for f in floors:
-        drawn = _sample_member(rng, ground, rng.randint(f, u))
-        members.append(Hypergraph._from_mask(ground, _closed_mask(ground, drawn.mask)))
-    return Family(members)
+    drawn = [_sample_mask(rng, ground, rng.randint(f, u)) for f in floors]
+    return Family([Hypergraph._from_mask(ground, _closed_mask(ground, m)) for m in drawn])
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
@@ -569,8 +567,8 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         rng = random.Random(f"{seed}:{r}:{k}:{n}")
         successes = 0
         for _ in range(trials):
-            family = Family([_sample_member(rng, ground, rng.randint(bound + 1, ground.cell_count))
-                             for _ in range(k)])
+            family = Family([Hypergraph._from_mask(ground, _sample_mask(
+                rng, ground, rng.randint(bound + 1, ground.cell_count))) for _ in range(k)])
             matching = large_n_procedure(family)
             if matching is not None:
                 if not matching.is_valid_for(family):

@@ -10,6 +10,7 @@ import reference_oracle as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, is_matching, iter_shifted,
                           nu_exact, pm_decomposition, rainbow_exact)
+from rainbowmatch.core import SHIFT_MASK_BITS
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
 
@@ -287,6 +288,17 @@ class TestOraclesAgainstReference:
         for h in fam:
             assert nu_exact(h) == reference.nu_exact(h)
 
+    @example(Family([H(GroundSet(PARTITE, 3, 3), (0, 0, 0), (1, 0, 1), (2, 1, 0))]))
+    @example(Family([H(GroundSet(GENERAL, 3, 7), (0, 1, 2), (1, 3, 4), (2, 5, 6))]))
+    @settings(max_examples=300)
+    @given(oracle_families())
+    def test_same_matching_and_nu_on_index_masks(self, fam):
+        # members holding only their masks are searched on the index numbering
+        masked = Family([Hypergraph._from_mask(fam.ground, h.mask) for h in fam])
+        assert rainbow_exact(masked) == reference.rainbow_exact(fam)
+        for h, m in zip(fam, masked):
+            assert nu_exact(m) == reference.nu_exact(h)
+
     @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 40), GroundSet(PARTITE, 3, 12),
                                         GroundSet(GENERAL, 2, 50)])
     def test_same_answers_past_a_kilobit_of_edges(self, ground):
@@ -301,6 +313,39 @@ class TestOraclesAgainstReference:
                 assert nu_exact(h) == reference.nu_exact(h)
             else:  # perfect matchings, which the reference search takes minutes to find
                 assert nu_exact(h) == ground.n // 2
+
+
+class TestIndexNumbering:
+    """Mask members on a ground of at most SHIFT_MASK_BITS cells are searched
+    on the cell index's numbering, with the answers of the local one."""
+
+    @pytest.mark.parametrize("ground,within", [
+        (GroundSet(PARTITE, 2, 32), True),    # 1,024 cells
+        (GroundSet(GENERAL, 2, 47), False)])  # 1,081 cells
+    def test_both_sides_of_the_cell_limit(self, ground, within):
+        assert (ground.cell_count <= SHIFT_MASK_BITS) == within
+        rng = random.Random(ground.n)
+        cells = list(ground.cells())
+        # dense enough that every nu meets the bound at the root at once
+        listed = Family([Hypergraph(ground, rng.sample(cells, len(cells) * 2 // 3))
+                         for _ in range(6)])
+        masked = Family([Hypergraph._from_mask(ground, h.mask) for h in listed])
+        assert rainbow_exact(masked) == rainbow_exact(listed)
+        assert [nu_exact(h) for h in masked] == [nu_exact(h) for h in listed]
+        # only the local numbering decodes the members
+        assert all((h._edges is None) == within for h in masked)
+
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 1, 5), GroundSet(PARTITE, 3, 4),
+                                        GroundSet(GENERAL, 2, 6), GroundSet(GENERAL, 3, 7)])
+    def test_mask_members_are_not_decoded(self, ground):
+        rng = seeded(f"undecoded:{ground.kind}:{ground.r}")
+        for _ in range(20):
+            masks = [h.mask for h in random_family(rng, ground, rng.randint(1, 4))]
+            fam = Family([Hypergraph._from_mask(ground, m) for m in masks])
+            rainbow_exact(fam)
+            for h in fam:
+                nu_exact(h)
+            assert all(h._edges is None for h in fam)
 
 
 class TestOracleLimits:

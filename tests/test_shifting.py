@@ -250,6 +250,18 @@ class TestLogRefusals:
         self.refusals(log, fam, RainbowMatching(((0, 1),)),
                       "shift log does not apply to this family")
 
+    def test_partite_image_without_x(self):
+        # (1, 0) does not hold x=0 on side 0, so no shift 1 -> 0 there makes it
+        fam = Family([Hypergraph(B3, [(2, 0)])])
+        log = ShiftLog((ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((1, 0)),)),))
+        self.refusals(log, fam, RainbowMatching(((1, 0),)),
+                      "shift log does not apply to this family")
+
+    def test_partite_step_without_side(self):
+        fam = Family([Hypergraph(B3, [(1, 0)])])
+        log = ShiftLog((ShiftStep(B3, None, 0, 1, (1,)),))
+        self.refusals(log, fam, RainbowMatching(((0, 0),)), "partite shifts need a side")
+
     def test_log_of_another_ground(self):
         _, log = shifted_closure(Family([Hypergraph(B3, [(1, 0)])]))
         self.refusals(log, Family([Hypergraph(B2, [(1, 0)])]), RainbowMatching(((1, 0),)),
