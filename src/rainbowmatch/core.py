@@ -237,7 +237,8 @@ class CellIndex:
     general index keeps the cell tuple, a position map, each cell's vertex
     set and one mask per vertex: O(cell_count) entries plus n*cell_count
     bits. The full cell tuple of a partite index is only listed when asked
-    for: only the degree-capped sampler does, to shuffle it. The other random
+    for: the degree-capped sampler shuffles it, and the exact oracles take it
+    as their edge tuple for mask members (_index_masks). The other random
     samplers draw cell positions.
     """
 

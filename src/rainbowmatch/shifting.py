@@ -30,32 +30,45 @@ class ShiftStep(NamedTuple):
     images: tuple[int, ...]  # indexed like the family
 
     def pairs(self, member: int) -> tuple[tuple[Edge, Edge], ...]:
-        """(original, image) pairs of one member, in sorted edge order.
-
-        Images keep the order of their originals: replacing y by x in two
-        edges leaves their symmetric difference unchanged."""
-        index = self.ground.index
-        images = self.images[member]
-        origins = index.origins(images, self.side, self.x, self.y)
-        return tuple(zip(index.edges(origins), index.edges(images)))
+        """(original, image) pairs of one member, in sorted edge order."""
+        return self._pairs(self.ground, len(self.images))[member]
 
     @property
     def moved(self) -> tuple[tuple[Edge, Edge], ...]:
         """(original, image) pairs of every member, member by member."""
-        return tuple(p for i in range(len(self.images)) for p in self.pairs(i))
+        return tuple(p for pairs in self._pairs(self.ground, len(self.images)) for p in pairs)
+
+    def _pairs(self, ground: GroundSet, count: int) -> list[tuple[tuple[Edge, Edge], ...]]:
+        """Every member's pairs, the step checked against ground and count.
+        Images keep their originals' order: y -> x keeps symmetric differences."""
+        edges = ground.index.edges
+        return [tuple(zip(edges(o), edges(i)))
+                for o, i in zip(_origins(self, ground, count), self.images)]
 
 
-def _apply(step: ShiftStep, masks: list[int], backward: bool = False) -> None:
+def _origins(step: ShiftStep, ground: GroundSet, count: int) -> list[int]:
+    """Each member's origins under a logged step, the one check of a step: it
+    must be recorded on ground for count members, be a shift of ground, and
+    give every image an origin."""
+    if step.ground != ground:
+        raise InputError("shift log was recorded on a different ground")
+    if len(step.images) != count:
+        raise InputError("shift log was recorded for a different member count")
+    _check_shift_args(ground, step.x, step.y, step.side)
+    index = ground.index
+    origins = [index.origins(i, step.side, step.x, step.y) for i in step.images]
+    if list(map(int.bit_count, origins)) != list(map(int.bit_count, step.images)):
+        raise InputError("shift log does not apply to this family")
+    return origins
+
+
+def _apply(step: ShiftStep, ground: GroundSet, masks: list[int], backward: bool = False) -> None:
     """Apply a logged step to per-member edge masks in place, or undo it."""
-    _check_shift_args(step.ground, step.x, step.y, step.side)
-    index = step.ground.index
-    for i, images in enumerate(step.images):
-        origins = index.origins(images, step.side, step.x, step.y)
-        gone, new = (images, origins) if backward else (origins, images)
-        if (origins.bit_count() != images.bit_count()  # a bit with no origin
-                or masks[i] & gone != gone or masks[i] & new):
+    for i, (origins, images) in enumerate(zip(_origins(step, ground, len(masks)), step.images)):
+        moving = origins | images  # the member must hold the side that leaves
+        if masks[i] & moving != (images if backward else origins):
             raise InputError("shift log does not apply to this family")
-        masks[i] ^= origins | images
+        masks[i] ^= moving
 
 
 class ShiftLog(_Record):
@@ -64,31 +77,23 @@ class ShiftLog(_Record):
 
     steps: tuple[ShiftStep, ...]
 
-    def _masks_after(self, family: Family) -> list[int]:
-        """Edge masks of the family's members after every logged step."""
-        masks = [h.mask for h in family.members]
-        if self.steps:
-            if self.steps[0].ground != family.ground:
-                raise InputError("shift log was recorded on a different ground")
-            if len(masks) != len(self.steps[0].images):
-                raise InputError("shift log was recorded for a different member count")
-        for step in self.steps:
-            _apply(step, masks)
-        return masks
-
     def replay(self, family: Family) -> Family:
         """Apply the logged moves to a family; errors if the log does not fit."""
-        g = family.ground
-        return Family([Hypergraph._from_mask(g, m) for m in self._masks_after(family)])
+        g, masks = family.ground, [h.mask for h in family.members]
+        for step in self.steps:
+            _apply(step, g, masks)
+        return Family([Hypergraph._from_mask(g, m) for m in masks])
 
     def to_json(self) -> list[dict]:
+        first = self.steps[0] if self.steps else None  # every step is checked against it
         return [{"side": None if step.side is None else step.side + 1,
                  "x": step.x + 1,
                  "y": step.y + 1,
                  "moved": [{"member": i + 1,
                             "pairs": [[[v + 1 for v in orig], [v + 1 for v in img]]
-                                      for orig, img in step.pairs(i)]}
-                           for i, images in enumerate(step.images) if images]}
+                                      for orig, img in pairs]}
+                           for i, pairs in enumerate(step._pairs(first.ground, len(first.images)))
+                           if pairs]}
                 for step in self.steps]
 
 
@@ -190,14 +195,15 @@ def pullback_rainbow(log: ShiftLog, original: Family,
     g = original.ground
     if len(original.members) != len(matching.choices):
         raise InputError("matching size does not fit the family")
-    masks = log._masks_after(original)
-    if not matching.is_valid_for(Family([Hypergraph._from_mask(g, m) for m in masks])):
+    shifted = log.replay(original)
+    if not matching.is_valid_for(shifted):
         raise InputError("not a rainbow matching of the shifted family")
+    masks = [h.mask for h in shifted.members]
 
     index = g.index
     chosen = [1 << index.position(e) for e in matching.choices]
     for step in reversed(log.steps):
-        _apply(step, masks, backward=True)
+        _apply(step, g, masks, backward=True)
         lost = [i for i, c in enumerate(chosen) if step.images[i] & c]
         if not lost:
             continue

@@ -17,6 +17,7 @@ from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergra
                    _guard_index, _mask, _Record, capped_cells, estimate_text, nu_exact,
                    rainbow_exact)
 from .errors import InputError, TheoremViolationError
+from . import extremal
 from .extremal import f_r2, g_formula
 from .instances import Instance
 from .shifting import _closed_mask
@@ -311,6 +312,11 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
     if conjecture is ConjectureId.DEGREE_CONDITION:
         d = _params_int(params, "d")
         ground = GroundSet(PARTITE, 2, n)
+        # every draw copies and shuffles the whole cell tuple, whatever d is
+        if (listed := ground.cell_count * ground.r) > extremal.MAX_LISTED_VERTICES:
+            raise InputError(f"degree-capped sampling refused: each draw would list "
+                             f"{estimate_text(listed)} vertices, cells times r "
+                             f"(limit {extremal.MAX_LISTED_VERTICES})")
         min_size = (k - 1) * d + 1
 
         def hyp(fam: Family) -> bool:

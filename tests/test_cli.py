@@ -250,6 +250,56 @@ class TestMemberCheckAgainstReference:
                 assert ours[0] == f"[{walked}]" and ref[0] == f".families[0][{walked}]"
 
 
+@st.composite
+def fuzzed_documents(draw):
+    """An instance document on a small ground: most edges are cells of the
+    ground, the rest mix in-range labels with 0, n+1, bools, floats, strings
+    and nested lists; members may be empty or not lists at all."""
+    kind = draw(st.sampled_from([PARTITE, GENERAL]))
+    r = draw(st.sampled_from([1, 2, 2, 3]))
+    n = draw(st.integers(1, 4))
+    label = st.integers(1, n) | st.sampled_from(
+        [0, n + 1, True, False, 1.0, 1.5, "1", [1], [[n]]])
+    edge = st.lists(label, min_size=r, max_size=r) | st.lists(label, max_size=r + 1)
+    if kind == PARTITE or n >= r:
+        cell = st.sampled_from([[v + 1 for v in e] for e in GroundSet(kind, r, n).cells()])
+        edge = st.one_of(cell, cell, cell, cell, cell, edge)
+    member = (st.lists(edge, max_size=6, unique_by=repr)
+              | st.sampled_from([None, 7, "edges", {"e": [1]}]))
+    return {"kind": kind, "r": r, "n": n,
+            "families": draw(st.lists(member, min_size=1, max_size=3))}
+
+
+FUZZED_COMMANDS = ([["solve", "--algorithm", a] for a in
+                    ("hall", "greedy", "meshulam", "r3", "simple", "large-n", "oracle")]
+                   + [["shift"], ["nu"], ["check"], ["trace", "--in", "-"]])
+
+
+class TestFuzzedInstances:
+    """Every command that reads an instance either answers or refuses it:
+    exit 0, 2 or 3, and never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fuzzed_documents(), st.sampled_from(["text", "json"]))
+    def test_every_reader_answers_or_refuses(self, doc, format):
+        import contextlib
+        import io
+        text = json.dumps(doc)
+        for argv in FUZZED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--format", format])
+            finally:
+                sys.stdin = stdin
+            err = err.getvalue()
+            # 4, a failed guaranteed step, would also have to dump the instance;
+            # no input here may reach it
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Traceback" not in err, argv
+
+
 class TestTraceCommand:
     def test_steal_golden_file(self, capsys):
         code, out, err = run_cli(capsys, "trace", "--name", "steal",
@@ -676,6 +726,7 @@ GOLDEN_CASES = [
     ("conjecture_size_exhaustive", ["verify", "--conjecture", "size_condition", "--n", "2",
                                     "--r", "2", "--k", "2", "--mode", "exhaustive"], 0),
     ("trace_steal", ["trace", "--name", "steal", "--q", "3", "--n", "6"], 0, ("json",)),
+    ("trace_success", ["trace", "--in", fx("cli/in_trace_success.json")], 0),
 ]
 
 # a verify report's run time is the one field that differs between runs

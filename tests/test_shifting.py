@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_shifting as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
-                          InputError, RainbowMatching, is_shifted, nu_exact,
-                          pullback_rainbow, rainbow_exact, shift_hypergraph,
-                          shifted_closure)
+                          InputError, RainbowMatching, TheoremViolationError,
+                          is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
+                          shift_hypergraph, shifted_closure)
 from rainbowmatch.shifting import ShiftLog, ShiftStep, _closed_mask
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
@@ -283,6 +283,140 @@ class TestLogRefusals:
         _, log = shifted_closure(fam)
         with pytest.raises(InputError, match="matching size does not fit"):
             pullback_rainbow(log, fam, RainbowMatching(((0, 0), (1, 1))))
+
+    # (steps, family edges, matching, message, whether the last step alone
+    # is refused) of four bad steps: a partite step with no side; an image
+    # without x, which zip would report as a member moved with no pairs; and
+    # a later step of another ground (position 4 is (1, 0) on n=4 but (1, 1)
+    # on n=3, so one side-0 shift would change both coordinates) or member
+    # count, which only the whole log shows
+    BAD_STEPS = {
+        "no-side": ([ShiftStep(B3, None, 0, 1, (1,))], [(1, 0)], (0, 0),
+                    "partite shifts need a side", True),
+        "image-without-x": ([ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((1, 0)),))],
+                            [(2, 0)], (1, 0), "shift log does not apply to this family", True),
+        "later-ground": ([ShiftStep(B3, 0, 0, 1, (0,)),
+                          ShiftStep(GroundSet(PARTITE, 2, 4), 0, 0, 1, (1,))],
+                         [(1, 1)], (0, 0), "different ground", False),
+        "later-count": ([ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((0, 0)),)),
+                         ShiftStep(B3, 1, 0, 1, (0, 0))],
+                        [(1, 0)], (0, 0), "different member count", False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_STEPS))
+    def test_every_reader_refuses_a_bad_step(self, case):
+        steps, edges, choice, match, alone = self.BAD_STEPS[case]
+        log = ShiftLog(tuple(steps))
+        self.refusals(log, Family([Hypergraph(B3, edges)]), RainbowMatching((choice,)), match)
+        with pytest.raises(InputError, match=match):
+            log.to_json()
+        if alone:  # read against its own ground and image count
+            with pytest.raises(InputError, match=match):
+                steps[-1].moved
+            with pytest.raises(InputError, match=match):
+                steps[-1].pairs(0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edited_closure_logs_are_read_or_refused(self, data):
+        fam = data.draw(small_families())
+        _, log = shifted_closure(fam)
+        edited = ShiftLog(tuple(data.draw(edited_steps(list(log.steps), fam.ground))))
+        try:
+            replayed = edited.replay(fam)
+        except InputError:
+            replayed = None
+        try:
+            payload = edited.to_json()
+        except InputError:
+            assert replayed is None and edited.steps
+            payload = None
+        for step in edited.steps:
+            try:
+                moved = step.moved
+            except InputError:
+                assert replayed is None
+                continue
+            pairs = [step.pairs(i) for i in range(len(step.images))]
+            assert moved == tuple(p for member in pairs for p in member)
+        if replayed is None:
+            return
+        # to_json and moved report the moves replay makes, step by step
+        edges = [set(h.edges) for h in fam]
+        for step, entry in zip(edited.steps, payload):
+            assert entry["moved"] == [
+                {"member": i + 1, "pairs": [[[v + 1 for v in a], [v + 1 for v in b]]
+                                            for a, b in step.pairs(i)]}
+                for i in range(fam.k) if step.pairs(i)]
+            for i in range(fam.k):
+                for orig, img in step.pairs(i):
+                    assert orig in edges[i] and img not in edges[i]
+                    edges[i] ^= {orig, img}
+        assert [set(h.edges) for h in replayed] == edges
+        m = rainbow_exact(replayed)
+        if m is None:
+            return
+        try:
+            back = pullback_rainbow(edited, fam, m)
+        except TheoremViolationError:
+            # only a step that shifts some of the edges it could is left to
+            # the theory guards; see own_shifts
+            assert not own_shifts(edited, fam)
+        else:
+            assert back.is_valid_for(fam)
+
+
+def own_shifts(log, fam):
+    """Whether every step moves all the edges its shift moves in the family
+    as replayed so far."""
+    members = list(fam)
+    for step in log.steps:
+        shifted = [shift_hypergraph(h, step.x, step.y, step.side) for h in members]
+        if tuple(s.images[0] for _, s in shifted) != step.images:
+            return False
+        members = [h for h, _ in shifted]
+    return True
+
+
+@st.composite
+def edited_steps(draw, steps, ground):
+    """A closure log's steps with one to three edits: a step dropped,
+    duplicated or moved; its ground, side, x or y replaced; an image bit
+    flipped; an image entry added or removed."""
+    others = [GroundSet(kind, ground.r, n) for kind in (PARTITE, GENERAL)
+              for n in (ground.n - 1, ground.n, ground.n + 1)
+              if n >= (ground.r if kind == GENERAL else 1)]
+    other = draw(st.sampled_from([g for g in others if g != ground]))
+    for _ in range(draw(st.integers(1, 3))):
+        if not steps:
+            return steps
+        j = draw(st.integers(0, len(steps) - 1))
+        step = steps[j]
+        edit = draw(st.sampled_from(["drop", "duplicate", "move", "ground", "side",
+                                     "x", "y", "flip", "add", "remove"]))
+        if edit == "drop":
+            del steps[j]
+        elif edit == "duplicate":
+            steps.insert(j, step)
+        elif edit == "move":
+            steps.insert(draw(st.integers(0, len(steps) - 1)), steps.pop(j))
+        elif edit == "ground":
+            steps[j] = step._replace(ground=other)
+        elif edit == "side":
+            steps[j] = step._replace(side=draw(st.sampled_from([None, -1, 0, 1, ground.r])))
+        elif edit in ("x", "y"):
+            steps[j] = step._replace(**{edit: draw(st.integers(-1, ground.n))})
+        elif edit == "flip" and step.images:
+            i = draw(st.integers(0, len(step.images) - 1))
+            bit = 1 << draw(st.integers(0, ground.cell_count))
+            steps[j] = step._replace(images=(*step.images[:i], step.images[i] ^ bit,
+                                             *step.images[i + 1:]))
+        elif edit == "add":
+            extra = draw(st.sampled_from([0, *step.images]))
+            steps[j] = step._replace(images=(*step.images, extra))
+        elif edit == "remove":
+            steps[j] = step._replace(images=step.images[:-1])
+    return steps
 
 
 # (kind, r, largest n) of the grounds the differential test draws from

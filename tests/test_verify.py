@@ -200,6 +200,28 @@ class TestCheckConjecture:
             fam = instance_from_dict(counter).to_family()
             assert rainbow_exact(fam) is None
 
+    def test_degree_condition_past_the_listing_limit_is_refused_before_any_draw(
+            self, monkeypatch):
+        # each draw copies and shuffles all n^2 cells: 725^2 * 2 passes 2^20
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify, "_sample_degree_capped",
+                            lambda *a: pytest.fail("a member was drawn"))
+        with pytest.raises(InputError, match="each draw would list 1051250 vertices, "
+                                             r"cells times r \(limit 1048576\)"):
+            check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 725, "k": 2, "d": 1},
+                             budget=1)
+        _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 724, "k": 2, "d": 1})
+
+    def test_degree_condition_listing_limit_boundary(self, monkeypatch):
+        from rainbowmatch import extremal
+        monkeypatch.setattr(extremal, "MAX_LISTED_VERTICES", 18)  # n=3: 9 cells times 2
+        rep = check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1},
+                               budget=20, seed=1)
+        assert rep.instances_checked == 20
+        with pytest.raises(InputError, match=r"would list 32 vertices, cells times r \(limit 18\)"):
+            check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 4, "k": 2, "d": 1},
+                             budget=20, seed=1)
+
     def test_same_seed_same_report(self):
         params = {"n": 3, "r": 2, "k": 2}
         a = check_conjecture(ConjectureId.SIZE_CONDITION, params,
