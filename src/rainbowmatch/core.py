@@ -513,10 +513,9 @@ def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:
     return True
 
 
-# Masks up to this many bits are built by ORing in one shifted int per edge,
-# the cheapest way while they are short. A shift costs a digit per 30 bits of
-# its result, so past it that would be quadratic in the edges, in time and in
-# the memory of the per-edge ints (|E|^2/16 bytes).
+# Grounds of at most this many cells give the exact oracles the cell index's
+# numbering, whose masks are then at most a kilobit; past it, index masks would
+# grow with the ground rather than with the members' edges (_edge_masks).
 SHIFT_MASK_BITS = 1024
 
 
@@ -528,66 +527,44 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     per member, and one dict per vertex position mapping each vertex an
     edge touches there to a mask of the edges holding it: a partite ground
     has one dict per side, and a general ground one dict shared by all r
-    positions. Lowest bit first is lexicographic edge order either way.
+    positions.
 
-    When every member holds a mask over ground.index and the ground has at
-    most SHIFT_MASK_BITS cells, the numbering is the index's own: the edges
-    are index.cells, the member masks are the members' masks, nothing is
-    decoded, and a vertex's mask holds every cell through it (an edge of no
-    member is never a candidate, so the extra bits change nothing). Index
-    positions are lexicographic, so on the members' edges they keep the
-    order of the local numbering below, and the search takes the same path.
-
-    Otherwise the distinct edges of the members are numbered locally in
-    lexicographic order. Each mask has at most |E| bits; nothing is
-    allocated per vertex or cell that no edge touches, and the ground's
-    cell index is not built. Past SHIFT_MASK_BITS edges the positions of
-    each mask are gathered and set through _mask, so the build stays linear
-    in |E| (over small families that way is about 1.5 times slower)."""
-    if all(h._mask is not None for h in members) and ground.cell_count <= SHIFT_MASK_BITS:
-        return _index_masks(ground, [h._mask for h in members])
+    The ground alone picks the numbering. Up to SHIFT_MASK_BITS cells it is
+    the index's: the edges are index.cells, the member masks the members'
+    own, and vertex v's mask holds every cell through it (an edge of no
+    member is never a candidate, so the extra bits change nothing). Past it
+    the members' distinct edges are numbered locally, each mask set through
+    _mask in time linear in |E|, and the index is not built. Both orders are
+    lexicographic, so the search takes the same path either way. The cells
+    are counted by capped_cells: a general ground's full count can take
+    seconds."""
+    if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
+        index = ground.index
+        masks = [h.mask for h in members]
+        union = 0
+        for m in masks:
+            union |= m
+        if ground.kind == PARTITE:
+            vertex = []
+            for t, zero in zip(index._stride, index._zero):  # side s's vertex-0 cells
+                at = (zero << v * t for v in range(ground.n))
+                vertex.append({v: m for v, m in enumerate(at) if union & m})
+        else:
+            vertex = [{v: m for v, m in enumerate(index._vertex) if union & m}] * ground.r
+        return index.cells, masks, vertex
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
+    position = dict(zip(edges, range(m)))
+    masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
     groups = [(s,) for s in range(ground.r)] if ground.kind == PARTITE else [range(ground.r)]
     vertex = []
-    if m <= SHIFT_MASK_BITS:
-        bit = dict(zip(edges, map((1).__lshift__, range(m))))
-        masks = [sum(map(bit.__getitem__, h.edges)) for h in members]
-        for slots in groups:
-            by_vertex: dict[int, int] = {}
-            for e, b in bit.items():
-                for s in slots:
-                    by_vertex[e[s]] = by_vertex.get(e[s], 0) | b
-            vertex.append(by_vertex)
-    else:
-        position = dict(zip(edges, range(m)))
-        masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
-        for slots in groups:
-            at: dict[int, list[int]] = {}
-            for e, i in position.items():
-                for s in slots:
-                    at.setdefault(e[s], []).append(i)
-            vertex.append({v: _mask(p, m) for v, p in at.items()})
+    for slots in groups:
+        at: dict[int, list[int]] = {}
+        for e, i in position.items():
+            for s in slots:
+                at.setdefault(e[s], []).append(i)
+        vertex.append({v: _mask(p, m) for v, p in at.items()})
     return edges, masks, vertex if ground.kind == PARTITE else vertex * ground.r
-
-
-def _index_masks(ground: GroundSet, masks: list[int]
-                 ) -> tuple[tuple[Edge, ...], list[int], list[dict[int, int]]]:
-    """_edge_masks on the index numbering, for member masks over ground.index:
-    vertex v's cells are side s's vertex-0 cells shifted by v*n^(r-1-s) on a
-    partite ground, and the index's vertex mask on a general one."""
-    index = ground.index
-    union = 0
-    for m in masks:
-        union |= m
-    if ground.kind == PARTITE:
-        vertex = []
-        for t, zero in zip(index._stride, index._zero):
-            at = (zero << v * t for v in range(ground.n))
-            vertex.append({v: m for v, m in enumerate(at) if union & m})
-    else:
-        vertex = [{v: m for v, m in enumerate(index._vertex) if union & m}] * ground.r
-    return index.cells, masks, vertex
 
 
 def nu_exact(h: Hypergraph) -> int:

@@ -117,6 +117,7 @@ def ekr_star(n: int, r: int) -> Hypergraph:
         raise InputError(f"r must be at least 1, got {r}")
     if 2 * r > n:
         raise InputError(f"needs r <= n/2, got r={r}, n={n}")
+    pool = range(1, n) if r > 1 else ()  # combinations lists its pool first; r=1 needs none
     return _family(GroundSet(GENERAL, r, n), [
         (1, capped_cells(GENERAL, r - 1, n - 1),
-         lambda: ((0, *e) for e in itertools.combinations(range(1, n), r - 1)))])[0]
+         lambda: ((0, *e) for e in itertools.combinations(pool, r - 1)))])[0]

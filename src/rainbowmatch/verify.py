@@ -269,15 +269,19 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
     raise InputError("could not sample a degree-capped member at these parameters")
 
 
-def _rainbow_checker(ground: GroundSet, floors: list[int]) -> _Checker:
-    """The rainbow-matching checker for families whose sorted member sizes
-    dominate the (ascending) floors, refused if the top floor passes the
-    cell count. A rainbow matching of a family is one of every family of
-    supersets, so the checker is monotone."""
-    if floors[-1] > ground.cell_count:
-        raise InputError(f"hypothesis bound {floors[-1] - 1} leaves no admissible size")
+def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> _Checker:
+    """The rainbow-matching checker for families of k members whose sorted
+    sizes dominate the floors floor(0) <= ... <= floor(k-1). A ground too
+    large to index (every mode needs it) and a top floor past the cell count
+    are refused before any floor is listed, as k may be huge. A rainbow
+    matching of a family is one of every family of supersets, so the
+    checker is monotone."""
+    _guard_index(ground)
+    if (top := floor(k - 1)) > ground.cell_count:
+        raise InputError(f"hypothesis bound {top - 1} leaves no admissible size")
+    floors = [floor(i) for i in range(k)]
     return _Checker(
-        ground, len(floors), floors[0],
+        ground, k, floors[0],
         hypothesis=lambda fam: _dominates(fam.sizes(), floors),
         conclusion=_rainbow_concl,
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
@@ -292,22 +296,18 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         r = _params_int(params, "r", 2)
         if 2 * r > n:
             raise InputError(f"needs r <= n/2, got r={r}, n={n}")
-        ground = GroundSet(GENERAL, r, n)
-        return _rainbow_checker(ground, [_exact_f(n, r, k) + 1] * k)
+        bound = _exact_f(n, r, k)
+        return _rainbow_checker(GroundSet(GENERAL, r, n), k, lambda i: bound + 1)
 
     if conjecture is ConjectureId.SIZE_CONDITION:
         r = _params_int(params, "r", 2)
-        ground = GroundSet(PARTITE, r, n)
-        # every mode needs the cell index: refused here at its capped size,
-        # before the bound and the cell count are computed in full
-        _guard_index(ground)
-        return _rainbow_checker(ground, [g_formula(n, r, k) + 1] * k)
+        return _rainbow_checker(GroundSet(PARTITE, r, n), k, lambda i: g_formula(n, r, k) + 1)
 
     if conjecture is ConjectureId.SIMPLE:
         ground = GroundSet(PARTITE, 2, n)
         if k * n > ground.cell_count:
             raise InputError(f"hypothesis needs k*n <= n^2, got k={k}, n={n}")
-        return _rainbow_checker(ground, [(i + 1) * n for i in range(k)])
+        return _rainbow_checker(ground, k, lambda i: (i + 1) * n)
 
     if conjecture is ConjectureId.DEGREE_CONDITION:
         d = _params_int(params, "d")
@@ -337,6 +337,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         ground = GroundSet(PARTITE, 2, n)
         if k > n:
             raise InputError(f"matrix permutations need k <= n, got k={k}, n={n}")
+        _guard_index(ground)  # every mode needs it; refused before k sizes are drawn
 
         def hyp(fam: Family) -> bool:
             return bool(check_hall_condition(fam))

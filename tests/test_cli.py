@@ -15,6 +15,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
 from rainbowmatch import cli
 from rainbowmatch.cli import main
 from rainbowmatch.instances import instance_from_dict
+from rainbowmatch.verify import ConjectureId
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CLI_GOLDENS = FIXTURES / "cli"
@@ -275,6 +276,23 @@ FUZZED_COMMANDS = ([["solve", "--algorithm", a] for a in
                    + [["shift"], ["nu"], ["check"], ["trace", "--in", "-"]])
 
 
+def run_in_process(argv, stdin_text=""):
+    """main(argv) with stdin_text on stdin: its status and its stderr."""
+    import contextlib
+    import io
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
 class TestFuzzedInstances:
     """Every command that reads an instance either answers or refuses it:
     exit 0, 2 or 3, and never a traceback."""
@@ -282,22 +300,55 @@ class TestFuzzedInstances:
     @settings(max_examples=60, deadline=None)
     @given(fuzzed_documents(), st.sampled_from(["text", "json"]))
     def test_every_reader_answers_or_refuses(self, doc, format):
-        import contextlib
-        import io
         text = json.dumps(doc)
         for argv in FUZZED_COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            stdin, sys.stdin = sys.stdin, io.StringIO(text)
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([*argv, "--format", format])
-            finally:
-                sys.stdin = stdin
-            err = err.getvalue()
+            code, err = run_in_process([*argv, "--format", format], text)
             # 4, a failed guaranteed step, would also have to dump the instance;
             # no input here may reach it
             assert code in (0, 2, 3), (argv, code, err)
             assert "Traceback" not in err, argv
+
+
+@st.composite
+def fuzzed_flags(draw):
+    """An argv of verify, extremal or trace --name steal whose integer flags
+    are small, zero, negative or 10^20. Exhaustive checks draw values of at
+    most 3, as matrix at n=4, k=3 alone walks for seconds."""
+    command = draw(st.sampled_from(["conjecture", "threshold", "extremal", "trace"]))
+    mode = draw(st.sampled_from(["random", "exhaustive"]))
+    small = 3 if command == "conjecture" and mode == "exhaustive" else 4
+    value = st.integers(-1, small) | st.just(10 ** 20)
+
+    def flags(*names):
+        return [a for name in names for a in (f"--{name}", str(draw(value)))]
+
+    if command == "conjecture":
+        argv = ["verify", "--conjecture", draw(st.sampled_from([c.value for c in ConjectureId])),
+                *flags("n", "r", "k", *["d"] * draw(st.booleans())), "--mode", mode,
+                "--budget", str(draw(st.integers(-1, 300))),
+                "--seed", str(draw(st.integers(-1, 2 ** 64) | st.just(10 ** 20))),
+                "--workers", str(draw(st.integers(0, 1)))]
+    elif command == "threshold":
+        argv = ["verify", "--threshold", draw(st.sampled_from(["f_r2_general", "g_partite"])),
+                *flags("n", "r", "k")]
+    elif command == "extremal":
+        argv = ["extremal", "--name", draw(st.sampled_from(["star", "steal", "r3counter", "ekr"])),
+                *flags("n", "r", "k", "q")]
+    else:
+        argv = ["trace", "--name", "steal", *flags("q", "n")]
+    return [*argv, "--format", draw(st.sampled_from(["text", "json"]))]
+
+
+class TestFuzzedFlags:
+    """Every flag combination of the commands that read no instance is
+    answered or refused: exit 0, 2 or 3, and never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fuzzed_flags())
+    def test_every_flag_combination_is_answered_or_refused(self, argv):
+        code, err = run_in_process(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, argv
 
 
 class TestTraceCommand:
@@ -628,11 +679,19 @@ class TestOtherCommands:
         ["extremal", "--name", "steal", "--n", "1000000000"],
         ["extremal", "--name", "star", "--n", "1", "--r", "1000000000", "--k", "2"],
         ["extremal", "--name", "star", "--n", "1024", "--r", "2", "--k", "513"],
+        ["verify", "--conjecture", "size_condition", "--n", "2", "--k", str(10 ** 20)],
+        ["verify", "--conjecture", "rainbow_general", "--n", "4", "--r", "1",
+         "--k", str(10 ** 20)],
+        ["verify", "--conjecture", "simple", "--n", str(10 ** 20), "--k", str(10 ** 20)],
+        ["verify", "--conjecture", "matrix", "--n", str(10 ** 20), "--k", str(10 ** 20),
+         "--budget", "1"],
     ], ids=["threshold", "size-condition", "rainbow-general", "star", "ekr", "steal",
-            "star-one-edge", "star-copies"])
+            "star-one-edge", "star-copies", "size-condition-k", "rainbow-general-k",
+            "simple-k", "matrix-k"])
     def test_huge_grounds_are_refused_with_a_short_message(self, argv):
         # the estimate is capped, so it prints in a few digits however large
-        # the ground, and nothing is enumerated or generated first
+        # the ground, and nothing is enumerated or generated first; a huge k
+        # is refused before its k floors or k sizes are listed
         proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv],
                               capture_output=True, env=SRC_ENV, timeout=60,
                               preexec_fn=limit_memory)
@@ -640,13 +699,17 @@ class TestOtherCommands:
         assert proc.stderr.startswith(b"error: ") and b"Traceback" not in proc.stderr
         assert len(proc.stderr) < 500
 
-    def test_star_of_no_edges_on_a_huge_ground_lists_nothing(self):
-        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", "extremal", "--name",
-                               "star", "--n", "3", "--r", "1000000000", "--k", "1"],
+    @pytest.mark.parametrize("argv,out", [
+        (["star", "--n", "3", "--r", "1000000000", "--k", "1"],
+         "kind: partite r=1000000000 n=3\nF_1: (empty)\n"),
+        (["ekr", "--n", str(10 ** 20), "--r", "1"], f"kind: general r=1 n={10 ** 20}\nF_1: v_1\n"),
+    ], ids=["star-no-edges", "ekr-one-vertex"])
+    def test_small_family_on_a_huge_ground_lists_only_its_edges(self, argv, out):
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", "extremal", "--name", *argv],
                               capture_output=True, env=SRC_ENV, timeout=60,
                               preexec_fn=limit_memory)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == b"kind: partite r=1000000000 n=3\nF_1: (empty)\n"
+        assert proc.stdout == out.encode()
 
     def test_estimate_past_the_int_to_text_limit_is_a_power_of_ten(self):
         # n^29 has 5,800 digits, past what Python converts to text by default

@@ -67,15 +67,20 @@ class TestGroundSet:
                             ("a",) * r, (None,) * r, (0.5,) * r, [[0]] * r]:
                     assert bad not in f
 
-    def test_index_is_lazy_and_skipped_by_direct_paths(self):
+    @pytest.mark.parametrize("n,indexed", [(4, True), (33, False)])  # 16 and 1,089 cells
+    @pytest.mark.parametrize("oracle", [lambda fam: rainbow_exact(fam),
+                                        lambda fam: nu_exact(fam[0])], ids=["rainbow", "nu"])
+    def test_index_is_lazy_and_skipped_by_direct_paths(self, n, indexed, oracle):
+        # greedy and check never build the index; the oracles build it on a
+        # ground of at most SHIFT_MASK_BITS cells and leave a larger one bare
         from rainbowmatch import check_hall_condition, greedy_bipartite
-        ground = GroundSet(PARTITE, 2, 4)
+        ground = GroundSet(PARTITE, 2, n)
         fam = random_family(seeded("lazy"), ground, 2, low=6)
         greedy_bipartite(fam)
         check_hall_condition(fam)
-        rainbow_exact(fam)
-        nu_exact(fam[0])
         assert "_index" not in vars(ground)
+        oracle(fam)
+        assert ("_index" in vars(ground)) == indexed
         assert ground.index is ground.index  # built once, then cached
 
     def test_bad_parameters(self):
@@ -288,21 +293,28 @@ class TestOraclesAgainstReference:
         for h in fam:
             assert nu_exact(h) == reference.nu_exact(h)
 
-    @example(Family([H(GroundSet(PARTITE, 3, 3), (0, 0, 0), (1, 0, 1), (2, 1, 0))]))
-    @example(Family([H(GroundSet(GENERAL, 3, 7), (0, 1, 2), (1, 3, 4), (2, 5, 6))]))
+    @example(Family([H(GroundSet(PARTITE, 3, 3), (0, 0, 0), (1, 0, 1), (2, 1, 0))]), 0)
+    @example(Family([H(GroundSet(GENERAL, 3, 7), (0, 1, 2), (1, 3, 4), (2, 5, 6))]), 0)
+    @example(Family([H(B3, (0, 0), (1, 1)), H(B3, (0, 1)), H(B3, (1, 0), (2, 2))]), 0b101)
     @settings(max_examples=300)
-    @given(oracle_families())
-    def test_same_matching_and_nu_on_index_masks(self, fam):
-        # members holding only their masks are searched on the index numbering
-        masked = Family([Hypergraph._from_mask(fam.ground, h.mask) for h in fam])
-        assert rainbow_exact(masked) == reference.rainbow_exact(fam)
-        for h, m in zip(fam, masked):
-            assert nu_exact(m) == reference.nu_exact(h)
+    @given(oracle_families(), st.integers(0, (1 << 6) - 1))
+    def test_same_matching_and_nu_on_index_masks(self, fam, listed):
+        # members holding only their masks are searched on the index
+        # numbering, alone and mixed with members holding only their edge
+        # lists (member i is listed if bit i of listed is set)
+        masked = [Hypergraph._from_mask(fam.ground, h.mask) for h in fam]
+        mixed = [Hypergraph(fam.ground, h.edges) if listed >> i & 1 else m
+                 for i, (h, m) in enumerate(zip(fam, masked))]
+        for members in (masked, mixed):
+            assert rainbow_exact(Family(members)) == reference.rainbow_exact(fam)
+            for h, m in zip(fam, members):
+                assert nu_exact(m) == reference.nu_exact(h)
 
     @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 40), GroundSet(PARTITE, 3, 12),
                                         GroundSet(GENERAL, 2, 50)])
     def test_same_answers_past_a_kilobit_of_edges(self, ground):
-        # over 1,024 distinct edges, so every mask is set through a byte buffer
+        # past 1,024 cells, so the edges are numbered locally and every mask
+        # is set through a byte buffer
         rng = random.Random(ground.n)
         cells = list(ground.cells())
         fam = Family([Hypergraph(ground, rng.sample(cells, len(cells) * 2 // 3))
@@ -316,8 +328,9 @@ class TestOraclesAgainstReference:
 
 
 class TestIndexNumbering:
-    """Mask members on a ground of at most SHIFT_MASK_BITS cells are searched
-    on the cell index's numbering, with the answers of the local one."""
+    """Members on a ground of at most SHIFT_MASK_BITS cells are searched on the
+    cell index's numbering and members past it on the local one, with the same
+    answers whatever form each member holds."""
 
     @pytest.mark.parametrize("ground,within", [
         (GroundSet(PARTITE, 2, 32), True),    # 1,024 cells
@@ -329,9 +342,11 @@ class TestIndexNumbering:
         # dense enough that every nu meets the bound at the root at once
         listed = Family([Hypergraph(ground, rng.sample(cells, len(cells) * 2 // 3))
                          for _ in range(6)])
+        answers = rainbow_exact(listed), [nu_exact(h) for h in listed]
+        # only the index numbering builds the masks of listed members
+        assert all((h._mask is not None) == within for h in listed)
         masked = Family([Hypergraph._from_mask(ground, h.mask) for h in listed])
-        assert rainbow_exact(masked) == rainbow_exact(listed)
-        assert [nu_exact(h) for h in masked] == [nu_exact(h) for h in listed]
+        assert (rainbow_exact(masked), [nu_exact(h) for h in masked]) == answers
         # only the local numbering decodes the members
         assert all((h._edges is None) == within for h in masked)
 

@@ -1,11 +1,15 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (GENERAL, PARTITE, DegreeMatrix, Family, GroundSet,
                           Hypergraph, InputError, PreconditionError,
                           check_hall_condition, greedy_bipartite,
                           hall_size_algorithm, large_n_procedure, meshulam_r2,
-                          r3_solve, rainbow_exact, shifted_closure,
-                          simple_algorithm, star_family, steal_family)
+                          pullback_rainbow, r3_solve, rainbow_exact,
+                          shifted_closure, simple_algorithm, star_family,
+                          steal_family)
 from rainbowmatch.verify import iter_shifted, scan_large_n
 from conftest import random_family, random_hypergraph, seeded
 
@@ -297,3 +301,83 @@ class TestDegreeMatrix:
                 DegreeMatrix.from_family(Family([Hypergraph(B3, [(0, 0)])]), side)
         with pytest.raises(InputError):
             DegreeMatrix(((4, 0, 0),), 3)
+
+
+@st.composite
+def families_around(draw, r_values, n_max, k_max, floor):
+    """A family on a partite ground of uniformity in r_values and at most
+    n_max vertices a side, of at most k_max members; member i's size is
+    within n of floor(n, r, k, i), a solver's size bound, on either side."""
+    r = draw(st.sampled_from(r_values))
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, k_max))
+    ground = GroundSet(PARTITE, r, n)
+    cells = list(ground.cells())
+    members = []
+    for i in range(k):
+        bound = floor(n, r, k, i)
+        low = min(max(0, bound - n), len(cells))
+        size = draw(st.integers(low, min(len(cells), bound + n)))
+        members.append(Hypergraph(ground, draw(st.permutations(cells))[:size]))
+    return Family(members)
+
+
+def hall_through_closure(family):
+    shifted, log = shifted_closure(family)
+    matching = hall_size_algorithm(shifted).matching
+    return matching and pullback_rainbow(log, family, matching)
+
+
+def agrees_with_the_oracle(family, matching, inside):
+    """A returned matching is one of the family, none is returned where the
+    oracle finds none, and inside the solver's hypothesis one is returned."""
+    if matching is not None:
+        assert matching.is_valid_for(family)
+    if rainbow_exact(family) is None:
+        assert matching is None
+    if inside:
+        assert matching is not None
+
+
+class TestSolversAgainstTheOracle:
+    """The solvers that may answer None, on small families drawn on both
+    sides of their size bounds, against rainbow_exact. A guard of theirs
+    (TheoremViolationError) is never caught here."""
+
+    @settings(max_examples=200)
+    @given(families_around([2], 4, 5, lambda n, r, k, i: (k - 1) * n))
+    def test_greedy(self, fam):
+        n = fam.ground.n
+        inside = all(size > (fam.k - 1) * n for size in fam.sizes())
+        agrees_with_the_oracle(fam, greedy_bipartite(fam), inside)
+
+    @settings(max_examples=200)
+    @given(families_around([2], 4, 3, lambda n, r, k, i: (i + 1) * n))
+    def test_simple(self, fam):
+        n, k = fam.ground.n, fam.k
+        if n <= math.comb(k, 2):
+            with pytest.raises(PreconditionError):
+                simple_algorithm(fam)
+            return
+        inside = all(size >= (i + 1) * n for i, size in enumerate(sorted(fam.sizes())))
+        agrees_with_the_oracle(fam, simple_algorithm(fam), inside)
+
+    @settings(max_examples=200)
+    @given(families_around([1, 2, 3], 3, 3, lambda n, r, k, i: (k - 1) * n ** (r - 1)))
+    def test_large_n(self, fam):
+        # no n is known past which the procedure always succeeds, so inside
+        # its hypothesis it may still answer None
+        n, r = fam.ground.n, fam.ground.r
+        if any(size <= (fam.k - 1) * n ** (r - 1) for size in fam.sizes()):
+            with pytest.raises(PreconditionError):
+                large_n_procedure(fam)
+            return
+        agrees_with_the_oracle(fam, large_n_procedure(fam), inside=False)
+
+    @settings(max_examples=200)
+    @given(families_around([2], 4, 5, lambda n, r, k, i: (k - 1) * n))
+    def test_hall_through_closure_and_pullback(self, fam):
+        # shifting keeps every size, so the condition holds for the shifted
+        # family iff it holds here
+        agrees_with_the_oracle(fam, hall_through_closure(fam),
+                               inside=check_hall_condition(fam).ok)
