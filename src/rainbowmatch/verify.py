@@ -25,14 +25,10 @@ from .solvers import (DegreeMatrix, _dominates, _hall_violation, check_hall_cond
                       large_n_procedure)
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
-# 21 cells admits the smallest valid r=3 general universe (C(6,3) = 20) while
-# the family-count guard below bounds the actual enumeration work.
-MAX_EXHAUSTIVE_CELLS = 21
+# 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
+# well under a second, while the family-count guard bounds the work on them.
+MAX_EXHAUSTIVE_CELLS = 36
 MAX_EXHAUSTIVE_INSTANCES = 2_000_000
-# Exhaustive checks of monotone conjectures walk every shifted edge set once
-# and then check only the minimal families; 36 cells admits r=2 n=6 and r=3
-# n=3, whose full walks take milliseconds.
-MAX_MINIMAL_CELLS = 36
 SHARD_TRIALS = 256  # random-mode work unit; fixes report contents per seed
 
 
@@ -207,7 +203,6 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 class _Checker(_Record):
     ground: GroundSet
     k: int
-    prefilter_size: int                     # members below this can never qualify
     hypothesis: Callable[[Family], bool]
     conclusion: Callable[[Family], bool]
     sample: Callable[[random.Random], Family]
@@ -281,7 +276,7 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
         raise InputError(f"hypothesis bound {top - 1} leaves no admissible size")
     floors = [floor(i) for i in range(k)]
     return _Checker(
-        ground, k, floors[0],
+        ground, k,
         hypothesis=lambda fam: _dominates(fam.sizes(), floors),
         conclusion=_rainbow_concl,
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
@@ -330,7 +325,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             return Family([_sample_degree_capped(rng, ground, d, min_size)
                            for _ in range(k)])
 
-        return _Checker(ground, k, min_size, hyp, _rainbow_concl, sample,
+        return _Checker(ground, k, hyp, _rainbow_concl, sample,
                         exhaustive_allowed=False)
 
     if conjecture is ConjectureId.MATRIX:
@@ -350,7 +345,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
                     return _sample_shifted_family(rng, ground, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
 
-        return _Checker(ground, k, 1, hyp, _matrix_concl, sample)
+        return _Checker(ground, k, hyp, _matrix_concl, sample)
 
     raise InputError(f"unknown conjecture: {conjecture!r}")
 
@@ -380,7 +375,7 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
             raise InputError(
                 f"{conjecture.value}: no shifted reduction is available, "
                 "exhaustive mode is refused; use random mode")
-        checked, counters = _run_exhaustive(checker)
+        checked, counters = (_run_exhaustive if checker.floors else _run_ordered)(checker)
         seed = None  # nothing is drawn
     else:
         raise InputError(f"unknown mode: {mode!r}")
@@ -389,21 +384,20 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
 
 
 def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
-    """The ordered hypothesis families of shifted members checked, and the
-    counterexamples among them in walk order.
+    """The ordered hypothesis families of shifted members covered, and the
+    failing minimal families in product order.
 
     A monotone checker needs only its minimal families. A shifted member
     contains a shifted member of every smaller size (keep deleting a maximal
     cell), a family that passes makes every family of supersets pass, and
     the verdict ignores member order. So every ordered family passes iff
     every multiset of shifted members whose sizes are exactly the floors
-    does. Only if one fails does the ordered walk run, and the report is
-    always the ordered walk's.
+    does. The failing multisets are the complete counterexample list, at
+    most the MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside
+    the hypothesis is a fault and raises TheoremViolationError.
     """
-    if not checker.floors:
-        return _run_ordered(checker)
     ground = checker.ground
-    _guard_cells(ground, MAX_MINIMAL_CELLS)
+    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     levels = Counter(checker.floors)  # member size -> members of that size
     minimal: dict[int, list[Hypergraph]] = {size: [] for size in levels}
     histogram: Counter[int] = Counter()
@@ -418,13 +412,17 @@ def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
         raise InputError(
             f"exhaustive enumeration refused: about {count} minimal "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
+    counters: list[dict] = []
     for parts in itertools.product(*(
             itertools.combinations_with_replacement(minimal[size], m)
             for size, m in levels.items())):
         family = Family([h for part in parts for h in part])
-        if not (checker.hypothesis(family) and checker.conclusion(family)):
-            return _run_ordered(checker)
-    return _covered(checker.floors, histogram), []
+        if not checker.hypothesis(family):
+            raise TheoremViolationError("minimal family outside the hypothesis",
+                                        instance=family)
+        if not checker.conclusion(family):
+            counters.append(Instance.from_family(family).to_dict())
+    return _covered(checker.floors, histogram), counters
 
 
 def _covered(floors: tuple[int, ...], histogram: Counter[int]) -> int:
@@ -447,10 +445,11 @@ def _covered(floors: tuple[int, ...], histogram: Counter[int]) -> int:
 
 
 def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
-    """Every ordered k-tuple of shifted members above the prefilter size."""
+    """Every ordered k-tuple of shifted members no smaller than the least
+    floor, non-empty without floors: the walk for a non-monotone checker."""
     _guard_cells(checker.ground, MAX_EXHAUSTIVE_CELLS)
-    candidates = [h for h in iter_shifted(checker.ground)
-                  if len(h) >= checker.prefilter_size]
+    least = min(checker.floors, default=1)
+    candidates = [h for h in iter_shifted(checker.ground) if len(h) >= least]
     estimate = len(candidates) ** checker.k
     if estimate > MAX_EXHAUSTIVE_INSTANCES:
         raise InputError(

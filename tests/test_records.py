@@ -40,10 +40,9 @@ RECORDS = {
     MatrixCheck: {"hypothesis": (True, False), "permutation": ((1, 0), None),
                   "weak_permutation": ((0, 1), None)},
     # builtins stand in for the callables: they pickle by name
-    _Checker: {"ground": (B3, B4), "k": (2, 3), "prefilter_size": (4, 5),
-               "hypothesis": (bool, callable), "conclusion": (callable, bool),
-               "sample": (repr, ascii), "exhaustive_allowed": (True, False),
-               "floors": ((4, 4), ())},
+    _Checker: {"ground": (B3, B4), "k": (2, 3), "hypothesis": (bool, callable),
+               "conclusion": (callable, bool), "sample": (repr, ascii),
+               "exhaustive_allowed": (True, False), "floors": ((4, 4), ())},
 }
 UNCOMPARED = {(VerifyReport, "elapsed")}
 # a field that cannot change alone, with the changes that keep the record valid
@@ -131,7 +130,7 @@ def test_defaults():
     assert STEP.length == 1 and HALT.length is HALT.tail_side is HALT.short is None
     report = VerifyReport("simple", {}, "random", 0, ())
     assert report.elapsed == 0.0 and report.seed is None
-    checker = _Checker(B3, 2, 4, bool, bool, repr)
+    checker = _Checker(B3, 2, bool, bool, repr)
     assert checker.exhaustive_allowed is True and checker.floors == ()
     with pytest.raises(TypeError):
         HallCheck()

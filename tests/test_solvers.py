@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (GENERAL, PARTITE, DegreeMatrix, Family, GroundSet,
                           Hypergraph, InputError, PreconditionError,
-                          check_hall_condition, greedy_bipartite,
+                          check_hall_condition, f_r2, greedy_bipartite,
                           hall_size_algorithm, large_n_procedure, meshulam_r2,
                           pullback_rainbow, r3_solve, rainbow_exact,
                           shifted_closure, simple_algorithm, star_family,
@@ -161,7 +161,6 @@ class TestMeshulamR2:
         rng = seeded("meshulam")
         for _ in range(150):
             k = rng.randint(1, 3)
-            from rainbowmatch import f_r2
             fam = random_family(rng, g, k, low=f_r2(6, k) + 1)
             m = meshulam_r2(fam)
             assert m.is_valid_for(fam)
@@ -304,14 +303,14 @@ class TestDegreeMatrix:
 
 
 @st.composite
-def families_around(draw, r_values, n_max, k_max, floor):
-    """A family on a partite ground of uniformity in r_values and at most
-    n_max vertices a side, of at most k_max members; member i's size is
-    within n of floor(n, r, k, i), a solver's size bound, on either side."""
+def families_around(draw, r_values, n_max, k_max, floor, kind=PARTITE):
+    """A family on a ground of the kind, of uniformity in r_values and at
+    most n_max vertices (a side), of at most k_max members; member i's size
+    is within n of floor(n, r, k, i), a solver's size bound, on either side."""
     r = draw(st.sampled_from(r_values))
-    n = draw(st.integers(1, n_max))
+    n = draw(st.integers(1 if kind == PARTITE else r, n_max))
     k = draw(st.integers(1, k_max))
-    ground = GroundSet(PARTITE, r, n)
+    ground = GroundSet(kind, r, n)
     cells = list(ground.cells())
     members = []
     for i in range(k):
@@ -373,6 +372,26 @@ class TestSolversAgainstTheOracle:
                 large_n_procedure(fam)
             return
         agrees_with_the_oracle(fam, large_n_procedure(fam), inside=False)
+
+    @settings(max_examples=200)
+    @given(families_around([2], 6, 3, lambda n, r, k, i: f_r2(n, k) if n >= 2 * k else 0,
+                           kind=GENERAL))
+    def test_meshulam_r2(self, fam):
+        n, k = fam.ground.n, fam.k
+        if n < 2 * k or any(size <= f_r2(n, k) for size in fam.sizes()):
+            with pytest.raises(PreconditionError):
+                meshulam_r2(fam)
+            return
+        agrees_with_the_oracle(fam, meshulam_r2(fam), inside=True)
+
+    @settings(max_examples=200)
+    @given(families_around([3], 3, 3, lambda n, r, k, i: (k - 1) * n ** 2))
+    def test_r3_solve(self, fam):
+        if any(size <= (fam.k - 1) * fam.ground.n ** 2 for size in fam.sizes()):
+            with pytest.raises(PreconditionError):
+                r3_solve(fam)
+            return
+        agrees_with_the_oracle(fam, r3_solve(fam), inside=True)
 
     @settings(max_examples=200)
     @given(families_around([2], 4, 5, lambda n, r, k, i: (k - 1) * n))

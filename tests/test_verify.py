@@ -92,17 +92,19 @@ class TestEnumerateShifted:
 
 
 class TestComputeThreshold:
-    @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3)])
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (6, 3), (8, 3), (9, 3)])
     def test_f_matches_formula(self, n, k):
         assert compute_threshold_exact("f_r2_general", n, 2, k) == f_r2(n, k)
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
-                                     (3, 1), (3, 2), (3, 3)])
+                                     (3, 1), (3, 2), (3, 3), (4, 2), (4, 3),
+                                     (5, 2), (5, 3), (6, 2), (6, 3)])
     def test_g_matches_formula_r2(self, n, k):
         assert compute_threshold_exact("g_partite", n, 2, k) == g_formula(n, 2, k)
 
-    def test_g_r3(self):
-        assert compute_threshold_exact("g_partite", 2, 3, 2) == g_formula(2, 3, 2)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_g_r3(self, n):
+        assert compute_threshold_exact("g_partite", n, 3, 2) == g_formula(n, 3, 2)
 
     def test_degenerate_k_exceeding_n_plus_one(self):
         # with k - 1 > n the formula exceeds the universe and the definitional
@@ -111,8 +113,8 @@ class TestComputeThreshold:
         assert g_formula(1, 2, 3) == 2
 
     def test_refuses_beyond_scale(self):
-        with pytest.raises(InputError, match="refused"):
-            compute_threshold_exact("g_partite", 3, 3, 2)
+        with pytest.raises(InputError, match=r"refused: .* 49 cells \(limit 36\)"):
+            compute_threshold_exact("g_partite", 7, 2, 2)
 
     def test_a_lowered_cell_limit_is_obeyed(self, monkeypatch):
         from rainbowmatch import verify
@@ -122,6 +124,8 @@ class TestComputeThreshold:
         checker = _make_checker(ConjectureId.MATRIX, {"n": 4, "k": 2})
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
             verify._run_ordered(checker)
+        with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
+            check_conjecture("size_condition", {"n": 4, "r": 2, "k": 2}, mode="exhaustive")
 
     def test_rejects_bad_mode(self):
         with pytest.raises(InputError):
@@ -427,6 +431,11 @@ MONOTONE_CASES = (
     + [("simple", {"n": n, "k": 2}) for n in (2, 3, 4)] + [("simple", {"n": 3, "k": 3})])
 
 
+def member_masks(instance):
+    """A counterexample's members as a sorted tuple of masks."""
+    return tuple(sorted(h.mask for h in instance_from_dict(instance).to_family()))
+
+
 def _case_id(case):
     conjecture, params = case
     return conjecture + "-" + "-".join(f"{k}{v}" for k, v in sorted(params.items()))
@@ -460,16 +469,48 @@ class TestMinimalFamilies:
         fixed = Hypergraph(base.ground, inside)
         assert is_shifted(fixed)
         checker = verify._Checker(
-            base.ground, base.k, base.prefilter_size, base.hypothesis,
+            base.ground, base.k, base.hypothesis,
             conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam),
             sample=base.sample, exhaustive_allowed=base.exhaustive_allowed,
             floors=base.floors)
         checked, counters = verify._run_exhaustive(checker)
-        assert (checked, counters) == verify._run_ordered(checker)
+        ordered_checked, ordered = verify._run_ordered(checker)
+        assert checked == ordered_checked
+        # the minimal report lists each failing multiset at the floor sizes
+        # once; the ordered walk lists every order of every failure
+        minimal = [member_masks(inst) for inst in counters]
+        assert len(set(minimal)) == len(minimal)
+        assert set(minimal) == {member_masks(inst) for inst in ordered
+                                if sorted(instance_from_dict(inst).to_family().sizes())
+                                == list(base.floors)}
         assert counters
         for inst in counters:
             family = instance_from_dict(inst).to_family()
             assert all(h.mask & ~fixed.mask == 0 for h in family)
+
+    @pytest.mark.parametrize("n,checked", [(4, 3969), (5, 57_600), (6, 819_025)])
+    def test_planted_failure_with_the_floor_lowered(self, n, checked):
+        # the floor lowered by one to (k-1)n: the paper's stars now qualify
+        # and fail, and only two stars, at either side's first vertex, do;
+        # n=5 and n=6 (25 and 36 cells) were refused while a failure handed
+        # the report to the 21-cell ordered walk
+        from rainbowmatch import verify
+        ground = GroundSet(PARTITE, 2, n)
+        checker = verify._rainbow_checker(ground, 2, lambda i: g_formula(n, 2, 2))
+        count, counters = verify._run_exhaustive(checker)
+        assert count == checked
+        stars = [Hypergraph(ground, [(0, j) for j in range(n)]),
+                 Hypergraph(ground, [(j, 0) for j in range(n)])]
+        assert sorted(member_masks(inst) for inst in counters) == sorted(
+            (star.mask, star.mask) for star in stars)
+
+    def test_a_minimal_family_outside_the_hypothesis_is_a_fault(self):
+        from rainbowmatch import TheoremViolationError, verify
+        base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
+        checker = verify._Checker(base.ground, base.k, lambda fam: False,
+                                  base.conclusion, base.sample, floors=base.floors)
+        with pytest.raises(TheoremViolationError, match="minimal family outside"):
+            verify._run_exhaustive(checker)
 
     def test_ordered_walk_runs_only_on_a_failure(self, monkeypatch):
         from rainbowmatch import verify
@@ -482,10 +523,12 @@ class TestMinimalFamilies:
         check_conjecture("matrix", {"n": 2, "k": 2}, mode="exhaustive")
         assert len(calls) == 1  # matrix is not monotone
 
-    @pytest.mark.parametrize("n,r,k,checked", [(3, 3, 2, 625_681), (5, 2, 3, 4_492_125)])
-    def test_newly_reachable_through_the_cli(self, capsys, n, r, k, checked):
+    @pytest.mark.parametrize("conjecture,n,r,k,checked", [
+        ("size_condition", 3, 3, 2, 625_681), ("size_condition", 5, 2, 3, 4_492_125),
+        ("rainbow_general", 7, 3, 2, 46_656)])
+    def test_newly_reachable_through_the_cli(self, capsys, conjecture, n, r, k, checked):
         from rainbowmatch.cli import main
-        code = main(["verify", "--conjecture", "size_condition", "--n", str(n),
+        code = main(["verify", "--conjecture", conjecture, "--n", str(n),
                      "--r", str(r), "--k", str(k), "--mode", "exhaustive",
                      "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
