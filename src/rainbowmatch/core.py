@@ -173,10 +173,10 @@ def _repeat(block: int, period: int, length: int) -> int:
     return block & ((1 << length) - 1)
 
 
-# Largest ground that gets a cell index. The index holds r*n^r bits on a
-# partite ground (n*C(n, r) on a general one), and the shifted closure that
-# builds it sweeps r*n(n-1)/2 shift pairs (n(n-1)/2 on a general one);
-# either past this limit is refused. 2^28 bits is 32 MiB of index masks.
+# Largest cell index and closure sweep. The index holds r*n^r bits on a
+# partite ground (n*C(n, r) on a general one), and the shifted closure sweeps
+# r*n(n-1)/2 shift pairs (n(n-1)/2 on a general one); each is refused past
+# this limit. 2^28 bits is 32 MiB of index masks.
 MAX_INDEX_BITS = 1 << 28
 
 
@@ -201,14 +201,16 @@ def estimate_text(count: int) -> str:
         return f"10^{int((count.bit_length() - 1) * math.log10(2))}"
 
 
-def _guard_index(ground: GroundSet) -> None:
-    """Refuse a ground whose cell index or closure sweep passes
-    MAX_INDEX_BITS, with both sizes as the estimate."""
+def _guard_index(ground: GroundSet, sweep: bool = True) -> None:
+    """Refuse a ground whose cell index, or with sweep its closure sweep,
+    passes MAX_INDEX_BITS, with both sizes as the estimate. The index alone
+    is not refused on the sweep: a general ground with r = n has one cell
+    however many shift pairs it has."""
     n, r = ground.n, ground.r
     partite = ground.kind == PARTITE
     bits = (r if partite else n) * capped_cells(ground.kind, r, n)
     pairs = (r if partite else 1) * (n * (n - 1) // 2)
-    if bits > MAX_INDEX_BITS or pairs > MAX_INDEX_BITS:
+    if bits > MAX_INDEX_BITS or sweep and pairs > MAX_INDEX_BITS:
         raise InputError(
             f"ground too large to shift: its cell index needs at least "
             f"{estimate_text(bits)} bits and each closure sweep "
@@ -246,7 +248,7 @@ class CellIndex:
                  "_tail", "_tail_pos", "_sets", "_by_set", "_vertex")
 
     def __init__(self, ground: GroundSet):
-        _guard_index(ground)
+        _guard_index(ground, sweep=False)
         self._ground = ground
         n, r = ground.n, ground.r
         self._partite = ground.kind == PARTITE

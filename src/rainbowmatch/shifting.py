@@ -11,7 +11,7 @@ import itertools
 from typing import Iterator, NamedTuple
 
 from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching,
-                   _Record)
+                   _guard_index, _Record)
 from .errors import InputError, TheoremViolationError
 
 
@@ -138,7 +138,7 @@ def is_shifted(h: Hypergraph) -> bool:
 
 def _sweep(ground: GroundSet) -> Iterator[tuple[int | None, int, int]]:
     """The closure's shift pairs (side, x, y): side by side, then x and y
-    ascending, listed once the cell index's guard has passed.
+    ascending, listed once the guard on the pairs and the cell index passes.
 
     One sweep leaves a set shifted (Frankl, 1987). Write S_ab for b -> a. If F
     is stable under every S_ab with a < x, so is S_xy(F). Take A in it with b
@@ -149,7 +149,7 @@ def _sweep(ground: GroundSet) -> Iterator[tuple[int | None, int, int]]:
     also keeps every S_xy' with y' < y: it adds only edges through x and
     removes only edges avoiding x. So by induction on x the sweep ends
     shifted. Pairs on different sides share no vertex, so side order is free."""
-    ground.index
+    _guard_index(ground)
     for side in ground.sides:
         for x, y in itertools.combinations(range(ground.n), 2):
             yield side, x, y

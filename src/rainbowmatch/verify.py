@@ -9,9 +9,9 @@ import os
 import random
 import time
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
                    _guard_index, _mask, _Record, capped_cells, estimate_text, nu_exact,
@@ -484,32 +484,91 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
 
 
 def _pool_size(workers: int, shards: int) -> int:
-    """Worker processes worth starting: no more than the CPUs or the shards."""
-    return min(workers, os.cpu_count() or 1, shards)
-
-
-POOL_WINDOW = 4  # shards in flight per worker process
+    """Worker processes worth starting: no more than the CPUs this process
+    may run on or the shards, and none to fork where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return min(workers, cpus or 1, shards)
 
 
 def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict]]]:
-    """_run_shard's results over a pool of size processes, in shard order.
-    Shards are submitted POOL_WINDOW per process ahead of the result read,
-    so the pending ones never outgrow that window."""
-    # imported here: the pool costs a command tens of milliseconds to import,
-    # and only a run with more than one worker uses it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        pending: deque = deque()
-        try:
+    """_run_shard's results over size forked processes, in shard order.
+
+    Child i runs shards i, i + size, ... of its own copy of the lazy shard
+    generator and writes each result to a pipe of its own (_serve). A full
+    pipe stalls its child, so the pipes bound the results in flight. The
+    pipes are read round-robin, and a child's exception is raised at its
+    shard. Every child is reaped on the way out; after a failure or an early
+    close, each is sent SIGTERM first.
+    """
+    # imported here: only a run with more than one worker pays for it
+    import pickle
+    pids: list[int] = []
+    pipes: list = []
+    done = False
+    try:
+        for i in range(size):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(itertools.islice(shards, i, None, size), pipes, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        # the first end marker follows the last shard, which every child has
+        # then sent: the rest are ending too
+        for pipe in itertools.cycle(pipes):
+            try:
+                item = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    "a verify worker process ended before its last shard") from None
+            if item is None:
+                break
+            if isinstance(item, Exception):
+                raise item
+            yield item
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not done:
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(shards: Iterator[tuple], pipes: list, write: int) -> NoReturn:
+    """A forked child's whole life: each shard's pickled result to the write
+    end, then None; or the exception a shard raised, and nothing after it.
+    It leaves through os._exit, so it never flushes the parent's stdio
+    buffers or runs the parent's exit handlers."""
+    import pickle
+    status = 1
+    try:
+        for pipe in pipes:  # read ends held here would keep a dead parent's pipes open
+            pipe.close()
+        with open(write, "wb") as out:
             for shard in shards:
-                pending.append(pool.submit(_run_shard, shard))
-                if len(pending) == POOL_WINDOW * size:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+                try:
+                    item = _run_shard(shard)
+                except Exception as exc:
+                    item = exc
+                out.write(pickle.dumps(item))
+                out.flush()
+                if isinstance(item, Exception):
+                    break
+            else:
+                out.write(pickle.dumps(None))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_random(conjecture: ConjectureId, params: dict, budget: int,

@@ -635,6 +635,24 @@ class TestOtherCommands:
         assert f"needs at least {2 * 10 ** 60} bits" in err
         assert f"{10 ** 30 * (10 ** 30 - 1)} shift pairs" in err
 
+    def test_one_cell_ground_past_the_sweep_limit(self, tmp_path, capsys):
+        # a general ground with r = n has one cell: the oracles index it, but
+        # its closure sweep of n(n-1)/2 shift pairs is still refused
+        n = 30000
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps({"kind": "general", "r": n, "n": n,
+                                    "families": [[list(range(1, n + 1))]]}))
+        code, out, err = run_cli(capsys, "nu", "--in", str(path), "--format", "json")
+        assert (code, err) == (0, "") and json.loads(out)["values"] == [1]
+        code, out, err = run_cli(capsys, "solve", "--algorithm", "oracle", "--in", str(path),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matching"] == [list(range(1, n + 1))]
+        code, out, err = run_cli(capsys, "shift", "--in", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ground too large to shift")
+        assert f"{n * (n - 1) // 2} shift pairs" in err
+
     def test_deeply_nested_json_exits_3(self, tmp_path, capsys):
         path = tmp_path / "i.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 import reference_sampler as reference
 from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
-                          GroundSet, Hypergraph, InputError,
+                          GroundSet, Hypergraph, InputError, TheoremViolationError,
                           check_conjecture, check_matrix_conjecture,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
@@ -252,26 +253,36 @@ class TestCheckConjecture:
 
     def test_pool_size_clamp(self, monkeypatch):
         from rainbowmatch import verify
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
         assert verify._pool_size(1, 10) == 1
         assert verify._pool_size(3, 10) == 3
-        assert verify._pool_size(64, 10) == 4   # no more than the CPUs
+        assert verify._pool_size(64, 10) == 4   # no more than the CPUs it may run on
         assert verify._pool_size(64, 2) == 2    # no more than the shards
+        monkeypatch.delattr(verify.os, "sched_getaffinity")
+        assert verify._pool_size(64, 10) == 10  # no affinity: the CPU count
         monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
         assert verify._pool_size(8, 10) == 1    # CPU count unknown: serial
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(verify.os, "fork", raising=False)
+        assert verify._pool_size(8, 10) == 1    # nothing to fork with: serial
 
-    def test_huge_budget_fails_at_once(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_huge_budget_fails_at_once(self, monkeypatch, workers):
         # shards are made one at a time: the second shard's error surfaces
         # before a third is made. Listing every shard first, as a regression
         # would, takes tens of MB at this budget, over the bound many times
-        # but harmless; at the 10^12 of a real run it exhausts memory.
+        # but harmless; at the 10^12 of a real run it exhausts memory. Forked
+        # workers run their shards in their own memory.
         import tracemalloc
         from rainbowmatch import verify
+        fork_workers(monkeypatch, workers)
         run_shard, calls = verify._run_shard, []
 
         def failing(args):
             calls.append(args[3])
-            if len(calls) > 1:
+            if args[3] == 1:
                 raise RuntimeError("second shard")
             return run_shard(args)
 
@@ -281,49 +292,13 @@ class TestCheckConjecture:
             with pytest.raises(RuntimeError, match="second shard"):
                 check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
                                  mode="random", budget=verify.SHARD_TRIALS * 10 ** 5,
-                                 workers=1)
+                                 workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [0, 1]
+        assert calls == ([0, 1] if workers == 1 else [])  # workers keep their own calls
         assert peak < 1 << 20
-
-    def test_pool_is_fed_in_windows_and_folded_in_order(self, monkeypatch):
-        import concurrent.futures
-        from rainbowmatch import verify
-
-        class Future(concurrent.futures.Future):
-            def result(self, timeout=None):
-                Pool.pending -= 1
-                return super().result(timeout)
-
-        class Pool:
-            pending = most = 0
-
-            def __init__(self, max_workers):
-                assert max_workers == 3
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, args):
-                Pool.pending += 1
-                Pool.most = max(Pool.most, Pool.pending)
-                future = Future()
-                future.set_result(fn(args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(verify, "_run_shard", lambda args: (args[4], [{"shard": args[3]}]))
-        budget = verify.SHARD_TRIALS * 40 + 7
-        checked, counters = verify._run_random(ConjectureId.SIZE_CONDITION, {}, budget,
-                                               seed=0, workers=3)
-        assert checked == budget and counters == [{"shard": s} for s in range(41)]
-        assert Pool.most == verify.POOL_WINDOW * 3 and Pool.pending == 0
+        assert_no_child()
 
     def test_size_condition_random_r3(self):
         rep = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
@@ -366,6 +341,82 @@ class TestCheckConjecture:
             params = {"n": 3, "r": 2, "k": 2} | {key: True}
             with pytest.raises(InputError, match=f"parameter '{key}'"):
                 check_conjecture("size_condition", params, mode="random", budget=5)
+
+
+def fork_workers(monkeypatch, workers):
+    """Let _pool_size grant up to 8 workers, so that workers > 1 forks."""
+    if workers > 1 and not hasattr(os, "fork"):
+        pytest.skip("the pool needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedPool:
+    """The pool's workers are real forked processes; they inherit a
+    monkeypatched _run_shard."""
+
+    def test_shards_fold_in_order(self, monkeypatch):
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 3)
+        monkeypatch.setattr(verify, "_run_shard",
+                            lambda args: (args[4], [{"shard": args[3], "pid": os.getpid()}]))
+        budget = verify.SHARD_TRIALS * 40 + 7
+        checked, counters = verify._run_random(ConjectureId.SIZE_CONDITION, {}, budget,
+                                               seed=0, workers=3)
+        assert checked == budget
+        assert [c["shard"] for c in counters] == list(range(41))
+        pids = [c["pid"] for c in counters]
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert pids[:3] * 13 + pids[:2] == pids  # shard s ran in worker s % 3
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [InputError, TheoremViolationError])
+    def test_failing_shard_raises_as_at_one_worker(self, monkeypatch, error):
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 3)
+
+        def failing(args):
+            if args[3] in (5, 7):
+                raise error(f"shard {args[3]} failed")
+            return args[4], []
+
+        monkeypatch.setattr(verify, "_run_shard", failing)
+        raised = []
+        for workers in (1, 3):
+            with pytest.raises(error) as info:
+                check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
+                                 mode="random", budget=verify.SHARD_TRIALS * 12,
+                                 workers=workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [(error, "shard 5 failed")] * 2
+        assert_no_child()
+
+    def test_early_close_leaves_no_child(self, monkeypatch):
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 2)
+        monkeypatch.setattr(verify, "_run_shard", lambda args: (1, [{"shard": args}]))
+        results = verify._pooled(2, iter(itertools.count()))  # workers that never end
+        assert [next(results) for _ in range(5)] == [(1, [{"shard": s}]) for s in range(5)]
+        results.close()
+        assert_no_child()
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 2)
+
+        def dying(args):
+            if args == 3:
+                os._exit(9)
+            return 1, []
+
+        monkeypatch.setattr(verify, "_run_shard", dying)
+        with pytest.raises(RuntimeError, match="ended before its last shard"):
+            list(verify._pooled(2, iter(range(6))))
+        assert_no_child()
 
 
 class TestMatrixConjecture:
