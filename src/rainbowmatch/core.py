@@ -240,16 +240,20 @@ class CellIndex:
     set and one mask per vertex: O(cell_count) entries plus n*cell_count
     bits. The full cell tuple of a partite index is only listed when asked
     for: the degree-capped sampler shuffles it, and the exact oracles take it
-    as their edge tuple for mask members (_index_masks). The other random
-    samplers draw cell positions.
+    as their edge tuple up to SHIFT_MASK_BITS cells (_edge_masks). The other
+    random samplers draw cell positions.
+
+    The index also keeps the closure plan of shifting._closed_mask, the
+    constants of one sweep, once the first member is closed on its ground.
     """
 
     __slots__ = ("_ground", "_partite", "_cells", "_pos", "_stride", "_zero",
-                 "_tail", "_tail_pos", "_sets", "_by_set", "_vertex")
+                 "_tail", "_tail_pos", "_sets", "_by_set", "_vertex", "_plan")
 
     def __init__(self, ground: GroundSet):
         _guard_index(ground, sweep=False)
         self._ground = ground
+        self._plan = None
         n, r = ground.n, ground.r
         self._partite = ground.kind == PARTITE
         if self._partite:
@@ -290,8 +294,16 @@ class CellIndex:
             return (i // head,) + self._tail[i % head]
         return self._cells[i]
 
-    def mask(self, edges: Iterable[Edge]) -> int:
-        return _mask(map(self.position, edges), self._ground.cell_count)
+    def mask(self, edges: Sequence[Edge]) -> int:
+        """The mask of distinct cells of the ground; an edge that is no cell
+        may set a wrong bit. A partite member's positions are stride sums,
+        taken one side at a time over every edge."""
+        if not self._partite:
+            return _mask(map(self._pos.__getitem__, edges), len(self._cells))
+        positions = [0] * len(edges)
+        for t, column in zip(self._stride, zip(*edges)):
+            positions = map(operator.add, positions, map(t.__mul__, column))
+        return _mask(positions, self._ground.cell_count)
 
     def edges(self, mask: int) -> tuple[Edge, ...]:
         """The cells of a mask's set bits, in position order."""

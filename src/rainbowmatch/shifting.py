@@ -8,10 +8,11 @@ general-kind shift maps each moving cell through the position map."""
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
 from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching,
-                   _guard_index, _Record)
+                   _guard_index, _Record, bits)
 from .errors import InputError, TheoremViolationError
 
 
@@ -171,14 +172,69 @@ def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
     return Family(members), ShiftLog(tuple(steps))
 
 
+# Largest closure plan kept on a cell index, in entries: r*C(n, 2) sweep
+# pairs on a partite ground, C(n, 2)*C(n-2, r-1) moving cells on a general
+# one. An entry takes up to about 160 bytes (tracemalloc, CPython 3.11), so
+# a kept plan stays under 0.7 MiB; partite r=1 with 1,024 cells would
+# otherwise keep 73 MiB.
+MAX_PLAN_ENTRIES = 1 << 12
+
+
+def _closure_plan(ground: GroundSet) -> tuple | None:
+    """The constants of one sweep (_sweep) for _closed_mask, kept on the
+    cell index, or None past MAX_PLAN_ENTRIES. The sweep's guard runs here,
+    once per ground, before any entry is kept.
+
+    A partite entry is one shift pair's (y*t, zero, x*t, (y-x)*t), for the
+    stride t of its side and the mask zero of the side's vertex-0 cells, as
+    in CellIndex.move. A general entry is one pair's mask of the cells that
+    hold y and not x, with each such cell's (origin, origin | image) one-bit
+    masks. They are read off CellIndex.move of that mask, which moves every
+    one of them: y -> x keeps symmetric differences, so it keeps the order
+    of cells, and the i-th origin goes to the i-th image."""
+    index, n, r = ground.index, ground.n, ground.r
+    pairs = n * (n - 1) // 2
+    partite = ground.kind == PARTITE
+    if (r if partite else math.comb(max(n - 2, 0), r - 1)) * pairs > MAX_PLAN_ENTRIES:
+        return None
+    plan = []
+    for side, x, y in _sweep(ground):
+        if partite:
+            t = index._stride[side]
+            plan.append((y * t, index._zero[side], x * t, (y - x) * t))
+            continue
+        origins, images = index.move(index._vertex[y] & ~index._vertex[x], None, x, y)
+        if origins:
+            plan.append((origins, tuple((1 << i, 1 << i | 1 << j)
+                                        for i, j in zip(bits(origins), bits(images)))))
+    index._plan = plan = tuple(plan)
+    return plan
+
+
 def _closed_mask(ground: GroundSet, mask: int) -> int:
     """One member's edge mask after shifted_closure, with no log kept. A
     shift acts on each member on its own, so this is the member's mask in
-    shifted_closure's result whatever family it is closed in."""
-    move = ground.index.move
-    for side, x, y in _sweep(ground):
-        origins, images = move(mask, side, x, y)
-        mask ^= origins | images
+    shifted_closure's result whatever family it is closed in.
+
+    Each shift pair is one step of the ground's closure plan; past the
+    plan's bound, each is a CellIndex.move call."""
+    plan = ground.index._plan
+    if plan is None and (plan := _closure_plan(ground)) is None:
+        move = ground.index.move
+        for side, x, y in _sweep(ground):
+            origins, images = move(mask, side, x, y)
+            mask ^= origins | images
+        return mask
+    if ground.kind == PARTITE:
+        for down, zero, up, back in plan:
+            images = ((mask >> down) & zero) << up & ~mask
+            mask ^= images | images << back
+        return mask
+    for held, cells in plan:
+        if mask & held:
+            for origin, moving in cells:
+                if mask & moving == origin:  # the origin is an edge, its image is not
+                    mask ^= moving
     return mask
 
 

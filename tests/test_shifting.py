@@ -8,7 +8,8 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching, TheoremViolationError,
                           is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
                           shift_hypergraph, shifted_closure)
-from rainbowmatch.shifting import ShiftLog, ShiftStep, _closed_mask
+from rainbowmatch import shifting
+from rainbowmatch.shifting import MAX_PLAN_ENTRIES, ShiftLog, ShiftStep, _closed_mask
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -494,3 +495,56 @@ class TestClosedMask:
         assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
         for h in fam:
             assert _closed_mask(g, h.mask) == shifted_closure(Family([h]))[0][0].mask
+
+    # (kind, r, n, whether the plan is kept): the last ground a plan is kept
+    # for and the first past MAX_PLAN_ENTRIES, on each side of the bound
+    PLAN_BOUND = [(PARTITE, 1, 91, True), (PARTITE, 1, 92, False),
+                  (PARTITE, 2, 64, True), (PARTITE, 2, 65, False),
+                  (GENERAL, 2, 21, True), (GENERAL, 2, 22, False)]
+
+    @pytest.mark.parametrize("kind, r, n, kept", PLAN_BOUND,
+                             ids=[f"{k}-r{r}-n{n}" for k, r, n, _ in PLAN_BOUND])
+    def test_equals_the_closure_on_both_sides_of_the_plan_bound(self, kind, r, n, kept):
+        g = GroundSet(kind, r, n)
+        entries = r * n * (n - 1) // 2 if kind == PARTITE else sum(
+            y in c and x not in c
+            for x, y in itertools.combinations(range(n), 2) for c in g.cells())
+        assert (entries <= MAX_PLAN_ENTRIES) == kept
+        rng = seeded(f"plan:{kind}:{r}:{n}")
+        fam = Family([random_hypergraph(rng, g, rng.randint(1, g.cell_count // 4))
+                      for _ in range(2)])
+        shifted, _ = shifted_closure(fam)
+        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        assert (g.index._plan is not None) == kept
+
+    def test_plan_is_built_once_and_kept_on_the_index(self, monkeypatch):
+        calls = []
+        guard = shifting._guard_index
+        monkeypatch.setattr(shifting, "_guard_index", lambda g: calls.append(g) or guard(g))
+        for g in (GroundSet(PARTITE, 3, 4), GroundSet(GENERAL, 2, 8)):
+            assert g.index._plan is None
+            _closed_mask(g, 1)
+            plan = g.index._plan
+            assert plan is not None
+            rng = seeded(f"once:{g.kind}")
+            for _ in range(20):
+                _closed_mask(g, rng.getrandbits(g.cell_count))
+            assert g.index._plan is plan
+            assert calls == [g]  # the sweep's guard ran when the plan was built, and only then
+            calls.clear()
+
+    def test_no_plan_is_kept_past_the_bound(self):
+        g = GroundSet(PARTITE, 1, 92)
+        for mask in (0, 1 << 91, (1 << 92) - 2):
+            _closed_mask(g, mask)
+        assert g.index._plan is None
+
+    def test_one_cell_ground_past_the_sweep_limit_is_refused_before_a_plan(self):
+        # n(n-1)/2 shift pairs pass the limit from n = 23,171; the one cell
+        # makes a plan of no entries, which must not be built
+        n = 23171
+        g = GroundSet(GENERAL, n, n)
+        with pytest.raises(InputError, match="^ground too large to shift: ") as err:
+            _closed_mask(g, 1)
+        assert f"each closure sweep {n * (n - 1) // 2} shift pairs" in str(err.value)
+        assert g.index._plan is None
