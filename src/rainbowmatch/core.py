@@ -231,50 +231,43 @@ class CellIndex:
     mask with bit i set iff cell(i) is an edge, and bit order is sorted edge
     order.
 
-    A partite cell's position is its vertices read as base-n digits. So the
-    partite index keeps the n^(r-1) cells of the last r-1 sides with their
-    positions, and just r masks of cell_count bits: side s's cells with
-    vertex 0 there, which shift left by v*n^(r-1-s) to side s's cells with
-    vertex v. That is O(cell_count/n) entries plus r*cell_count bits. A
-    general index keeps the cell tuple, a position map, each cell's vertex
-    set and one mask per vertex: O(cell_count) entries plus n*cell_count
-    bits. The full cell tuple of a partite index is only listed when asked
+    Each kind has one numbering. A partite position is the cell's vertices
+    read as base-n digits, so the partite index keeps no per-cell table, just
+    r masks of cell_count bits: side s's cells with vertex 0 there, which
+    shift left by v*n^(r-1-s) to side s's cells with vertex v. A general cell
+    is found by its vertex set as a mask: the index keeps each cell's vertex
+    set, the map back to positions and one mask per vertex, O(cell_count)
+    entries plus n*cell_count bits. The cell tuple is listed only when asked
     for: the degree-capped sampler shuffles it, and the exact oracles take it
-    as their edge tuple up to SHIFT_MASK_BITS cells (_edge_masks). The other
-    random samplers draw cell positions.
+    as their edge tuple up to SHIFT_MASK_BITS cells (_edge_masks).
 
     The index also keeps the closure plan of shifting._closed_mask, the
     constants of one sweep, once the first member is closed on its ground.
     """
 
-    __slots__ = ("_ground", "_partite", "_cells", "_pos", "_stride", "_zero",
-                 "_tail", "_tail_pos", "_sets", "_by_set", "_vertex", "_plan")
+    __slots__ = ("_ground", "_partite", "_cells", "_stride", "_zero",
+                 "_sets", "_by_set", "_vertex", "_plan")
 
     def __init__(self, ground: GroundSet):
         _guard_index(ground, sweep=False)
         self._ground = ground
+        self._cells = None
         self._plan = None
         n, r = ground.n, ground.r
         self._partite = ground.kind == PARTITE
         if self._partite:
-            self._cells = None
             self._stride = tuple(n ** (r - 1 - s) for s in range(r))
             self._zero = tuple(_repeat((1 << t) - 1, n * t, ground.cell_count)
                                for t in self._stride)
-            self._tail = tuple(itertools.product(range(n), repeat=r - 1))
-            self._tail_pos = dict(zip(self._tail, itertools.count()))
             return
-        self._cells = tuple(ground.cells())
-        self._pos = dict(zip(self._cells, itertools.count()))
-        # a general cell is also keyed by its vertex set as a mask, so that
-        # replacing one vertex is two XORs and a lookup
+        # replacing a vertex of a general cell is two XORs and a lookup
         self._sets = tuple(map(sum, itertools.combinations([1 << v for v in range(n)], r)))
         self._by_set = dict(zip(self._sets, itertools.count()))
         at: list[list[int]] = [[] for _ in range(n)]
-        for i, e in enumerate(self._cells):
+        for i, e in enumerate(ground.cells()):
             for v in e:
                 at[v].append(i)
-        self._vertex = tuple(_mask(p, len(self._cells)) for p in at)
+        self._vertex = tuple(_mask(p, len(self._sets)) for p in at)
 
     @property
     def cells(self) -> tuple[Edge, ...]:
@@ -285,29 +278,34 @@ class CellIndex:
 
     def position(self, edge: Edge) -> int:
         if self._partite:
-            return edge[0] * self._stride[0] + self._tail_pos[edge[1:]]
-        return self._pos[edge]
+            return sum(map(operator.mul, edge, self._stride))
+        return self._by_set[sum(map((1).__lshift__, edge))]
 
     def cell(self, i: int) -> Edge:
         if self._partite:
-            head = self._stride[0]
-            return (i // head,) + self._tail[i % head]
-        return self._cells[i]
+            return tuple(i // t % self._ground.n for t in self._stride)
+        return tuple(bits(self._sets[i]))
 
     def mask(self, edges: Sequence[Edge]) -> int:
         """The mask of distinct cells of the ground; an edge that is no cell
-        may set a wrong bit. A partite member's positions are stride sums,
-        taken one side at a time over every edge."""
-        if not self._partite:
-            return _mask(map(self._pos.__getitem__, edges), len(self._cells))
-        positions = [0] * len(edges)
-        for t, column in zip(self._stride, zip(*edges)):
-            positions = map(operator.add, positions, map(t.__mul__, column))
-        return _mask(positions, self._ground.cell_count)
+        may set a wrong bit. The positions, or a general member's vertex
+        sets, are sums taken one vertex slot at a time over every edge."""
+        terms = [0] * len(edges)
+        if self._partite:
+            for t, column in zip(self._stride, zip(*edges)):
+                terms = map(operator.add, terms, map(t.__mul__, column))
+            return _mask(terms, self._ground.cell_count)
+        for column in zip(*edges):
+            terms = map(operator.add, terms, map((1).__lshift__, column))
+        return _mask(map(self._by_set.__getitem__, terms), len(self._sets))
 
     def edges(self, mask: int) -> tuple[Edge, ...]:
-        """The cells of a mask's set bits, in position order."""
-        return tuple(map(self.cell, bits(mask)))
+        """The cells of a mask's set bits, in position order. A partite
+        mask is decoded one side at a time, the inverse of mask's sums."""
+        if not self._partite:
+            return tuple(map(self.cell, bits(mask)))
+        positions, n = bits(mask), self._ground.n
+        return tuple(zip(*([p // t % n for p in positions] for t in self._stride)))
 
     def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
         """The shift y -> x of an edge mask, as (origins, images): the edges
@@ -349,8 +347,8 @@ class Hypergraph:
 
     The edges are held as a sorted tuple, as an int mask over ground.index,
     or both: each form is derived from the other on first use, so a chain of
-    shifts never decodes its intermediate masks. Membership is a bit test
-    when the mask is held and a bisection of the tuple otherwise."""
+    shifts never decodes its intermediate masks. Membership is an edge check,
+    then a bit test of the mask or else a bisection of the tuple."""
 
     __slots__ = ("ground", "_edges", "_mask")
 
@@ -408,13 +406,13 @@ class Hypergraph:
         return iter(self.edges)
 
     def __contains__(self, edge) -> bool:
-        e = tuple(edge)
         try:
-            if self._mask is not None:
-                return bool(self._mask >> self.ground.index.position(e) & 1)
-            i = bisect_left(self._edges, e)
-        except (LookupError, TypeError, ValueError):  # not a cell of the ground
+            e = self.ground.check_edge(edge)
+        except (InputError, TypeError):  # not a cell of the ground
             return False
+        if self._mask is not None:
+            return bool(self._mask >> self.ground.index.position(e) & 1)
+        i = bisect_left(self._edges, e)
         return i < len(self._edges) and self._edges[i] == e
 
     def __eq__(self, other) -> bool:

@@ -40,36 +40,24 @@ class ShiftStep(NamedTuple):
         return tuple(p for pairs in self._pairs(self.ground, len(self.images)) for p in pairs)
 
     def _pairs(self, ground: GroundSet, count: int) -> list[tuple[tuple[Edge, Edge], ...]]:
-        """Every member's pairs, the step checked against ground and count.
-        Images keep their originals' order: y -> x keeps symmetric differences."""
-        edges = ground.index.edges
-        return [tuple(zip(edges(o), edges(i)))
-                for o, i in zip(_origins(self, ground, count), self.images)]
+        """Every member's pairs, the step checked against ground and count and
+        every image given an origin. Images keep their originals' order:
+        y -> x keeps symmetric differences."""
+        _check_step(self, ground, count)
+        index = ground.index
+        origins = [index.origins(i, self.side, self.x, self.y) for i in self.images]
+        if list(map(int.bit_count, origins)) != list(map(int.bit_count, self.images)):
+            raise InputError("shift log does not apply to this family")
+        return [tuple(zip(index.edges(o), index.edges(i))) for o, i in zip(origins, self.images)]
 
 
-def _origins(step: ShiftStep, ground: GroundSet, count: int) -> list[int]:
-    """Each member's origins under a logged step, the one check of a step: it
-    must be recorded on ground for count members, be a shift of ground, and
-    give every image an origin."""
+def _check_step(step: ShiftStep, ground: GroundSet, count: int) -> None:
+    """Refuse a step not recorded on ground for count members, or no shift of it."""
     if step.ground != ground:
         raise InputError("shift log was recorded on a different ground")
     if len(step.images) != count:
         raise InputError("shift log was recorded for a different member count")
     _check_shift_args(ground, step.x, step.y, step.side)
-    index = ground.index
-    origins = [index.origins(i, step.side, step.x, step.y) for i in step.images]
-    if list(map(int.bit_count, origins)) != list(map(int.bit_count, step.images)):
-        raise InputError("shift log does not apply to this family")
-    return origins
-
-
-def _apply(step: ShiftStep, ground: GroundSet, masks: list[int], backward: bool = False) -> None:
-    """Apply a logged step to per-member edge masks in place, or undo it."""
-    for i, (origins, images) in enumerate(zip(_origins(step, ground, len(masks)), step.images)):
-        moving = origins | images  # the member must hold the side that leaves
-        if masks[i] & moving != (images if backward else origins):
-            raise InputError("shift log does not apply to this family")
-        masks[i] ^= moving
 
 
 class ShiftLog(_Record):
@@ -79,10 +67,17 @@ class ShiftLog(_Record):
     steps: tuple[ShiftStep, ...]
 
     def replay(self, family: Family) -> Family:
-        """Apply the logged moves to a family; errors if the log does not fit."""
+        """Apply the logged moves to a family; errors if the log does not fit,
+        or if a member does not move exactly as its step's shift moves it."""
         g, masks = family.ground, [h.mask for h in family.members]
+        move = g.index.move
         for step in self.steps:
-            _apply(step, g, masks)
+            _check_step(step, g, len(masks))
+            for i, images in enumerate(step.images):
+                origins, moved = move(masks[i], step.side, step.x, step.y)
+                if moved != images:
+                    raise InputError("shift log does not apply to this family")
+                masks[i] ^= origins | images
         return Family([Hypergraph._from_mask(g, m) for m in masks])
 
     def to_json(self) -> list[dict]:
@@ -259,7 +254,8 @@ def pullback_rainbow(log: ShiftLog, original: Family,
     index = g.index
     chosen = [1 << index.position(e) for e in matching.choices]
     for step in reversed(log.steps):
-        _apply(step, g, masks, backward=True)
+        for i, images in enumerate(step.images):  # replay checked the step
+            masks[i] ^= index.origins(images, step.side, step.x, step.y) | images
         lost = [i for i, c in enumerate(chosen) if step.images[i] & c]
         if not lost:
             continue

@@ -369,7 +369,7 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
     if mode == "random":
         if budget < 1:
             raise InputError(f"budget must be positive, got {budget}")
-        checked, counters = _run_random(conjecture, params, budget, seed, workers)
+        checked, counters = _run_random(checker, budget, seed, workers)
     elif mode == "exhaustive":
         if not checker.exhaustive_allowed:
             raise InputError(
@@ -468,8 +468,7 @@ def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
 
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
-    conjecture, params, seed, shard, count = args
-    checker = _make_checker(ConjectureId(conjecture), params)
+    checker, seed, shard, count = args
     rng = random.Random(f"{seed}:{shard}")
     counters: list[dict] = []
     for _ in range(count):
@@ -571,13 +570,14 @@ def _serve(shards: Iterator[tuple], pipes: list, write: int) -> NoReturn:
         os._exit(status)
 
 
-def _run_random(conjecture: ConjectureId, params: dict, budget: int,
-                seed: int, workers: int) -> tuple[int, list[dict]]:
+def _run_random(checker: _Checker, budget: int, seed: int,
+                workers: int) -> tuple[int, list[dict]]:
     """Trials checked and counterexamples in trial order. Shards are made one
     at a time, so a huge budget costs no memory before its first trial, and
-    folded in shard order, so the report does not depend on workers."""
+    folded in shard order, so the report does not depend on workers. Forked
+    workers inherit the checker."""
     count = -(-budget // SHARD_TRIALS)
-    shards = ((conjecture.value, params, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
+    shards = ((checker, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
     size = _pool_size(workers, count)
     checked = 0

@@ -67,6 +67,22 @@ class TestGroundSet:
                             ("a",) * r, (None,) * r, (0.5,) * r, [[0]] * r]:
                     assert bad not in f
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cell_index_numbers_each_kind_one_way(self, data):
+        # partite positions are base-n digits and general ones vertex sets;
+        # either way position, cell, mask and edges invert one another
+        kind = data.draw(st.sampled_from([PARTITE, GENERAL]))
+        r = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 4) if kind == PARTITE else st.integers(r, 7))
+        ground = GroundSet(kind, r, n)
+        index, cells = ground.index, list(ground.cells())
+        for i, c in enumerate(cells):
+            assert index.position(c) == i and index.cell(i) == c
+        chosen = data.draw(st.lists(st.sampled_from(cells), unique=True))
+        assert index.edges(index.mask(chosen)) == tuple(sorted(chosen))
+        assert index._cells is None  # listed only when asked for
+
     @pytest.mark.parametrize("n,indexed", [(4, True), (33, False)])  # 16 and 1,089 cells
     @pytest.mark.parametrize("oracle", [lambda fam: rainbow_exact(fam),
                                         lambda fam: nu_exact(fam[0])], ids=["rainbow", "nu"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_shifting as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
-                          InputError, RainbowMatching, TheoremViolationError,
+                          InputError, RainbowMatching,
                           is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
                           shift_hypergraph, shifted_closure)
 from rainbowmatch import shifting
@@ -279,6 +279,16 @@ class TestLogRefusals:
         self.refusals(log, Family([Hypergraph(B2, [(0, 0)])]), RainbowMatching(((0, 0),)),
                       "shift log does not apply to this family")
 
+    def test_partial_step(self):
+        # (0, 0) is the image of (1, 0) in both members, but the shift 1 -> 0
+        # on side 0 also moves the first member's (1, 1) to (0, 1): the step
+        # moves only some of the edges its shift moves
+        fam = Family([Hypergraph(B2, [(1, 0), (1, 1)]), Hypergraph(B2, [(1, 0)])])
+        m = 1 << B2.index.position((0, 0))
+        log = ShiftLog((ShiftStep(B2, 0, 0, 1, (m, m)),))
+        self.refusals(log, fam, RainbowMatching(((1, 1), (0, 0))),
+                      "shift log does not apply to this family")
+
     def test_matching_of_another_size(self):
         fam = Family([Hypergraph(B2, [(1, 0)])])
         _, log = shifted_closure(fam)
@@ -296,7 +306,7 @@ class TestLogRefusals:
                     "partite shifts need a side", True),
         "image-without-x": ([ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((1, 0)),))],
                             [(2, 0)], (1, 0), "shift log does not apply to this family", True),
-        "later-ground": ([ShiftStep(B3, 0, 0, 1, (0,)),
+        "later-ground": ([ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((0, 1)),)),
                           ShiftStep(GroundSet(PARTITE, 2, 4), 0, 0, 1, (1,))],
                          [(1, 1)], (0, 0), "different ground", False),
         "later-count": ([ShiftStep(B3, 0, 0, 1, (1 << B3.index.position((0, 0)),)),
@@ -342,6 +352,8 @@ class TestLogRefusals:
             assert moved == tuple(p for member in pairs for p in member)
         if replayed is None:
             return
+        # replay accepts a step only where it moves what its shift moves
+        assert own_shifts(edited, fam)
         # to_json and moved report the moves replay makes, step by step
         edges = [set(h.edges) for h in fam]
         for step, entry in zip(edited.steps, payload):
@@ -355,16 +367,8 @@ class TestLogRefusals:
                     edges[i] ^= {orig, img}
         assert [set(h.edges) for h in replayed] == edges
         m = rainbow_exact(replayed)
-        if m is None:
-            return
-        try:
-            back = pullback_rainbow(edited, fam, m)
-        except TheoremViolationError:
-            # only a step that shifts some of the edges it could is left to
-            # the theory guards; see own_shifts
-            assert not own_shifts(edited, fam)
-        else:
-            assert back.is_valid_for(fam)
+        if m is not None:
+            assert pullback_rainbow(edited, fam, m).is_valid_for(fam)
 
 
 def own_shifts(log, fam):
@@ -486,6 +490,19 @@ class TestAgainstReference:
 class TestClosedMask:
     """The log-free member closure of the random samplers against
     shifted_closure, whose grounds cover partite r=1..3 and general r=2..3."""
+
+    @pytest.mark.parametrize("n", [8, 30])  # with and without a kept plan
+    def test_general_shifts_never_list_the_cells(self, n):
+        # a general cell is numbered by its vertex set: the closure, its
+        # plan and move read the vertex-set tables, never the cell tuple
+        g = GroundSet(GENERAL, 3, n)
+        rng = seeded(f"unlisted:{n}")
+        fam = Family([random_hypergraph(rng, g, 12) for _ in range(2)])
+        shifted, _ = shifted_closure(fam)
+        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        g.index.move(fam[0].mask, None, 0, n - 1)
+        assert (g.index._plan is not None) == (n == 8)
+        assert g.index._cells is None
 
     @settings(max_examples=300)
     @given(small_families())

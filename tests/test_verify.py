@@ -236,15 +236,29 @@ class TestCheckConjecture:
                              mode="random", budget=200, seed=13)
         assert a == b  # elapsed is excluded from comparison
 
-    def test_workers_do_not_change_the_report(self):
-        # a raw sampler and a shifted one
+    def test_workers_do_not_change_the_report(self, monkeypatch):
+        # a raw sampler and two shifted ones, the general one past the closed
+        # form; forked workers run the checker they inherit
+        fork_workers(monkeypatch, 3)
         for conjecture, params in [(ConjectureId.DEGREE_CONDITION, {"n": 2, "k": 2, "d": 1}),
-                                   (ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})]:
-            a = check_conjecture(conjecture, params,
-                                 mode="random", budget=600, seed=3, workers=1)
-            b = check_conjecture(conjecture, params,
-                                 mode="random", budget=600, seed=3, workers=3)
-            assert a == b
+                                   (ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2}),
+                                   (ConjectureId.RAINBOW_GENERAL, {"n": 7, "r": 3, "k": 2})]:
+            a, b, c = (check_conjecture(conjecture, params, mode="random", budget=600,
+                                        seed=3, workers=workers) for workers in (1, 2, 3))
+            assert a == b == c
+        assert_no_child()
+
+    def test_every_shard_runs_the_one_checker(self, monkeypatch):
+        # three shards, one checker: a shard neither rebuilds the ground, its
+        # index and its closure plan nor re-walks the exact threshold
+        from rainbowmatch import verify
+        make, calls = verify._make_checker, []
+        monkeypatch.setattr(verify, "_make_checker",
+                            lambda *args: calls.append(args) or make(*args))
+        rep = check_conjecture(ConjectureId.RAINBOW_GENERAL, {"n": 7, "r": 3, "k": 2},
+                               mode="random", budget=SHARD_TRIALS * 2 + 1, seed=5)
+        assert rep.instances_checked == SHARD_TRIALS * 2 + 1
+        assert len(calls) == 1
 
     def test_workers_below_one_are_refused(self):
         for workers in (0, -5):
@@ -282,8 +296,8 @@ class TestCheckConjecture:
         run_shard, calls = verify._run_shard, []
 
         def failing(args):
-            calls.append(args[3])
-            if args[3] == 1:
+            calls.append(args[2])
+            if args[2] == 1:
                 raise RuntimeError("second shard")
             return run_shard(args)
 
@@ -364,10 +378,9 @@ class TestForkedPool:
         from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
         monkeypatch.setattr(verify, "_run_shard",
-                            lambda args: (args[4], [{"shard": args[3], "pid": os.getpid()}]))
+                            lambda args: (args[3], [{"shard": args[2], "pid": os.getpid()}]))
         budget = verify.SHARD_TRIALS * 40 + 7
-        checked, counters = verify._run_random(ConjectureId.SIZE_CONDITION, {}, budget,
-                                               seed=0, workers=3)
+        checked, counters = verify._run_random(None, budget, seed=0, workers=3)
         assert checked == budget
         assert [c["shard"] for c in counters] == list(range(41))
         pids = [c["pid"] for c in counters]
@@ -381,9 +394,9 @@ class TestForkedPool:
         fork_workers(monkeypatch, 3)
 
         def failing(args):
-            if args[3] in (5, 7):
-                raise error(f"shard {args[3]} failed")
-            return args[4], []
+            if args[2] in (5, 7):
+                raise error(f"shard {args[2]} failed")
+            return args[3], []
 
         monkeypatch.setattr(verify, "_run_shard", failing)
         raised = []
