@@ -1,39 +1,61 @@
 """Rainbow matchings in bipartite, r-partite and general uniform hypergraphs:
 solvers, shifting with constructive pull-back, extremal constructions, exact
-brute-force oracles, and desk-scale verification harnesses."""
+brute-force oracles, and desk-scale verification harnesses.
 
-from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching, is_matching, nu_exact, pm_decomposition,
-                   rainbow_exact)
-from .errors import (InputError, PreconditionError, RainbowError,
-                     TheoremViolationError)
-from .extremal import (ekr_star, f_large_n, f_r2, g_formula, r3_counterexample,
-                       star_family, steal_family)
-from .instances import Instance, parse_instance, serialize_instance
-from .shifting import (ShiftLog, ShiftStep, is_shifted, pullback_rainbow,
-                       shift_hypergraph, shifted_closure)
-from .solvers import (AlgoTrace, DegreeMatrix, HallCheck, StepRecord,
-                      check_hall_condition, greedy_bipartite,
-                      hall_size_algorithm, large_n_procedure, meshulam_r2,
-                      r3_solve, simple_algorithm)
-from .verify import (ConjectureId, MatrixCheck, VerifyReport,
-                     check_conjecture, check_matrix_conjecture,
-                     compute_threshold_exact, enumerate_shifted, iter_shifted,
-                     scan_large_n)
+Importing the package registers its modules without executing them. A
+module runs the first time one of its names is read, here or on the module,
+so a command pays only for the modules it calls into."""
 
-__all__ = [
-    "AlgoTrace", "ConjectureId", "DegreeMatrix", "Edge", "Family",
-    "GENERAL", "GroundSet", "HallCheck", "Hypergraph",
-    "InputError", "Instance", "MatrixCheck", "PARTITE", "PreconditionError",
-    "RainbowError", "RainbowMatching", "ShiftLog", "ShiftStep", "StepRecord",
-    "TheoremViolationError", "VerifyReport", "check_conjecture",
-    "check_hall_condition", "check_matrix_conjecture",
-    "compute_threshold_exact", "ekr_star", "enumerate_shifted",
-    "f_large_n", "f_r2", "g_formula", "greedy_bipartite",
-    "hall_size_algorithm", "is_matching", "is_shifted", "iter_shifted",
-    "large_n_procedure", "meshulam_r2", "nu_exact", "parse_instance",
-    "pm_decomposition", "pullback_rainbow", "r3_counterexample", "r3_solve",
-    "rainbow_exact", "scan_large_n", "serialize_instance",
-    "shift_hypergraph", "shifted_closure", "simple_algorithm", "star_family",
-    "steal_family",
-]
+import importlib.util
+import sys
+
+# the module that defines each public name
+_EXPORTS = {
+    "core": ("ConjectureId", "Edge", "Family", "GENERAL", "GroundSet", "Hypergraph",
+             "PARTITE", "RainbowMatching", "is_matching", "nu_exact", "pm_decomposition",
+             "rainbow_exact"),
+    "errors": ("InputError", "PreconditionError", "RainbowError", "TheoremViolationError"),
+    "extremal": ("ekr_star", "f_large_n", "f_r2", "g_formula", "r3_counterexample",
+                 "star_family", "steal_family"),
+    "instances": ("Instance", "parse_instance", "serialize_instance"),
+    "shifting": ("ShiftLog", "ShiftStep", "is_shifted", "pullback_rainbow",
+                 "shift_hypergraph", "shifted_closure"),
+    "solvers": ("AlgoTrace", "DegreeMatrix", "HallCheck", "StepRecord",
+                "check_hall_condition", "greedy_bipartite", "hall_size_algorithm",
+                "large_n_procedure", "meshulam_r2", "r3_solve", "simple_algorithm"),
+    "verify": ("MatrixCheck", "VerifyReport", "check_conjecture", "check_matrix_conjecture",
+               "compute_threshold_exact", "enumerate_shifted", "iter_shifted",
+               "scan_large_n"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_OWNER)
+
+
+def _register(name: str) -> None:
+    """Put the submodule in sys.modules and bind it on the package, without
+    executing it: reading any of its attributes executes it. Bound, so that
+    `from . import name` finds it and leaves it as it is; importing a module
+    not bound on its package reads the module's __spec__ (Python 3.11 and
+    later), which would execute it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _module in _EXPORTS:
+    _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[owner], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,15 +13,11 @@ import argparse
 import json
 import sys
 
-from .core import PARTITE, Family, nu_exact, rainbow_exact
+from .core import PARTITE, ConjectureId, Family, nu_exact, rainbow_exact
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
-from .extremal import ekr_star, r3_counterexample, star_family, steal_family
 from .instances import Instance, edge_text, parse_instance, serialize_instance
-from .shifting import pullback_rainbow, shifted_closure
-from .solvers import (_require_kind, check_hall_condition, greedy_bipartite,
-                      hall_size_algorithm, large_n_procedure, meshulam_r2,
-                      r3_solve, simple_algorithm)
-from .verify import ConjectureId, check_conjecture, compute_threshold_exact
+# bound, not executed: a command runs a module the first time it calls into it
+from . import extremal, shifting, solvers, verify
 
 EXIT_OK = 0
 EXIT_NO_MATCHING = 2
@@ -68,23 +64,23 @@ def _cmd_solve(args) -> int:
         matching = rainbow_exact(family)
         status, text = "none", "no rainbow matching\n"
     elif args.algorithm == "hall":
-        _require_kind(family, PARTITE, r=2)
-        shifted, log = shifted_closure(family)
-        trace = hall_size_algorithm(shifted)
-        matching = trace.matching and pullback_rainbow(log, family, trace.matching)
+        solvers._require_kind(family, PARTITE, r=2)
+        shifted, log = shifting.shifted_closure(family)
+        trace = solvers.hall_size_algorithm(shifted)
+        matching = trace.matching and shifting.pullback_rainbow(log, family, trace.matching)
         status, text = "halt", f"no rainbow matching found (halted at t={trace.halt_t})\n"
         extra["halt_t"] = trace.halt_t
     else:
         # solvers that return a matching or None, with the detail reported on
         # None (meshulam and r3 refuse below their hypotheses instead). Built
-        # per call, so that a solver replaced on this module (as perfbench's
+        # per call, so that a solver replaced on its module (as perfbench's
         # tracer does) is the one that runs.
         solver, detail = {
-            "greedy": (greedy_bipartite, "greedy pass got stuck"),
-            "meshulam": (meshulam_r2, None),
-            "r3": (r3_solve, None),
-            "simple": (simple_algorithm, "no degree-matrix permutation"),
-            "large-n": (large_n_procedure, "a selection step was impossible"),
+            "greedy": (solvers.greedy_bipartite, "greedy pass got stuck"),
+            "meshulam": (solvers.meshulam_r2, None),
+            "r3": (solvers.r3_solve, None),
+            "simple": (solvers.simple_algorithm, "no degree-matrix permutation"),
+            "large-n": (solvers.large_n_procedure, "a selection step was impossible"),
         }[args.algorithm]
         matching = solver(family)
         status, text = "failure", "no rainbow matching found\n"
@@ -106,7 +102,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_shift(args) -> int:
     family = _read_instance(args.infile).to_family()
-    shifted, log = shifted_closure(family)
+    shifted, log = shifting.shifted_closure(family)
     instance = Instance.from_family(shifted)
     if args.format == "json":
         sys.stdout.write(_dump({"schema_version": 1, "kind": "shift_result",
@@ -128,7 +124,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    check = check_hall_condition(_read_instance(args.infile).to_family())
+    check = solvers.check_hall_condition(_read_instance(args.infile).to_family())
     if args.format == "json":
         payload: dict = {"schema_version": 1, "kind": "hall_check", "ok": check.ok,
                          "witness": None}
@@ -147,13 +143,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_extremal(args) -> int:
     if args.name == "star":
-        family = star_family(args.n, args.r, args.k)
+        family = extremal.star_family(args.n, args.r, args.k)
     elif args.name == "steal":
-        family = steal_family(args.q, args.n)
+        family = extremal.steal_family(args.q, args.n)
     elif args.name == "r3counter":
-        family = r3_counterexample(args.n)
+        family = extremal.r3_counterexample(args.n)
     else:  # ekr
-        family = Family([ekr_star(args.n, args.r)])
+        family = Family([extremal.ekr_star(args.n, args.r)])
     instance = Instance.from_family(family)
     sys.stdout.write(serialize_instance(instance) if args.format == "json"
                      else _instance_text(instance))
@@ -162,7 +158,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.threshold is not None:
-        value = compute_threshold_exact(args.threshold, args.n, args.r, args.k)
+        value = verify.compute_threshold_exact(args.threshold, args.n, args.r, args.k)
         if args.format == "json":
             sys.stdout.write(_dump({"schema_version": 1, "kind": "threshold",
                                     "mode": args.threshold, "n": args.n, "r": args.r,
@@ -173,21 +169,21 @@ def _cmd_verify(args) -> int:
     params: dict = {"n": args.n, "k": args.k, "r": args.r}
     if args.d is not None:
         params["d"] = args.d
-    report = check_conjecture(ConjectureId(args.conjecture), params,
-                              mode=args.mode, budget=args.budget,
-                              seed=args.seed, workers=args.workers)
+    report = verify.check_conjecture(ConjectureId(args.conjecture), params,
+                                     mode=args.mode, budget=args.budget,
+                                     seed=args.seed, workers=args.workers)
     sys.stdout.write(report.to_text() if args.format == "text" else _dump(report.to_json()))
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
     if args.name is not None:  # steal, the one named instance
-        family = steal_family(args.q, args.n)
+        family = extremal.steal_family(args.q, args.n)
     elif args.infile is not None:
         family = _read_instance(args.infile).to_family()
     else:
         raise InputError("trace needs --name or --in")
-    trace = hall_size_algorithm(family)
+    trace = solvers.hall_size_algorithm(family)
     sys.stdout.write(trace.to_text() if args.format == "text" else _dump(trace.to_json()))
     return EXIT_OK
 

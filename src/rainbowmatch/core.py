@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
+from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -13,6 +14,17 @@ Edge = tuple[int, ...]
 
 PARTITE = "partite"
 GENERAL = "general"
+
+
+class ConjectureId(str, Enum):
+    """The conjectures the verify drivers check. Defined here, not in verify,
+    because the command-line parser lists them for every command."""
+
+    RAINBOW_GENERAL = "rainbow_general"    # sizes above the general-kind threshold
+    SIZE_CONDITION = "size_condition"      # sizes above (k-1) n^(r-1), r-partite
+    DEGREE_CONDITION = "degree_condition"  # max degree <= d and sizes above (k-1)d
+    SIMPLE = "simple"                      # ascending sizes at least i*n, bipartite
+    MATRIX = "matrix"                      # degree-matrix permutation with growing prefix sums
 
 
 class _Record:
@@ -355,14 +367,36 @@ class Hypergraph:
     def __init__(self, ground: GroundSet, edges: Iterable[Sequence[int]]):
         """The sorted edges, or InputError "[j]: <fault>" at the first bad edge j."""
         edges = list(map(tuple, edges))
-        r, labels = ground.r, list(itertools.chain.from_iterable(edges))
-        checked = None if (
-            set(map(len, edges)) - {r} or set(map(type, labels)) - {int}  # bools too
-            or labels and (min(labels) < 0 or max(labels) >= ground.n)
+        labels = list(itertools.chain.from_iterable(edges))
+        shaped = not (set(map(len, edges)) - {ground.r}
+                      or set(map(type, labels)) - {int})  # bools too
+        self._check(ground, edges, labels if shaped else None)
+
+    @classmethod
+    def _of_shaped(cls, ground: GroundSet, edges: list[Edge], labels: list[int]) -> "Hypergraph":
+        """The constructor for a caller that has checked the shape: every
+        edge an r-tuple of ints, with labels their concatenation. The bounds,
+        order and repeat checks still run."""
+        h = cls.__new__(cls)
+        h._check(ground, edges, labels)
+        return h
+
+    def _check(self, ground: GroundSet, edges: list[Edge], labels: list[int] | None) -> None:
+        """Sets the sorted edges; labels is None when the shape is wrong. On
+        any fault, walks the edges to raise at the first bad or repeated one."""
+        r, checked = ground.r, None
+        if labels is not None and not (
+            labels and (min(labels) < 0 or max(labels) >= ground.n)
             or ground.kind == GENERAL and not all(
                 all(map(operator.lt, labels[s::r], labels[s + 1::r])) for s in range(r - 1))
-        ) else sorted(edges)
-        if checked is None or any(map(operator.eq, checked, checked[1:])):
+        ):
+            if all(map(operator.lt, edges, edges[1:])):  # in order, so no repeats
+                checked = edges
+            else:
+                checked = sorted(edges)
+                if any(map(operator.eq, checked, checked[1:])):
+                    checked = None
+        if checked is None:
             seen: set[Edge] = set()
             for j, e in enumerate(edges):
                 try:
@@ -499,6 +533,12 @@ class Family:
 
     def __repr__(self) -> str:
         return f"Family(k={self.k}, sizes={self.sizes()})"
+
+
+def _dominates(sizes, floors) -> bool:
+    """True iff the i-th smallest size is at least the i-th of the ascending
+    floors, for every i."""
+    return all(s >= f for s, f in zip(sorted(sizes), floors))
 
 
 class RainbowMatching(_Record):

@@ -2,8 +2,10 @@
 order-normalizing serialization with 1-based vertex labels."""
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import operator
 
 from .core import GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph, _Record
 from .errors import InputError
@@ -68,17 +70,35 @@ def instance_from_dict(data, path: str = "instance") -> Instance:
     for fi, fam in enumerate(fams):
         if not isinstance(fam, list):
             raise InputError(f"{path}.families[{fi}]: expected a list of edges")
-        arrays = list(itertools.takewhile(lambda raw: isinstance(raw, list), fam))
-        # integer labels become 0-based; the member check refuses the rest
-        edges = [tuple([v - 1 if type(v) is int else v for v in raw]) for raw in arrays]
         try:
-            members.append(Hypergraph(ground, edges))
+            member, arrays = _member(ground, fam)
         except InputError as exc:
             raise InputError(f"{path}.families[{fi}]{exc}") from None
-        if len(arrays) < len(fam):  # a non-array, once the edges before it pass
-            raise InputError(f"{path}.families[{fi}][{len(arrays)}]: "
+        members.append(member)
+        if arrays < len(fam):  # a non-array, once the edges before it pass
+            raise InputError(f"{path}.families[{fi}][{arrays}]: "
                              f"expected a list of {r} integers")
     return Instance(ground, tuple(members))
+
+
+def _member(ground: GroundSet, fam: list) -> tuple[Hypergraph, int]:
+    """The member made of fam's arrays up to its first non-array, with
+    integer labels made 0-based (the member check refuses the rest), and the
+    number of those arrays. When every edge is an array of r integers, the
+    labels are shifted and regrouped in flat passes rather than a tuple
+    built per edge, and the member check skips the shape it would repeat:
+    on a member of ten thousand edges that is most of the parse after
+    json.loads."""
+    r = ground.r
+    if set(map(type, fam)) == {list} and set(map(len, fam)) == {r}:
+        labels = list(itertools.chain.from_iterable(fam))
+        if set(map(type, labels)) == {int}:  # bools are left to the member check
+            labels = list(map(operator.sub, labels, itertools.repeat(1)))
+            edges = list(zip(*[iter(labels)] * r))
+            return Hypergraph._of_shaped(ground, edges, labels), len(fam)
+    arrays = list(itertools.takewhile(lambda raw: isinstance(raw, list), fam))
+    edges = [tuple([v - 1 if type(v) is int else v for v in raw]) for raw in arrays]
+    return Hypergraph(ground, edges), len(arrays)
 
 
 def _get_int(data: dict, key: str, path: str) -> int:
@@ -89,16 +109,27 @@ def _get_int(data: dict, key: str, path: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse and fully validate the JSON instance format."""
+    """Parse and fully validate the JSON instance format.
+
+    The cyclic garbage collector is paused meanwhile: a large instance is a
+    hundred thousand lists and tuples, none of them in a cycle, and the
+    collections their allocation sets off rescan the growing tree, which
+    took a third of the parse of a 70,000-edge file."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    except RecursionError:
-        raise InputError("JSON nested too deeply to parse") from None
-    except ValueError as exc:  # an integer past Python's int-from-text limit
-        raise InputError(f"JSON integer too long: {str(exc).split(';')[0]}") from None
-    return instance_from_dict(data)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise InputError("JSON nested too deeply to parse") from None
+        except ValueError as exc:  # an integer past Python's int-from-text limit
+            raise InputError(f"JSON integer too long: {str(exc).split(';')[0]}") from None
+        return instance_from_dict(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -10,10 +10,9 @@ from collections import Counter
 from operator import itemgetter
 
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching, _Record)
+                   RainbowMatching, _dominates, _Record)
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .extremal import f_r2, g_formula
-from .shifting import is_shifted, pullback_rainbow, shifted_closure
+from . import extremal, shifting
 
 
 def _require_kind(family: Family, kind: str, r: int | None = None) -> None:
@@ -48,12 +47,6 @@ def _hall_violation(sizes, n: int) -> int:
     prefix_sums = itertools.accumulate(sorted(sizes))
     return next((j for j, total in enumerate(prefix_sums, start=1)
                  if total <= n * j * (j - 1)), 0)
-
-
-def _dominates(sizes, floors) -> bool:
-    """True iff the i-th smallest size is at least the i-th of the ascending
-    floors, for every i."""
-    return all(s >= f for s, f in zip(sorted(sizes), floors))
 
 
 def check_hall_condition(family: Family) -> HallCheck:
@@ -187,7 +180,7 @@ def hall_size_algorithm(family: Family) -> AlgoTrace:
     """
     _require_kind(family, PARTITE, r=2)
     for i, h in enumerate(family.members):
-        if not is_shifted(h):
+        if not shifting.is_shifted(h):
             raise PreconditionError(f"member {i + 1} is not shifted; "
                                     "run shifted_closure first")
     k = family.k
@@ -299,8 +292,8 @@ def meshulam_r2(family: Family) -> RainbowMatching:
     n, k = family.ground.n, family.k
     if n < 2 * k:
         raise PreconditionError(f"needs n >= 2k, got n={n}, k={k}")
-    _require_sizes_above(family, f_r2(n, k))
-    shifted, log = shifted_closure(family)
+    _require_sizes_above(family, extremal.f_r2(n, k))
+    shifted, log = shifting.shifted_closure(family)
     choices = []
     for i in range(k):
         e = (i, 2 * k - i - 1)
@@ -309,7 +302,7 @@ def meshulam_r2(family: Family) -> RainbowMatching:
                 f"shifted member {i + 1} misses the edge (v_{i + 1}, v_{2 * k - i})",
                 instance=family)
         choices.append(e)
-    return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))
+    return shifting.pullback_rainbow(log, family, RainbowMatching(tuple(choices)))
 
 
 def r3_solve(family: Family) -> RainbowMatching:
@@ -324,8 +317,8 @@ def r3_solve(family: Family) -> RainbowMatching:
     """
     _require_kind(family, PARTITE, r=3)
     n, k = family.ground.n, family.k
-    _require_sizes_above(family, g_formula(n, 3, k))
-    shifted, log = shifted_closure(family)
+    _require_sizes_above(family, extremal.g_formula(n, 3, k))
+    shifted, log = shifting.shifted_closure(family)
     remaining = set(range(k))
     assign: list[int] = []
     rows = [h.degrees(0) for h in shifted]
@@ -347,7 +340,8 @@ def r3_solve(family: Family) -> RainbowMatching:
     for j in range(k):
         p, q = trace.matching.choices[j]
         choices[assign[j]] = (j, p, q)
-    return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))  # type: ignore[arg-type]
+    matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
+    return shifting.pullback_rainbow(log, family, matching)
 
 
 class DegreeMatrix(_Record):
@@ -414,7 +408,7 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
         raise PreconditionError(f"needs n > C(k, 2) = {math.comb(k, 2)}, got n={n}")
     order = family.by_size()
     sizes_ok = _dominates(family.sizes(), range(n, (k + 1) * n, n))
-    shifted, log = shifted_closure(family)
+    shifted, log = shifting.shifted_closure(family)
     dm = DegreeMatrix.from_family(shifted)
     allowed = [[dm.entries[order[i]][j] > k - (j + 1) for j in range(k)]
                for i in range(k)]
@@ -437,7 +431,8 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
                 instance=family)
         used_m.add(e[0])
         choices[member] = e
-    return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))  # type: ignore[arg-type]
+    matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
+    return shifting.pullback_rainbow(log, family, matching)
 
 
 def large_n_procedure(family: Family) -> RainbowMatching | None:
@@ -453,10 +448,10 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     _require_kind(family, PARTITE)
     g = family.ground
     n, r, k = g.n, g.r, family.k
-    _require_sizes_above(family, g_formula(n, r, k))
-    shifted, log = shifted_closure(family)
+    _require_sizes_above(family, extremal.g_formula(n, r, k))
+    shifted, log = shifting.shifted_closure(family)
     if k == 1:
-        return pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))
+        return shifting.pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))
     a = k - 1
     xs: list[tuple[int, int]] = []
     for i in range(k - 1):
@@ -497,4 +492,5 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
         for s in range(r):
             used[s].add(e2[s])
         choices[i] = e2
-    return pullback_rainbow(log, family, RainbowMatching(tuple(choices)))  # type: ignore[arg-type]
+    matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
+    return shifting.pullback_rainbow(log, family, matching)

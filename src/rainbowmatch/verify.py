@@ -10,19 +10,15 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from enum import Enum
 from typing import Callable, Iterator, NoReturn
 
-from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Family, GroundSet, Hypergraph,
-                   _guard_index, _mask, _Record, capped_cells, estimate_text, nu_exact,
-                   rainbow_exact)
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, ConjectureId, Family, GroundSet,
+                   Hypergraph, _dominates, _guard_index, _mask, _Record, capped_cells,
+                   estimate_text, nu_exact, rainbow_exact)
 from .errors import InputError, TheoremViolationError
-from . import extremal
+from . import extremal, shifting, solvers
 from .extremal import f_r2, g_formula
 from .instances import Instance
-from .shifting import _closed_mask
-from .solvers import (DegreeMatrix, _dominates, _hall_violation, check_hall_condition,
-                      large_n_procedure)
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
 # 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
@@ -30,14 +26,6 @@ from .solvers import (DegreeMatrix, _dominates, _hall_violation, check_hall_cond
 MAX_EXHAUSTIVE_CELLS = 36
 MAX_EXHAUSTIVE_INSTANCES = 2_000_000
 SHARD_TRIALS = 256  # random-mode work unit; fixes report contents per seed
-
-
-class ConjectureId(str, Enum):
-    RAINBOW_GENERAL = "rainbow_general"    # sizes above the general-kind threshold
-    SIZE_CONDITION = "size_condition"      # sizes above (k-1) n^(r-1), r-partite
-    DEGREE_CONDITION = "degree_condition"  # max degree <= d and sizes above (k-1)d
-    SIMPLE = "simple"                      # ascending sizes at least i*n, bipartite
-    MATRIX = "matrix"                      # degree-matrix permutation with growing prefix sums
 
 
 class VerifyReport(_Record):
@@ -218,7 +206,7 @@ def _rainbow_concl(family: Family) -> bool:
 
 
 def _matrix_concl(family: Family) -> bool:
-    return check_matrix_conjecture(DegreeMatrix.from_family(family)).ok
+    return check_matrix_conjecture(solvers.DegreeMatrix.from_family(family)).ok
 
 
 def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
@@ -236,7 +224,8 @@ def _sample_shifted_family(rng: random.Random, ground: GroundSet,
     as shifted_closure would close their family."""
     u = ground.cell_count
     drawn = [_sample_mask(rng, ground, rng.randint(f, u)) for f in floors]
-    return Family([Hypergraph._from_mask(ground, _closed_mask(ground, m)) for m in drawn])
+    return Family([Hypergraph._from_mask(ground, shifting._closed_mask(ground, m))
+                   for m in drawn])
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
@@ -335,13 +324,13 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         _guard_index(ground)  # every mode needs it; refused before k sizes are drawn
 
         def hyp(fam: Family) -> bool:
-            return bool(check_hall_condition(fam))
+            return bool(solvers.check_hall_condition(fam))
 
         def sample(rng: random.Random) -> Family:
             u = ground.cell_count
             for _ in range(1000):
                 sizes = [rng.randint(1, u) for _ in range(k)]
-                if not _hall_violation(sizes, n):
+                if not solvers._hall_violation(sizes, n):
                     return _sample_shifted_family(rng, ground, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
 
@@ -446,7 +435,11 @@ def _covered(floors: tuple[int, ...], histogram: Counter[int]) -> int:
 
 def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
     """Every ordered k-tuple of shifted members no smaller than the least
-    floor, non-empty without floors: the walk for a non-monotone checker."""
+    floor, non-empty without floors: the walk for a non-monotone checker.
+
+    A verdict ignores member order, so each multiset of members is decided
+    once and counts as many families as it has orders. The failing families
+    are every order of every failing multiset, listed in product order."""
     _guard_cells(checker.ground, MAX_EXHAUSTIVE_CELLS)
     least = min(checker.floors, default=1)
     candidates = [h for h in iter_shifted(checker.ground) if len(h) >= least]
@@ -456,14 +449,17 @@ def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
             f"exhaustive enumeration refused: about {estimate} candidate "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
     checked = 0
-    counters: list[dict] = []
-    for members in itertools.product(candidates, repeat=checker.k):
-        family = Family(members)
+    failing: set[tuple[int, ...]] = set()
+    for picks in itertools.combinations_with_replacement(range(len(candidates)), checker.k):
+        family = Family([candidates[i] for i in picks])
         if not checker.hypothesis(family):
             continue
-        checked += 1
+        checked += math.factorial(checker.k) // math.prod(
+            math.factorial(m) for m in Counter(picks).values())
         if not checker.conclusion(family):
-            counters.append(Instance.from_family(family).to_dict())
+            failing.update(itertools.permutations(picks))
+    counters = [Instance.from_family(Family([candidates[i] for i in order])).to_dict()
+                for order in sorted(failing)]
     return checked, counters
 
 
@@ -591,7 +587,7 @@ def _run_random(checker: _Checker, budget: int, seed: int,
 # ---------------------------------------------------------------------------
 # Degree-matrix conjecture
 
-def check_matrix_conjecture(dm: DegreeMatrix) -> MatrixCheck:
+def check_matrix_conjecture(dm: solvers.DegreeMatrix) -> MatrixCheck:
     """Search the k! permutations through the first k columns for one whose
     sorted selected entries have every prefix sum above j(j-1); also record a
     witness for the weaker entrywise bound (1, 2, ..., k) and whether the
@@ -602,11 +598,11 @@ def check_matrix_conjecture(dm: DegreeMatrix) -> MatrixCheck:
         raise InputError(f"permutation search is limited to k <= 10, got k={k}")
     if k > dm.n:
         raise InputError(f"needs k <= n, got k={k}, n={dm.n}")
-    hypothesis = not _hall_violation(dm.row_sums(), dm.n)
+    hypothesis = not solvers._hall_violation(dm.row_sums(), dm.n)
     strong = weak = None
     for perm in itertools.permutations(range(k)):
         sel = [dm.entries[i][perm[i]] for i in range(k)]
-        if strong is None and not _hall_violation(sel, 1):
+        if strong is None and not solvers._hall_violation(sel, 1):
             strong = perm
         if weak is None and _dominates(sel, range(1, k + 1)):
             weak = perm
@@ -634,7 +630,7 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         for _ in range(trials):
             family = Family([Hypergraph._from_mask(ground, _sample_mask(
                 rng, ground, rng.randint(bound + 1, ground.cell_count))) for _ in range(k)])
-            matching = large_n_procedure(family)
+            matching = solvers.large_n_procedure(family)
             if matching is not None:
                 if not matching.is_valid_for(family):
                     raise TheoremViolationError("invalid matching from the "

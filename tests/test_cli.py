@@ -12,7 +12,7 @@ import reference_parser
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, Instance, TheoremViolationError,
                           parse_instance, serialize_instance)
-from rainbowmatch import cli
+from rainbowmatch import cli, solvers
 from rainbowmatch.cli import main
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.verify import ConjectureId
@@ -96,22 +96,39 @@ class TestParseInstance:
             parse_instance(
                 '{"kind":"general","r":2,"n":4,"families":[[[3,2]]]}')
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_collector_is_left_as_it_was_found(self, enabled):
+        import gc
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            parse_instance('{"kind":"partite","r":2,"n":2,"families":[[[1,1]]]}')
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError):
+                parse_instance('{"kind":"partite","r":2,"n":2,"families":[[[1,3]]]}')
+            assert gc.isenabled() is enabled
+            with pytest.raises(InputError):
+                parse_instance("{nope")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_each_edge_is_validated_once(self, monkeypatch):
         checked = []
         built = []
         original = GroundSet.check_edge
-        init = Hypergraph.__init__
+        check = Hypergraph._check  # the member check of both constructors
 
         def counting(self, edge):
             checked.append(tuple(edge))
             return original(self, edge)
 
-        def building(self, ground, edges):
+        def building(self, ground, edges, labels):
             built.append(ground)
-            init(self, ground, edges)
+            check(self, ground, edges, labels)
 
         monkeypatch.setattr(GroundSet, "check_edge", counting)
-        monkeypatch.setattr(Hypergraph, "__init__", building)
+        monkeypatch.setattr(Hypergraph, "_check", building)
         inst = parse_instance((FIXTURES / "steal_q3_n6.json").read_text())
         parsed, members = len(checked), len(built)
         fam = inst.to_family()
@@ -446,7 +463,7 @@ class TestSolveCommand:
         def violate(family):
             raise TheoremViolationError("greedy step failed", instance=family)
 
-        monkeypatch.setattr(cli, "greedy_bipartite", violate)
+        monkeypatch.setattr(solvers, "greedy_bipartite", violate)
         star = FIXTURES / "star_n3_r2_k2.json"
         code, out, err = run_cli(capsys, "solve", "--algorithm", "greedy",
                                  "--in", str(star))
@@ -829,16 +846,93 @@ class TestGoldenOutput:
         assert ELAPSED_LINE.sub("", out) == golden
 
 
+PACKAGE_MODULES = {"core", "errors", "extremal", "instances", "shifting", "solvers", "verify"}
+
+
 def test_import_loads_neither_the_process_pool_nor_dataclasses():
-    # every command pays for what importing the CLI loads; compared against a
-    # bare interpreter, so modules that a site hook loads do not count
+    # no command loads more than the CLI and every module of the package do
+    # once executed (the star import runs every module that defines an export);
+    # compared against a bare interpreter, so modules that a site hook loads do
+    # not count
     show = "import sys; print(*sorted(sys.modules))"
+    run_all = ("import sys, types, rainbowmatch.cli; from rainbowmatch import *; "
+               "assert all(type(m) is types.ModuleType for name, m in sys.modules.items() "
+               "if name.startswith('rainbowmatch')); ")
 
     def loaded(code):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=SRC_ENV, timeout=60, check=True)
         return set(proc.stdout.split())
 
-    added = loaded("import rainbowmatch.cli; " + show) - loaded(show)
-    assert "rainbowmatch.verify" in added
+    added = loaded(run_all + show) - loaded(show)
+    assert {f"rainbowmatch.{name}" for name in PACKAGE_MODULES} <= added
     assert not added & {"dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
+
+
+def executed_modules(*argv):
+    """The exit status of the command, run in a fresh interpreter, and the
+    package modules that have executed by its end. Importing the package only
+    registers its modules; each stays lazy, not a plain module, until it runs.
+    No argv: the package is imported and nothing run."""
+    code = ("import contextlib, io, sys, types\n"
+            "import rainbowmatch\n"
+            "status = None\n"
+            "if sys.argv[1:]:\n"
+            "    from rainbowmatch.cli import main\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(sys.argv[1:])\n"
+            "print(status, *(name for name, m in sys.modules.items()\n"
+            "                if name.startswith('rainbowmatch.') and type(m) is types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=SRC_ENV, timeout=60, check=True)
+    status, *names = proc.stdout.split()
+    return status, {name.removeprefix("rainbowmatch.") for name in names}
+
+
+def test_importing_the_package_registers_every_module_and_runs_none():
+    code = ("import sys, types, rainbowmatch; print(*(name for name, m in sys.modules.items() "
+            "if name.startswith('rainbowmatch.') and type(m) is not types.ModuleType))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=60, check=True)
+    assert {name.removeprefix("rainbowmatch.") for name in proc.stdout.split()} == PACKAGE_MODULES
+    assert executed_modules() == ("None", set())
+
+
+# what each command executes besides cli, core, errors and instances, which
+# every command runs
+COMMAND_MODULES = [
+    (["extremal", "--name", "star", "--n", "3"], "0", {"extremal"}),
+    (["nu", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", set()),
+    (["solve", "--algorithm", "oracle", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
+     set()),
+    (["solve", "--algorithm", "greedy", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
+     {"solvers"}),
+    (["check", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"solvers"}),
+    (["solve", "--algorithm", "hall", "--in", str(FIXTURES / "steal_q3_n6.json")], "2",
+     {"solvers", "shifting"}),
+    (["solve", "--algorithm", "r3", "--in", str(CLI_GOLDENS / "in_r3_cube.json")], "0",
+     {"solvers", "shifting", "extremal"}),
+    (["shift", "--in", str(FIXTURES / "shift_in_partite_r2.json")], "0", {"shifting"}),
+    (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting"}),
+    # random rainbow checks close their samples, and run no solver
+    (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--budget", "20"],
+     "0", {"verify", "extremal", "shifting"}),
+    (["verify", "--conjecture", "rainbow_general", "--n", "6", "--k", "2", "--budget", "20"],
+     "0", {"verify", "extremal", "shifting"}),
+    # a degree-capped member is drawn raw, not closed
+    (["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "3", "--k", "2",
+      "--budget", "20"], "0", {"verify", "extremal"}),
+    # exhaustive checks and thresholds walk shifted sets, and close nothing
+    (["verify", "--conjecture", "size_condition", "--n", "2", "--k", "2", "--mode",
+      "exhaustive"], "0", {"verify", "extremal"}),
+    (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2"], "0",
+     {"verify", "extremal"}),
+    (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--budget", "20"], "0",
+     PACKAGE_MODULES - {"core", "errors", "instances"}),
+]
+
+
+@pytest.mark.parametrize("argv,status,modules", COMMAND_MODULES,
+                         ids=[" ".join(argv[:3]) for argv, *_ in COMMAND_MODULES])
+def test_each_command_executes_only_the_modules_it_runs(argv, status, modules):
+    assert executed_modules(*argv) == (status, {"cli", "core", "errors", "instances"} | modules)

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from rainbowmatch.core import SHIFT_MASK_BITS
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
 
+FIXTURES = Path(__file__).parent / "fixtures"
 B2 = GroundSet(PARTITE, 2, 2)
 B3 = GroundSet(PARTITE, 2, 3)
 
@@ -170,6 +173,48 @@ class TestPackage:
         assert len(set(rainbowmatch.__all__)) == len(rainbowmatch.__all__)
         for name in rainbowmatch.__all__:
             assert hasattr(rainbowmatch, name), name
+
+    def test_dir_lists_every_export_and_module(self):
+        import rainbowmatch
+        listed = set(dir(rainbowmatch))
+        assert set(rainbowmatch.__all__) <= listed
+        assert {"core", "errors", "extremal", "instances", "shifting", "solvers",
+                "verify"} <= listed
+
+    def test_star_import_binds_every_export(self):
+        import rainbowmatch
+        namespace: dict = {}
+        exec("from rainbowmatch import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == rainbowmatch.__all__
+        for name, value in namespace.items():
+            assert value is getattr(rainbowmatch, name), name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import rainbowmatch
+        with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+            rainbowmatch.nonesuch
+        # private names stay on their modules
+        assert not hasattr(rainbowmatch, "_dominates")
+
+    def test_conjecture_id_is_one_class(self):
+        import rainbowmatch
+        from rainbowmatch import core, verify
+        assert rainbowmatch.ConjectureId is verify.ConjectureId is core.ConjectureId
+
+    # argparse wraps usage lines differently from Python 3.13 on
+    @pytest.mark.parametrize("argv,golden", [
+        (["--help"], "help.txt"),
+        (["verify", "--help"],
+         "help_verify_3.13.txt" if sys.version_info >= (3, 13) else "help_verify.txt"),
+    ])
+    def test_help_is_unchanged(self, capsys, monkeypatch, argv, golden):
+        from rainbowmatch.cli import main
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == (FIXTURES / "cli" / golden).read_text()
 
 
 class TestIsMatching:

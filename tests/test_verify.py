@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_ordered
 import reference_sampler as reference
 from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           GroundSet, Hypergraph, InputError, TheoremViolationError,
@@ -629,6 +630,41 @@ class TestMinimalFamilies:
                     if min(a, b) >= 2 and max(a, b) >= 4)
         assert _covered(floors, histogram) == brute
         assert _covered((3, 3, 3), histogram) == 6 ** 3
+
+
+class TestOrderedWalk:
+    """The ordered walk decides each member multiset once; the product walk
+    of reference_ordered, which decides every order, is its reference."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
+    def test_matrix_equals_the_product_walk(self, n, k):
+        from rainbowmatch import verify
+        checker = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k})
+        assert verify._run_ordered(checker) == reference_ordered.run_ordered(checker)
+
+    @pytest.mark.parametrize("case", [("size_condition", {"n": 3, "r": 2, "k": 2}),
+                                      ("rainbow_general", {"n": 5, "r": 2, "k": 2}),
+                                      ("simple", {"n": 3, "k": 3})], ids=_case_id)
+    def test_monotone_checkers_equal_the_product_walk(self, case):
+        from rainbowmatch import verify
+        conjecture, params = case
+        checker = _make_checker(ConjectureId(conjecture), params)
+        assert verify._run_ordered(checker) == reference_ordered.run_ordered(checker)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_order_of_a_failure_in_product_order(self, k):
+        # the hypothesis refuses some multisets, and the conclusion fails on
+        # members of one size: multisets with repeated and with distinct members
+        from rainbowmatch import verify
+        base = _make_checker(ConjectureId.MATRIX, {"n": 3, "k": k})
+        checker = verify._Checker(base.ground, k,
+                                  hypothesis=lambda fam: sum(fam.sizes()) % 3 != 1,
+                                  conclusion=lambda fam: len(set(fam.sizes())) > 1,
+                                  sample=base.sample)
+        checked, counters = verify._run_ordered(checker)
+        assert (checked, counters) == reference_ordered.run_ordered(checker)
+        members = [member_masks(inst) for inst in counters]
+        assert len(set(members)) < len(members) < checked
 
 
 class TestSamplerAgainstReference:
