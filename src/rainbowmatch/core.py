@@ -254,11 +254,13 @@ class CellIndex:
     as their edge tuple up to SHIFT_MASK_BITS cells (_edge_masks).
 
     The index also keeps the closure plan of shifting._closed_mask, the
-    constants of one sweep, once the first member is closed on its ground.
+    constants of one sweep, once the first member is closed on its ground,
+    and a partite ground's vertex masks for the exact oracles, side s's
+    zero[s] << v*t for each vertex v, once _edge_masks first asks for them.
     """
 
     __slots__ = ("_ground", "_partite", "_cells", "_stride", "_zero",
-                 "_sets", "_by_set", "_vertex", "_plan")
+                 "_sets", "_by_set", "_vertex", "_side_vertex", "_plan")
 
     def __init__(self, ground: GroundSet):
         _guard_index(ground, sweep=False)
@@ -271,6 +273,7 @@ class CellIndex:
             self._stride = tuple(n ** (r - 1 - s) for s in range(r))
             self._zero = tuple(_repeat((1 << t) - 1, n * t, ground.cell_count)
                                for t in self._stride)
+            self._side_vertex = None
             return
         # replacing a vertex of a general cell is two XORs and a lookup
         self._sets = tuple(map(sum, itertools.combinations([1 << v for v in range(n)], r)))
@@ -584,7 +587,8 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     The ground alone picks the numbering. Up to SHIFT_MASK_BITS cells it is
     the index's: the edges are index.cells, the member masks the members'
     own, and vertex v's mask holds every cell through it (an edge of no
-    member is never a candidate, so the extra bits change nothing). Past it
+    member is never a candidate, so the extra bits change nothing); a
+    partite index lists those masks on its first such call. Past it
     the members' distinct edges are numbered locally, each mask set through
     _mask in time linear in |E|, and the index is not built. Both orders are
     lexicographic, so the search takes the same path either way. The cells
@@ -597,10 +601,11 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
         for m in masks:
             union |= m
         if ground.kind == PARTITE:
-            vertex = []
-            for t, zero in zip(index._stride, index._zero):  # side s's vertex-0 cells
-                at = (zero << v * t for v in range(ground.n))
-                vertex.append({v: m for v, m in enumerate(at) if union & m})
+            if index._side_vertex is None:
+                index._side_vertex = tuple(tuple(zero << v * t for v in range(ground.n))
+                                           for t, zero in zip(index._stride, index._zero))
+            vertex = [{v: m for v, m in enumerate(side) if union & m}
+                      for side in index._side_vertex]
         else:
             vertex = [{v: m for v, m in enumerate(index._vertex) if union & m}] * ground.r
         return index.cells, masks, vertex

@@ -479,8 +479,9 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
 
 
 def _pool_size(workers: int, shards: int) -> int:
-    """Worker processes worth starting: no more than the CPUs this process
-    may run on or the shards, and none to fork where os.fork is missing."""
+    """Workers worth running, the calling process counted as one: no more
+    than the CPUs this process may run on or the shards, and one, which
+    forks nothing, where os.fork is missing."""
     if not hasattr(os, "fork"):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -489,14 +490,17 @@ def _pool_size(workers: int, shards: int) -> int:
 
 
 def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict]]]:
-    """_run_shard's results over size forked processes, in shard order.
+    """_run_shard's results over size workers, in shard order: the calling
+    process is worker 0 and size - 1 forked children are the rest.
 
-    Child i runs shards i, i + size, ... of its own copy of the lazy shard
-    generator and writes each result to a pipe of its own (_serve). A full
-    pipe stalls its child, so the pipes bound the results in flight. The
-    pipes are read round-robin, and a child's exception is raised at its
-    shard. Every child is reaped on the way out; after a failure or an early
-    close, each is sent SIGTERM first.
+    Worker i runs shards i, i + size, ... of its own copy of the lazy shard
+    generator; the children are forked before the caller draws its first
+    shard. A child writes each result to a pipe of its own (_serve), and a
+    full pipe stalls it, so the pipes bound the results in flight. The
+    caller runs its own shard at its turn and reads the pipes at theirs,
+    round-robin, so every exception, a child's or the caller's own, is
+    raised at its shard. Every child is reaped on the way out; after
+    a failure or an early close, each is sent SIGTERM first.
     """
     # imported here: only a run with more than one worker pays for it
     import pickle
@@ -504,7 +508,7 @@ def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict
     pipes: list = []
     done = False
     try:
-        for i in range(size):
+        for i in range(1, size):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
             try:
@@ -514,18 +518,23 @@ def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict
             finally:
                 os.close(write)
             pids.append(pid)
-        # the first end marker follows the last shard, which every child has
-        # then sent: the rest are ending too
-        for pipe in itertools.cycle(pipes):
-            try:
-                item = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(
-                    "a verify worker process ended before its last shard") from None
+        own = map(_run_shard, itertools.islice(shards, 0, None, size))
+        # the first end, of the caller's shards or a child's end marker,
+        # follows the last shard, which every child has then sent: the rest
+        # are ending too
+        for pipe in itertools.cycle([None, *pipes]):
+            if pipe is None:
+                item = next(own, None)
+            else:
+                try:
+                    item = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(
+                        "a verify worker process ended before its last shard") from None
+                if isinstance(item, Exception):
+                    raise item
             if item is None:
                 break
-            if isinstance(item, Exception):
-                raise item
             yield item
         done = True
     finally:
@@ -570,12 +579,19 @@ def _run_random(checker: _Checker, budget: int, seed: int,
                 workers: int) -> tuple[int, list[dict]]:
     """Trials checked and counterexamples in trial order. Shards are made one
     at a time, so a huge budget costs no memory before its first trial, and
-    folded in shard order, so the report does not depend on workers. Forked
-    workers inherit the checker."""
+    folded in shard order, so the report does not depend on workers.
+
+    Before a pool forks, the run's first trial runs once and its result is
+    dropped. It executes the modules a trial needs and builds the ground's
+    index and closure plan, which the children then inherit with the
+    checker rather than each building its own; and a sampler that fails
+    fails there, with the error one worker raises, before any fork."""
     count = -(-budget // SHARD_TRIALS)
     shards = ((checker, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
     size = _pool_size(workers, count)
+    if size > 1:
+        _run_shard((checker, seed, 0, 1))
     checked = 0
     counters: list[dict] = []
     for trials, found in _pooled(size, shards) if size > 1 else map(_run_shard, shards):

@@ -238,12 +238,15 @@ class TestCheckConjecture:
         assert a == b  # elapsed is excluded from comparison
 
     def test_workers_do_not_change_the_report(self, monkeypatch):
-        # a raw sampler and two shifted ones, the general one past the closed
-        # form; forked workers run the checker they inherit
+        # every random checker: a raw sampler and four shifted ones, the
+        # general one past the closed form; forked workers run the checker
+        # they inherit
         fork_workers(monkeypatch, 3)
         for conjecture, params in [(ConjectureId.DEGREE_CONDITION, {"n": 2, "k": 2, "d": 1}),
                                    (ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2}),
-                                   (ConjectureId.RAINBOW_GENERAL, {"n": 7, "r": 3, "k": 2})]:
+                                   (ConjectureId.RAINBOW_GENERAL, {"n": 7, "r": 3, "k": 2}),
+                                   (ConjectureId.SIMPLE, {"n": 5, "k": 3}),
+                                   (ConjectureId.MATRIX, {"n": 3, "k": 2})]:
             a, b, c = (check_conjecture(conjecture, params, mode="random", budget=600,
                                         seed=3, workers=workers) for workers in (1, 2, 3))
             assert a == b == c
@@ -290,7 +293,8 @@ class TestCheckConjecture:
         # before a third is made. Listing every shard first, as a regression
         # would, takes tens of MB at this budget, over the bound many times
         # but harmless; at the 10^12 of a real run it exhausts memory. Forked
-        # workers run their shards in their own memory.
+        # workers run their shards in their own memory; at two workers the
+        # caller runs the warm-up trial and shard 0, and the child shard 1.
         import tracemalloc
         from rainbowmatch import verify
         fork_workers(monkeypatch, workers)
@@ -312,7 +316,7 @@ class TestCheckConjecture:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == ([0, 1] if workers == 1 else [])  # workers keep their own calls
+        assert calls == ([0, 1] if workers == 1 else [0, 0])  # a child keeps its own calls
         assert peak < 1 << 20
         assert_no_child()
 
@@ -385,7 +389,9 @@ class TestForkedPool:
         assert checked == budget
         assert [c["shard"] for c in counters] == list(range(41))
         pids = [c["pid"] for c in counters]
-        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert len(set(pids)) == 3
+        # the caller is worker 0
+        assert [s for s, pid in enumerate(pids) if pid == os.getpid()] == list(range(0, 41, 3))
         assert pids[:3] * 13 + pids[:2] == pids  # shard s ran in worker s % 3
         assert_no_child()
 
@@ -408,6 +414,55 @@ class TestForkedPool:
                                  workers=workers)
             raised.append((type(info.value), str(info.value)))
         assert raised == [(error, "shard 5 failed")] * 2
+        assert_no_child()
+
+    def test_planted_failures_are_listed_alike_at_every_pool_size(self, monkeypatch):
+        # a wrong verdict on every family whose sizes sum to a multiple of 5,
+        # inherited by the children
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 3)
+        exact = verify.rainbow_exact
+        monkeypatch.setattr(verify, "rainbow_exact",
+                            lambda fam: None if sum(fam.sizes()) % 5 == 0 else exact(fam))
+        a, b, c = (check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
+                                    budget=SHARD_TRIALS * 4 + 9, seed=2, workers=workers)
+                   for workers in (1, 2, 3))
+        assert a.counterexamples
+        assert all(sum(map(len, c["families"])) % 5 == 0 for c in a.counterexamples)
+        assert a == b == c
+        assert_no_child()
+
+    def test_failure_in_the_callers_own_shard_raises_at_its_shard(self, monkeypatch):
+        # at three workers shard 3 is the caller's and shard 4 a child's
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 3)
+
+        def failing(shard):
+            if shard in (3, 4):
+                raise InputError(f"shard {shard} failed in {os.getpid()}")
+            return 1, [shard]
+
+        monkeypatch.setattr(verify, "_run_shard", failing)
+        results = verify._pooled(3, iter(range(9)))
+        assert [next(results) for _ in range(3)] == [(1, [s]) for s in range(3)]
+        with pytest.raises(InputError, match=f"^shard 3 failed in {os.getpid()}$"):
+            next(results)
+        assert_no_child()
+
+    def test_error_in_the_first_trial_raises_before_any_fork(self, monkeypatch):
+        # k - 1 >= n: no member with max degree d has (k - 1)d + 1 edges, so
+        # shard 0's first draw fails
+        fork_workers(monkeypatch, 3)
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        raised = []
+        for workers in (1, 3):
+            with pytest.raises(InputError) as info:
+                check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 2, "k": 3, "d": 1},
+                                 budget=SHARD_TRIALS * 3, workers=workers)
+            raised.append(str(info.value))
+        assert raised == ["no bipartite graph with max degree 1 has more than 2 edges"] * 2
+        assert forks == []
         assert_no_child()
 
     def test_early_close_leaves_no_child(self, monkeypatch):
