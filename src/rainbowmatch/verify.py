@@ -4,13 +4,14 @@ search."""
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import os
 import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from typing import Callable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, ConjectureId, Family, GroundSet,
                    Hypergraph, _dominates, _guard_index, _mask, _Record, capped_cells,
@@ -491,54 +492,48 @@ def _pool_size(workers: int, shards: int) -> int:
 
 def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict]]]:
     """_run_shard's results over size workers, in shard order: the calling
-    process is worker 0 and size - 1 forked children are the rest.
+    process and size - 1 forked children.
 
-    Worker i runs shards i, i + size, ... of its own copy of the lazy shard
-    generator; the children are forked before the caller draws its first
-    shard. A child writes each result to a pipe of its own (_serve), and a
-    full pipe stalls it, so the pipes bound the results in flight. The
-    caller runs its own shard at its turn and reads the pipes at theirs,
-    round-robin, so every exception, a child's or the caller's own, is
-    raised at its shard. Every child is reaped on the way out; after
-    a failure or an early close, each is sent SIGTERM first.
+    Child i runs shards i, i + size, ... of its own copy of the lazy shard
+    generator, forked before the caller draws its first shard, and writes
+    each result to a pipe of its own (_serve); a full pipe stalls it, so the
+    pipes bound the results in flight. The caller walks every shard in
+    order: shard s is worker s % size's, and the caller reads a child's
+    shard from its pipe and runs every other shard itself. A child that
+    stops, at a shard that raised or because it died, and a worker that
+    could not be forked, leave their shards to the caller. A shard is
+    seeded by its number, so one that raised in a child raises again in the
+    caller, at its shard: the error one worker gives. A pool of one forks
+    nothing. Every child is reaped on the way out; after a failure or an
+    early close, each is sent SIGTERM first.
     """
-    # imported here: only a run with more than one worker pays for it
-    import pickle
     pids: list[int] = []
-    pipes: list = []
+    pipes: dict = {}  # worker -> read end, while its child serves
     done = False
     try:
         for i in range(1, size):
             read, write = os.pipe()
-            pipes.append(open(read, "rb"))
+            pipes[i] = open(read, "rb")
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(itertools.islice(shards, i, None, size), pipes, write)
+                    _serve(itertools.islice(shards, i, None, size), pipes.values(), write)
+                pids.append(pid)
+            except OSError:  # no process to spare: the caller runs worker i
+                pipes.pop(i).close()
             finally:
                 os.close(write)
-            pids.append(pid)
-        own = map(_run_shard, itertools.islice(shards, 0, None, size))
-        # the first end, of the caller's shards or a child's end marker,
-        # follows the last shard, which every child has then sent: the rest
-        # are ending too
-        for pipe in itertools.cycle([None, *pipes]):
-            if pipe is None:
-                item = next(own, None)
-            else:
+        for s, shard in enumerate(shards):
+            result = None
+            if s % size in pipes:
                 try:
-                    item = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(
-                        "a verify worker process ended before its last shard") from None
-                if isinstance(item, Exception):
-                    raise item
-            if item is None:
-                break
-            yield item
+                    result = marshal.load(pipes[s % size])
+                except (EOFError, ValueError):  # the child stopped
+                    pipes.pop(s % size).close()
+            yield _run_shard(shard) if result is None else result
         done = True
     finally:
-        for pipe in pipes:
+        for pipe in pipes.values():
             pipe.close()
         if not done:
             import signal
@@ -548,44 +543,36 @@ def _pooled(size: int, shards: Iterator[tuple]) -> Iterator[tuple[int, list[dict
             os.waitpid(pid, 0)
 
 
-def _serve(shards: Iterator[tuple], pipes: list, write: int) -> NoReturn:
-    """A forked child's whole life: each shard's pickled result to the write
-    end, then None; or the exception a shard raised, and nothing after it.
-    It leaves through os._exit, so it never flushes the parent's stdio
-    buffers or runs the parent's exit handlers."""
-    import pickle
-    status = 1
+def _serve(shards: Iterator[tuple], pipes: Iterable, write: int) -> NoReturn:
+    """A forked child's whole life: each shard's result, by marshal, to the
+    write end. A shard that raises ends it with nothing more written, and
+    the caller runs that shard itself. It leaves through os._exit, so it
+    never flushes the parent's stdio buffers or runs the parent's exit
+    handlers."""
     try:
         for pipe in pipes:  # read ends held here would keep a dead parent's pipes open
             pipe.close()
         with open(write, "wb") as out:
             for shard in shards:
-                try:
-                    item = _run_shard(shard)
-                except Exception as exc:
-                    item = exc
-                out.write(pickle.dumps(item))
+                marshal.dump(_run_shard(shard), out)
                 out.flush()
-                if isinstance(item, Exception):
-                    break
-            else:
-                out.write(pickle.dumps(None))
-        status = 0
     finally:
-        os._exit(status)
+        os._exit(0)
 
 
 def _run_random(checker: _Checker, budget: int, seed: int,
                 workers: int) -> tuple[int, list[dict]]:
     """Trials checked and counterexamples in trial order. Shards are made one
     at a time, so a huge budget costs no memory before its first trial, and
-    folded in shard order, so the report does not depend on workers.
+    folded in shard order by one loop at every pool size (_pooled), so the
+    report does not depend on workers.
 
-    Before a pool forks, the run's first trial runs once and its result is
-    dropped. It executes the modules a trial needs and builds the ground's
-    index and closure plan, which the children then inherit with the
-    checker rather than each building its own; and a sampler that fails
-    fails there, with the error one worker raises, before any fork."""
+    Before a pool of more than one forks, the run's first trial runs once
+    and its result is dropped. It executes the modules a trial needs and
+    builds the ground's index and closure plan, which the children then
+    inherit with the checker rather than each building its own; and a
+    sampler that fails fails there, with the error one worker raises,
+    before any fork."""
     count = -(-budget // SHARD_TRIALS)
     shards = ((checker, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
@@ -594,7 +581,7 @@ def _run_random(checker: _Checker, budget: int, seed: int,
         _run_shard((checker, seed, 0, 1))
     checked = 0
     counters: list[dict] = []
-    for trials, found in _pooled(size, shards) if size > 1 else map(_run_shard, shards):
+    for trials, found in _pooled(size, shards):
         checked += trials
         counters.extend(found)
     return checked, counters

@@ -585,6 +585,40 @@ class TestOtherCommands:
                                  "--workers", workers)
         assert code == 3 and out == "" and "workers" in err
 
+    @pytest.mark.parametrize("stop", ["killed", "fork refused"])
+    def test_verify_worker_that_stops_leaves_the_one_worker_report(self, capsys, monkeypatch,
+                                                                    stop):
+        # a child killed mid-run, as by the OOM killer, and a fork refused
+        # under a process limit leave their shards to the caller
+        import errno
+        import signal
+        from rainbowmatch import verify
+        if not hasattr(os, "fork"):
+            pytest.skip("the pool needs os.fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        argv = ["verify", "--conjecture", "size_condition", "--n", "4", "--r", "3", "--k", "2",
+                "--budget", "1200", "--seed", "1", "--format", "json"]
+        one = run_cli(capsys, *argv)
+        caller, run_shard = os.getpid(), verify._run_shard
+
+        def killed(args):  # shard 4 is child 1's second
+            if args[2] == 4 and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_shard(args)
+
+        def refused():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        if stop == "killed":
+            monkeypatch.setattr(verify, "_run_shard", killed)
+        else:
+            monkeypatch.setattr(os, "fork", refused)
+        three = run_cli(capsys, *argv, "--workers", "3")
+        assert one[0] == three[0] == 0 and one[2] == three[2] == ""
+        assert ELAPSED_LINE.sub("", three[1]) == ELAPSED_LINE.sub("", one[1])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("argv", [["solve", "--algorithm", "bogus"],
                                       ["verify", "--conjecture", "simple", "--n", "x"],
                                       []])
@@ -888,6 +922,24 @@ def executed_modules(*argv):
     status, *names = proc.stdout.split()
     return status, {name.removeprefix("rainbowmatch.") for name in names}
 
+
+
+def test_two_workers_load_no_pickle():
+    # the pool sends results by marshal; two CPUs are granted, so the run
+    # forks one child on any host
+    code = ("import contextlib, io, os, sys\n"
+            "from rainbowmatch.cli import main\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "print(status, len(forks), 'pickle' in sys.modules)")
+    argv = ["verify", "--conjecture", "size_condition", "--n", "3", "--r", "3", "--k", "2",
+            "--budget", "600", "--seed", "1", "--workers", "2"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=SRC_ENV, timeout=60, check=True)
+    assert proc.stdout.split() == ["0", "1", "False"]
 
 def test_importing_the_package_registers_every_module_and_runs_none():
     code = ("import sys, types, rainbowmatch; print(*(name for name, m in sys.modules.items() "

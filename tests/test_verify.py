@@ -294,7 +294,8 @@ class TestCheckConjecture:
         # would, takes tens of MB at this budget, over the bound many times
         # but harmless; at the 10^12 of a real run it exhausts memory. Forked
         # workers run their shards in their own memory; at two workers the
-        # caller runs the warm-up trial and shard 0, and the child shard 1.
+        # caller runs the warm-up trial and shard 0, the child stops at shard
+        # 1, and the caller runs shard 1 itself.
         import tracemalloc
         from rainbowmatch import verify
         fork_workers(monkeypatch, workers)
@@ -316,7 +317,7 @@ class TestCheckConjecture:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == ([0, 1] if workers == 1 else [0, 0])  # a child keeps its own calls
+        assert calls == ([0, 1] if workers == 1 else [0, 0, 1])  # a child keeps its own calls
         assert peak < 1 << 20
         assert_no_child()
 
@@ -474,18 +475,78 @@ class TestForkedPool:
         results.close()
         assert_no_child()
 
-    def test_worker_that_dies_is_reported(self, monkeypatch):
+    def test_caller_takes_over_a_worker_that_dies(self, monkeypatch):
+        # the child dies at shard 3; the caller, which never dies, runs it
+        # and the child's later shards
         from rainbowmatch import verify
         fork_workers(monkeypatch, 2)
+        caller = os.getpid()
 
         def dying(args):
-            if args == 3:
+            if args == 3 and os.getpid() != caller:
                 os._exit(9)
-            return 1, []
+            return 1, [{"shard": args, "pid": os.getpid()}]
 
         monkeypatch.setattr(verify, "_run_shard", dying)
-        with pytest.raises(RuntimeError, match="ended before its last shard"):
-            list(verify._pooled(2, iter(range(6))))
+        results = list(verify._pooled(2, iter(range(8))))
+        assert [found[0]["shard"] for _, found in results] == list(range(8))
+        pids = [found[0]["pid"] for _, found in results]
+        assert [s for s, pid in enumerate(pids) if pid != caller] == [1]
+        assert_no_child()
+
+    @pytest.mark.parametrize("bad", [lambda record: record[:len(record) // 2],
+                                     lambda record: b"\xff" + record],
+                             ids=["cut", "malformed"])
+    def test_child_that_stops_mid_record_is_taken_over(self, monkeypatch, bad):
+        # the child writes half of its second record, or one that marshal
+        # cannot read, and exits
+        from rainbowmatch import verify
+        fork_workers(monkeypatch, 2)
+        caller, dump, dumped = os.getpid(), verify.marshal.dump, []
+
+        def partial(value, out):
+            dumped.append(value)
+            if os.getpid() != caller and len(dumped) == 2:
+                out.write(bad(verify.marshal.dumps(value)))
+                out.flush()
+                os._exit(0)
+            dump(value, out)
+
+        monkeypatch.setattr(verify, "_run_shard", lambda args: (args, [{"shard": args}]))
+        monkeypatch.setattr(verify.marshal, "dump", partial)
+        assert list(verify._pooled(2, iter(range(9)))) == list(verify._pooled(1, iter(range(9))))
+        assert dumped == []  # the caller sends nothing
+        assert_no_child()
+
+    def test_pool_of_one_is_the_serial_run(self, monkeypatch):
+        from rainbowmatch import verify
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pool of one forked"),
+                            raising=False)
+        shards = [(_make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2}),
+                   7, s, 50) for s in range(3)]
+        assert list(verify._pooled(1, iter(shards))) == list(map(verify._run_shard, shards))
+
+    def test_failed_fork_leaves_its_worker_to_the_caller(self, monkeypatch):
+        # the second fork fails as under a process limit: worker 2's shards
+        # are the caller's, and the report is the one-worker report
+        import errno
+        fork_workers(monkeypatch, 3)
+        fork, forks = os.fork, []
+
+        def limited():
+            forks.append(os.getpid())
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        params = {"n": 4, "r": 3, "k": 2}
+        one = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=SHARD_TRIALS * 5,
+                               seed=4, workers=1)
+        monkeypatch.setattr(os, "fork", limited)
+        three = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=SHARD_TRIALS * 5,
+                                 seed=4, workers=3)
+        assert len(forks) == 2
+        assert three == one
         assert_no_child()
 
 
