@@ -250,8 +250,8 @@ class CellIndex:
     is found by its vertex set as a mask: the index keeps each cell's vertex
     set, the map back to positions and one mask per vertex, O(cell_count)
     entries plus n*cell_count bits. The cell tuple is listed only when asked
-    for: the degree-capped sampler shuffles it, and the exact oracles take it
-    as their edge tuple up to SHIFT_MASK_BITS cells (_edge_masks).
+    for: the exact oracles take it as their edge tuple up to SHIFT_MASK_BITS
+    cells (_edge_masks). The samplers draw positions and never list it.
 
     The index also keeps the closure plan of shifting._closed_mask, the
     constants of one sweep, once the first member is closed on its ground,

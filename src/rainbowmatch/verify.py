@@ -210,13 +210,44 @@ def _matrix_concl(family: Family) -> bool:
     return check_matrix_conjecture(solvers.DegreeMatrix.from_family(family)).ok
 
 
+def _below(getrandbits: Callable[[int], int], m: int) -> int:
+    """A uniform int in [0, m), m >= 1, by the getrandbits calls that
+    Random._randbelow makes: the draws and the generator state are those of
+    the standard library's randrange(m), and a + _below(.., b - a + 1) those
+    of randint(a, b)."""
+    b = m.bit_length()
+    r = getrandbits(b)
+    while r >= m:
+        r = getrandbits(b)
+    return r
+
+
 def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
-    """The mask of a uniform member of the given size, drawn as cell
-    positions: the same random calls and positions as sampling from
-    ground.index.cells."""
+    """The mask of Random.sample(range(cell_count), size), a uniform member of
+    the given size: Random.sample's two branches and getrandbits calls, with
+    each drawn position set in the mask rather than listed."""
     ground.index  # refuses a ground too large to index before anything is drawn
     u = ground.cell_count
-    return _mask(rng.sample(range(u), size), u)
+    getrandbits = rng.getrandbits
+    setsize = 21  # Random.sample's choice between a pool list and a set
+    if size > 5:
+        setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    if u <= setsize:
+        # a partial Fisher-Yates: pool[:m] holds the positions not yet drawn
+        pool = list(range(u))
+        mask = 0
+        for m in range(u, u - size, -1):
+            j = _below(getrandbits, m)
+            mask |= 1 << pool[j]
+            pool[j] = pool[m - 1]
+        return mask
+    seen: set[int] = set()
+    for _ in range(size):
+        j = _below(getrandbits, u)
+        while j in seen:
+            j = _below(getrandbits, u)
+        seen.add(j)
+    return _mask(seen, u)
 
 
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
@@ -224,33 +255,43 @@ def _sample_shifted_family(rng: random.Random, ground: GroundSet,
     """Uniform members of sizes drawn from [floor, cell_count], each closed
     as shifted_closure would close their family."""
     u = ground.cell_count
-    drawn = [_sample_mask(rng, ground, rng.randint(f, u)) for f in floors]
+    getrandbits = rng.getrandbits
+    drawn = [_sample_mask(rng, ground, f + _below(getrandbits, u - f + 1)) for f in floors]
     return Family([Hypergraph._from_mask(ground, shifting._closed_mask(ground, m))
                    for m in drawn])
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
                           min_size: int) -> Hypergraph:
+    """A member of at least min_size edges and max degree at most d: a
+    target size drawn from [min_size, d*n], then the cell positions in
+    shuffled order, each kept while both its vertices have degree below d;
+    a new target and shuffle when the walk falls short. The random calls
+    are those of Random.randint and Random.shuffle on a list of every cell."""
     n = ground.n
-    max_size = d * n
-    if min_size > max_size:
+    if min_size > (most := n * min(d, n)):
         raise InputError(
-            f"no bipartite graph with max degree {d} has more than {max_size} edges")
-    cells = list(ground.index.cells)  # a copy: it is shuffled
+            f"no bipartite graph with max degree {d} has more than {most} edges")
+    u = ground.cell_count
+    getrandbits = rng.getrandbits
+    positions = list(range(u))  # shuffled in place, draw after draw
     for _ in range(200):
-        target = rng.randint(min_size, max_size)
-        rng.shuffle(cells)
+        target = min_size + _below(getrandbits, d * n - min_size + 1)
+        for i in range(u - 1, 0, -1):
+            j = _below(getrandbits, i + 1)
+            positions[i], positions[j] = positions[j], positions[i]
         degs = ([0] * n, [0] * n)
         picked = []
-        for e in cells:
+        for p in positions:
             if len(picked) == target:
                 break
-            if degs[0][e[0]] < d and degs[1][e[1]] < d:
-                picked.append(e)
-                degs[0][e[0]] += 1
-                degs[1][e[1]] += 1
+            x, y = divmod(p, n)  # a partite r=2 position is x*n + y
+            if degs[0][x] < d and degs[1][y] < d:
+                picked.append(p)
+                degs[0][x] += 1
+                degs[1][y] += 1
         if len(picked) == target:
-            return Hypergraph(ground, picked)
+            return Hypergraph._from_mask(ground, _mask(picked, u))
     raise InputError("could not sample a degree-capped member at these parameters")
 
 
@@ -297,7 +338,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
     if conjecture is ConjectureId.DEGREE_CONDITION:
         d = _params_int(params, "d")
         ground = GroundSet(PARTITE, 2, n)
-        # every draw copies and shuffles the whole cell tuple, whatever d is
+        # every draw shuffles all n^2 cell positions, whatever d is
         if (listed := ground.cell_count * ground.r) > extremal.MAX_LISTED_VERTICES:
             raise InputError(f"degree-capped sampling refused: each draw would list "
                              f"{estimate_text(listed)} vertices, cells times r "
@@ -330,7 +371,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         def sample(rng: random.Random) -> Family:
             u = ground.cell_count
             for _ in range(1000):
-                sizes = [rng.randint(1, u) for _ in range(k)]
+                sizes = [1 + _below(rng.getrandbits, u) for _ in range(k)]
                 if not solvers._hall_violation(sizes, n):
                     return _sample_shifted_family(rng, ground, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
@@ -632,7 +673,8 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         successes = 0
         for _ in range(trials):
             family = Family([Hypergraph._from_mask(ground, _sample_mask(
-                rng, ground, rng.randint(bound + 1, ground.cell_count))) for _ in range(k)])
+                rng, ground, bound + 1 + _below(rng.getrandbits, ground.cell_count - bound)))
+                for _ in range(k)])
             matching = solvers.large_n_procedure(family)
             if matching is not None:
                 if not matching.is_valid_for(family):

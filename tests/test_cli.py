@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -577,6 +578,17 @@ class TestOtherCommands:
                                "--mode", "random", "--budget", "50", "--seed", "7")
         assert code == 0
         assert "counterexamples:" in out
+
+    def test_verify_degree_cap_past_n_exits_3_at_once(self, capsys):
+        # 300 + 300 vertices of max degree 100000 carry at most 300^2 edges
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "degree_condition",
+                                 "--n", "300", "--k", "2", "--d", "100000",
+                                 "--mode", "random", "--budget", "1")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err == ("error: no bipartite graph with max degree 100000 "
+                       "has more than 90000 edges\n")
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_verify_workers_below_one_exit(self, capsys, workers):

@@ -274,6 +274,12 @@ class TestLargeNProcedure:
         results3 = scan_large_n(2, 3, range(6, 9), trials=40, seed=11)
         assert all(results3[n] == (40, 40) for n in range(7, 9))
 
+    def test_scan_results_are_pinned(self):
+        # the seeded draws fix every count: a change to the sizes or members
+        # drawn shows here
+        assert scan_large_n(2, 2, range(4, 9), trials=40, seed=11) == {
+            4: (37, 40), 5: (39, 40), 6: (40, 40), 7: (40, 40), 8: (40, 40)}
+
     def test_scan_r3_smoke(self):
         results = scan_large_n(3, 2, [3, 4], trials=10, seed=11)
         assert all(0 <= s <= t for s, t in results.values())

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import reference_ordered
 import reference_sampler as reference
@@ -17,7 +20,7 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           rainbow_exact, shifted_closure)
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
-from rainbowmatch.verify import SHARD_TRIALS, _make_checker
+from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _sample_mask
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -218,6 +221,16 @@ class TestCheckConjecture:
             check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 725, "k": 2, "d": 1},
                              budget=1)
         _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 724, "k": 2, "d": 1})
+
+    def test_degree_cap_past_n_is_refused_at_the_true_bound(self):
+        # max degree d on n + n vertices allows at most n*min(d, n) edges, so
+        # min_size 100,001 passes the 90,000 cells and no draw is made
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="no bipartite graph with max degree 100000 "
+                                             "has more than 90000 edges"):
+            check_conjecture(ConjectureId.DEGREE_CONDITION,
+                             {"n": 300, "k": 2, "d": 100000}, budget=1)
+        assert time.perf_counter() - start < 1
 
     def test_degree_condition_listing_limit_boundary(self, monkeypatch):
         from rainbowmatch import extremal
@@ -748,6 +761,68 @@ class TestMinimalFamilies:
         assert _covered((3, 3, 3), histogram) == 6 ** 3
 
 
+def _setsize(size):
+    """Random.sample's largest population for its pool branch."""
+    return 21 + (4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 0)
+
+
+def _stdlib_mask(rng, u, size):
+    return sum(1 << p for p in rng.sample(range(u), size))
+
+
+class TestDrawsAgainstTheStandardLibrary:
+    """The draws made straight from a generator's bits against the standard
+    library calls they stand for: equal values and equal generator state."""
+
+    @given(st.integers(0, 2 ** 64), st.data())
+    def test_sample_mask_is_the_mask_of_random_sample(self, seed, data):
+        u = data.draw(st.integers(1, 1200))
+        size = data.draw(st.integers(0, u))
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert _sample_mask(rng, GroundSet(PARTITE, 1, u), size) == _stdlib_mask(twin, u, size)
+        assert rng.getstate() == twin.getstate()
+
+    PINNED_DRAWS = [
+        (1, 0), (1, 1), (10, 0), (40, 0), (64, 64), (1200, 1200),
+        (21, 5), (22, 5),  # sizes up to 5 keep the pool branch to 21 cells
+        (85, 6), (86, 6),  # size 6 moves it to 85
+        (1200, 5), (1200, 300)]
+
+    @pytest.mark.parametrize("u,size", PINNED_DRAWS)
+    def test_pinned_draws_on_both_sides_of_setsize(self, monkeypatch, u, size):
+        # the set branch lists its positions once, through _mask; the pool
+        # branch sets bits as it draws
+        from rainbowmatch import verify
+        listed, mask = [], verify._mask
+        monkeypatch.setattr(verify, "_mask", lambda positions, n: listed.append(n)
+                            or mask(positions, n))
+        for seed in (1, 5, 977):
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert (_sample_mask(rng, GroundSet(PARTITE, 1, u), size)
+                    == _stdlib_mask(twin, u, size))
+            assert rng.getstate() == twin.getstate()
+        assert listed == ([] if u <= _setsize(size) else [u] * 3)
+
+    def test_pinned_draws_reach_both_branches(self):
+        assert {u <= _setsize(size) for u, size in self.PINNED_DRAWS} == {True, False}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 1000,
+                                   2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 70 + 3])
+    def test_below_is_randrange(self, m):
+        for seed in (1, 5, 977):
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert ([_below(rng.getrandbits, m) for _ in range(50)]
+                    == [twin.randrange(m) for _ in range(50)])
+            assert rng.getstate() == twin.getstate()
+
+    @given(st.integers(0, 2 ** 64), st.integers(-10 ** 6, 10 ** 6), st.integers(0, 2 ** 80))
+    def test_offset_below_is_randint(self, seed, a, width):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert a + _below(rng.getrandbits, width + 1) == twin.randint(a, a + width)
+        assert rng.getstate() == twin.getstate()
+
+
 class TestOrderedWalk:
     """The ordered walk decides each member multiset once; the product walk
     of reference_ordered, which decides every order, is its reference."""
@@ -795,6 +870,7 @@ class TestSamplerAgainstReference:
         ("rainbow_general", {"n": 7, "r": 2, "k": 3}),
         ("rainbow_general", {"n": 6, "r": 3, "k": 2}),
         ("matrix", {"n": 4, "k": 3}),
+        ("matrix", {"n": 5, "k": 3}),  # sizes up to 5 on 25 cells take the set branch
     ], ids=_case_id)
     def test_same_families_from_a_twin_generator(self, case, seed):
         conjecture, params = case
@@ -809,6 +885,21 @@ class TestSamplerAgainstReference:
             else:
                 expected = reference._sample_shifted_family(twin, checker.ground,
                                                             list(checker.floors))
+            assert [h.edges for h in family] == [h.edges for h in expected]
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 5, 977])
+    @pytest.mark.parametrize("n,k,d", [(2, 2, 1), (4, 2, 1), (5, 3, 2), (6, 2, 3), (3, 2, 5)])
+    def test_same_degree_capped_members_from_a_twin_generator(self, n, k, d, seed):
+        # (3, 2, 5) has d > n, where some drawn targets exceed every cell
+        checker = _make_checker(ConjectureId.DEGREE_CONDITION, {"n": n, "k": k, "d": d})
+        rng, twin = random.Random(seed), random.Random(seed)
+        families = [checker.sample(rng) for _ in range(40)]
+        assert checker.ground.index._cells is None  # positions, not the cell tuple
+        for family in families:
+            expected = [reference._sample_degree_capped(twin, checker.ground, d,
+                                                        (k - 1) * d + 1)
+                        for _ in range(k)]
             assert [h.edges for h in family] == [h.edges for h in expected]
         assert rng.getstate() == twin.getstate()
 
