@@ -2,7 +2,8 @@
 
 Exit statuses: 0 success; 2 no matching found (a legitimate outcome);
 3 invalid input (a usage error too) or precondition violation; 4 a
-guaranteed algorithm step failed (accompanied by an instance dump on stderr).
+guaranteed algorithm step failed (accompanied by an instance dump on stderr);
+141 standard output closed (run() only).
 
 Each command writes its result as text with 1-based m_i / w_j style labels,
 or as schema-versioned JSON.
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import NoReturn
 
 from .core import PARTITE, ConjectureId, Family, nu_exact, rainbow_exact
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
@@ -23,6 +26,7 @@ EXIT_OK = 0
 EXIT_NO_MATCHING = 2
 EXIT_PRECONDITION = 3
 EXIT_THEOREM_VIOLATION = 4
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _dump(obj) -> str:
@@ -286,5 +290,30 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
 
 
+def run() -> NoReturn:
+    """The process entry of `python -m rainbowmatch` and the console script.
+
+    main's status, with both streams flushed, through os._exit: the process
+    ends without the interpreter's teardown (clearing modules, collecting
+    and freeing every object, atexit handlers), which is the same work for
+    every command and adds nothing once the output is written. Standard
+    output closed at start (sys.stdout is None) or by its reader (a broken
+    pipe) ends with EXIT_CLOSED_OUTPUT and no traceback; standard error
+    closed at start drops the messages and keeps the statuses. argparse's
+    SystemExit (help, usage errors) and any other exception leave as they
+    would from sys.exit(main())."""
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
+    status = EXIT_CLOSED_OUTPUT
+    if sys.stdout is not None:
+        try:
+            status = main()
+            sys.stdout.flush()
+        except BrokenPipeError:
+            status = EXIT_CLOSED_OUTPUT
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

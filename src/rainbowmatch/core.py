@@ -322,6 +322,15 @@ class CellIndex:
         positions, n = bits(mask), self._ground.n
         return tuple(zip(*([p // t % n for p in positions] for t in self._stride)))
 
+    def degrees(self, mask: int) -> tuple[tuple[int, ...], ...]:
+        """Hypergraph.degrees of a partite mask on every side, with no edge
+        listed: side s's vertex v holds the cells zero[s] << v*t, so its
+        degree is the bit count of (mask >> v*t) & zero[s]. The vertex masks
+        are shifted per call rather than kept, n*cell_count bits a side."""
+        n = self._ground.n
+        return tuple(tuple(((mask >> v * t) & zero).bit_count() for v in range(n))
+                     for t, zero in zip(self._stride, self._zero))
+
     def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
         """The shift y -> x of an edge mask, as (origins, images): the edges
         that move and the edges they become. Every edge holding y (on the

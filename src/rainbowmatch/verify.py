@@ -264,10 +264,12 @@ def _sample_shifted_family(rng: random.Random, ground: GroundSet,
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
                           min_size: int) -> Hypergraph:
     """A member of at least min_size edges and max degree at most d: a
-    target size drawn from [min_size, d*n], then the cell positions in
-    shuffled order, each kept while both its vertices have degree below d;
-    a new target and shuffle when the walk falls short. The random calls
-    are those of Random.randint and Random.shuffle on a list of every cell."""
+    target size drawn from [min_size, n*min(d, n)], then the cell positions
+    in shuffled order, each kept while both its vertices have degree below
+    d; a new target and shuffle when the walk falls short. n*min(d, n) is
+    the most edges such a member has, so a cap past n draws as the cap n.
+    The random calls are those of Random.randint and Random.shuffle on a
+    list of every cell."""
     n = ground.n
     if min_size > (most := n * min(d, n)):
         raise InputError(
@@ -276,7 +278,7 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
     getrandbits = rng.getrandbits
     positions = list(range(u))  # shuffled in place, draw after draw
     for _ in range(200):
-        target = min_size + _below(getrandbits, d * n - min_size + 1)
+        target = min_size + _below(getrandbits, most - min_size + 1)
         for i in range(u - 1, 0, -1):
             j = _below(getrandbits, i + 1)
             positions[i], positions[j] = positions[j], positions[i]
@@ -346,10 +348,9 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         min_size = (k - 1) * d + 1
 
         def hyp(fam: Family) -> bool:
-            return all(
-                len(h) > (k - 1) * d
-                and max(max(h.degrees(s)) for s in (0, 1)) <= d
-                for h in fam)
+            index = ground.index
+            return all(len(h) > (k - 1) * d and max(map(max, index.degrees(h.mask))) <= d
+                       for h in fam)
 
         def sample(rng: random.Random) -> Family:
             # no shifted reduction is known for a degree cap: sample raw members

@@ -1000,3 +1000,115 @@ COMMAND_MODULES = [
                          ids=[" ".join(argv[:3]) for argv, *_ in COMMAND_MODULES])
 def test_each_command_executes_only_the_modules_it_runs(argv, status, modules):
     assert executed_modules(*argv) == (status, {"cli", "core", "errors", "instances"} | modules)
+
+
+# The process entry, cli.run(): main's status, both streams flushed, and
+# os._exit. The child's environment drops PYTHONUNBUFFERED, which would
+# write every line at once and so hide a missing flush.
+ENTRY_ENV = {**{k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}, "COLUMNS": "80"}
+STAR_300 = ["extremal", "--name", "star", "--n", "300", "--r", "2", "--k", "40", "--format", "json"]
+
+
+def run_entry(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "rainbowmatch", *argv], capture_output=True,
+                          env=ENTRY_ENV, timeout=60, **kwargs)
+
+
+def test_entry_flushes_block_buffered_output_whole(capsys):
+    code, out, err = run_cli(capsys, *STAR_300)
+    proc = run_entry(*STAR_300)
+    assert len(out) > 1 << 20
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["extremal", "--name", "star", "--n", "3"], 0),
+    (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2", "--format", "json"], 0),
+    (["--help"], 0),
+    (["solve", "--algorithm", "oracle", "--in", str(FIXTURES / "star_n3_r2_k2.json")], 2),
+    (["verify", "--conjecture", "degree_condition", "--n", "300", "--k", "2", "--d", "100000",
+      "--budget", "1"], 3),
+    (["solve", "--algorithm", "bogus"], 3),
+    (["nu", "--in", str(FIXTURES / "no-such-file.json")], 3),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_entry_answers_as_main_in_process(capsys, monkeypatch, argv, status):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage and help text to it
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # help and usage errors leave through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    proc = run_entry(*argv, text=True)
+    assert code == status
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("close", ["reader", "fd 1"])
+def test_closed_output_exits_141_without_a_traceback(close):
+    # the pipe: a reader that has closed before the first write, so every
+    # write fails; fd 1 closed at start leaves sys.stdout None
+    if close == "reader":
+        read, write = os.pipe()
+        os.close(read)
+        kwargs = {"stdout": write, "stderr": subprocess.PIPE}
+    else:
+        kwargs = {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE,
+                  "preexec_fn": lambda: os.close(1)}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *STAR_300], env=ENTRY_ENV,
+                              timeout=60, **kwargs)
+    finally:
+        if close == "reader":
+            os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, b"")
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["extremal", "--name", "star", "--n", "3"], 0),
+    (["nu", "--in", str(FIXTURES / "no-such-file.json")], 3),
+    (["solve", "--algorithm", "bogus"], 3),
+])
+def test_closed_standard_error_keeps_the_status(argv, status):
+    # messages are dropped; an error message no longer ends in an
+    # AttributeError on the missing stream, exit 1
+    proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *argv], env=ENTRY_ENV,
+                          stdout=subprocess.DEVNULL, timeout=60, preexec_fn=lambda: os.close(2))
+    assert proc.returncode == status
+
+
+def test_entry_reaps_every_worker_after_a_theorem_violation(tmp_path):
+    # three workers on any host: the caller's first shard raises and two
+    # forked children sleep in theirs, so a child the caller left running
+    # would hold the output pipes open past the timeout
+    pids = tmp_path / "pids"
+    code = ("import os, sys, time\n"
+            "from rainbowmatch import cli, verify\n"
+            "from rainbowmatch.errors import TheoremViolationError\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "caller, run_shard, fork = os.getpid(), verify._run_shard, os.fork\n"
+            "pids = sys.argv[1]\n"
+            "def forked():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        with open(pids, 'a') as out:\n"
+            "            out.write(f'{pid}\\n')\n"
+            "    return pid\n"
+            "def shard(args):\n"
+            "    if os.getpid() != caller:\n"
+            "        time.sleep(60)\n"
+            "    if args[3] == 1:  # the warm-up trial, before the fork\n"
+            "        return run_shard(args)\n"
+            "    raise TheoremViolationError('planted')\n"
+            "os.fork, verify._run_shard = forked, shard\n"
+            "sys.argv[1:] = ['verify', '--conjecture', 'size_condition', '--n', '3', '--k', '2',\n"
+            "                '--budget', '1024', '--workers', '3']\n"
+            "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(pids)], capture_output=True,
+                          text=True, env=ENTRY_ENV, timeout=30)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "theorem violation: planted\n"
+    children = [int(pid) for pid in pids.read_text().split()]
+    assert len(children) == 2
+    for pid in children:
+        with pytest.raises(ProcessLookupError):  # reaped: not even a zombie is left
+            os.kill(pid, 0)

@@ -166,6 +166,15 @@ class TestDegree:
             with pytest.raises(InputError):
                 h.degrees(side)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    def test_index_counts_every_side_as_the_edge_walk(self, r, n, data):
+        ground = GroundSet(PARTITE, r, n)
+        h = Hypergraph._from_mask(ground, data.draw(st.integers(0, (1 << ground.cell_count) - 1)))
+        counts = ground.index.degrees(h.mask)
+        assert h._edges is None  # read from the mask, with no edge listed
+        assert counts == tuple(h.degrees(s) for s in range(r))
+
 
 class TestPackage:
     def test_all_exports_resolve(self):

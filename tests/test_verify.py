@@ -232,6 +232,15 @@ class TestCheckConjecture:
                              {"n": 300, "k": 2, "d": 100000}, budget=1)
         assert time.perf_counter() - start < 1
 
+    def test_degree_cap_past_n_draws_sizes_up_to_every_cell(self):
+        # d=1000 on n=100: members of 9,001 to 10,000 edges. Drawn from
+        # [9001, 100000], 99 targets in 100 passed the 10,000 cells and were
+        # drawn again, and a member could use up its 200 draws
+        # ("could not sample")
+        rep = check_conjecture(ConjectureId.DEGREE_CONDITION,
+                               {"n": 100, "k": 10, "d": 1000}, budget=1, seed=1)
+        assert rep.instances_checked == 1
+
     def test_degree_condition_listing_limit_boundary(self, monkeypatch):
         from rainbowmatch import extremal
         monkeypatch.setattr(extremal, "MAX_LISTED_VERTICES", 18)  # n=3: 9 cells times 2
@@ -891,13 +900,15 @@ class TestSamplerAgainstReference:
     @pytest.mark.parametrize("seed", [1, 5, 977])
     @pytest.mark.parametrize("n,k,d", [(2, 2, 1), (4, 2, 1), (5, 3, 2), (6, 2, 3), (3, 2, 5)])
     def test_same_degree_capped_members_from_a_twin_generator(self, n, k, d, seed):
-        # (3, 2, 5) has d > n, where some drawn targets exceed every cell
+        # (3, 2, 5) has d > n: no vertex reaches degree n + 1, so the cap d
+        # draws as the cap n, at the same least size. The reference drew
+        # targets up to d*n there, past every cell, and drew again.
         checker = _make_checker(ConjectureId.DEGREE_CONDITION, {"n": n, "k": k, "d": d})
         rng, twin = random.Random(seed), random.Random(seed)
         families = [checker.sample(rng) for _ in range(40)]
         assert checker.ground.index._cells is None  # positions, not the cell tuple
         for family in families:
-            expected = [reference._sample_degree_capped(twin, checker.ground, d,
+            expected = [reference._sample_degree_capped(twin, checker.ground, min(d, n),
                                                         (k - 1) * d + 1)
                         for _ in range(k)]
             assert [h.edges for h in family] == [h.edges for h in expected]
