@@ -11,6 +11,7 @@ or as schema-versioned JSON.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -301,10 +302,17 @@ def run() -> NoReturn:
     pipe) ends with EXIT_CLOSED_OUTPUT and no traceback; standard error
     closed at start drops the messages and keeps the statuses. argparse's
     SystemExit (help, usage errors) and any other exception leave as they
-    would from sys.exit(main())."""
+    would from sys.exit(main()). Unbuffered standard output (python -u,
+    PYTHONUNBUFFERED) is given a buffer: a raw write may take only part of
+    its bytes, and the text layer drops the rest, where a buffered writer
+    writes them or raises BrokenPipeError."""
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w")
     status = EXIT_CLOSED_OUTPUT
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.FileIO):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), encoding=out.encoding,
+                                      errors=out.errors)
     if sys.stdout is not None:
         try:
             status = main()

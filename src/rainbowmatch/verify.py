@@ -9,7 +9,6 @@ import math
 import os
 import random
 import time
-from bisect import bisect_right
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -195,11 +194,12 @@ class _Checker(_Record):
     hypothesis: Callable[[Family], bool]
     conclusion: Callable[[Family], bool]
     sample: Callable[[random.Random], Family]
-    exhaustive_allowed: bool = True
-    # sorted sizes whose dominance by the sorted member sizes is the
-    # hypothesis, when the conclusion also holds for every family of
-    # supersets; empty when the checker is not monotone
+    # the hypothesis as floors on the ascending member sizes, when the
+    # conclusion also holds for every family of supersets: size j (from 0)
+    # is at least floors[j], and sizes 0..j sum to at least sums[j].
+    # Empty floors refuse exhaustive mode: no shifted reduction is known.
     floors: tuple[int, ...] = ()
+    sums: tuple[int, ...] = ()
 
 
 def _rainbow_concl(family: Family) -> bool:
@@ -313,22 +313,26 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
         hypothesis=lambda fam: _dominates(fam.sizes(), floors),
         conclusion=_rainbow_concl,
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
-        floors=tuple(floors))
+        floors=tuple(floors), sums=(0,) * k)
 
 
 def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
     n = _params_int(params, "n")
     k = _params_int(params, "k")
+    r = _params_int(params, "r", 2)
+    # a parameter the check would not read is refused, not echoed in its report
+    if r != 2 and conjecture not in (ConjectureId.RAINBOW_GENERAL, ConjectureId.SIZE_CONDITION):
+        raise InputError(f"{conjecture.value} checks bipartite families: needs r=2, got r={r}")
+    if params.get("d") is not None and conjecture is not ConjectureId.DEGREE_CONDITION:
+        raise InputError(f"{conjecture.value} takes no degree cap d, got d={params['d']!r}")
 
     if conjecture is ConjectureId.RAINBOW_GENERAL:
-        r = _params_int(params, "r", 2)
         if 2 * r > n:
             raise InputError(f"needs r <= n/2, got r={r}, n={n}")
         bound = _exact_f(n, r, k)
         return _rainbow_checker(GroundSet(GENERAL, r, n), k, lambda i: bound + 1)
 
     if conjecture is ConjectureId.SIZE_CONDITION:
-        r = _params_int(params, "r", 2)
         return _rainbow_checker(GroundSet(PARTITE, r, n), k, lambda i: g_formula(n, r, k) + 1)
 
     if conjecture is ConjectureId.SIMPLE:
@@ -357,8 +361,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             return Family([_sample_degree_capped(rng, ground, d, min_size)
                            for _ in range(k)])
 
-        return _Checker(ground, k, hyp, _rainbow_concl, sample,
-                        exhaustive_allowed=False)
+        return _Checker(ground, k, hyp, _rainbow_concl, sample)
 
     if conjecture is ConjectureId.MATRIX:
         ground = GroundSet(PARTITE, 2, n)
@@ -377,7 +380,10 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
                     return _sample_shifted_family(rng, ground, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
 
-        return _Checker(ground, k, hyp, _matrix_concl, sample)
+        # Hall's condition on the ascending prefixes: the j smallest sizes
+        # sum to more than n*j*(j-1)
+        return _Checker(ground, k, hyp, _matrix_concl, sample, floors=(0,) * k,
+                        sums=tuple(n * j * (j - 1) + 1 for j in range(1, k + 1)))
 
     raise InputError(f"unknown conjecture: {conjecture!r}")
 
@@ -389,8 +395,8 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
 
     Exhaustive mode covers every family of shifted members meeting the
     hypothesis at the given parameters (sound for the conjectures that survive
-    shifting; refused for the degree-capped one), checking only the minimal
-    families where the conjecture is monotone. Random mode draws seeded
+    shifting; refused for the degree-capped one), deciding only its minimal
+    families (_run_exhaustive). Random mode draws seeded
     hypothesis-satisfying samples. Counterexamples are embedded as instances.
     """
     conjecture = ConjectureId(conjecture)
@@ -403,11 +409,11 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
             raise InputError(f"budget must be positive, got {budget}")
         checked, counters = _run_random(checker, budget, seed, workers)
     elif mode == "exhaustive":
-        if not checker.exhaustive_allowed:
+        if not checker.floors:
             raise InputError(
                 f"{conjecture.value}: no shifted reduction is available, "
                 "exhaustive mode is refused; use random mode")
-        checked, counters = (_run_exhaustive if checker.floors else _run_ordered)(checker)
+        checked, counters = _run_exhaustive(checker)
         seed = None  # nothing is drawn
     else:
         raise InputError(f"unknown mode: {mode!r}")
@@ -417,93 +423,100 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
 
 def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
     """The ordered hypothesis families of shifted members covered, and the
-    failing minimal families in product order.
+    failing minimal families: by ascending size tuple, then in product order.
 
-    A monotone checker needs only its minimal families. A shifted member
-    contains a shifted member of every smaller size (keep deleting a maximal
-    cell), a family that passes makes every family of supersets pass, and
-    the verdict ignores member order. So every ordered family passes iff
-    every multiset of shifted members whose sizes are exactly the floors
-    does. The failing multisets are the complete counterexample list, at
-    most the MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside
-    the hypothesis is a fault and raises TheoremViolationError.
+    A shifted member contains a shifted member of every smaller size (keep
+    deleting a maximal cell), a family that passes makes every family of
+    supersets pass, and the verdict ignores member order. So every ordered
+    family passes iff every multiset of shifted members passes whose
+    ascending sizes are a minimal tuple meeting the floors and sums. The
+    failing multisets are the complete counterexample list, at most the
+    MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside the
+    hypothesis is a fault and raises TheoremViolationError.
     """
     ground = checker.ground
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
-    levels = Counter(checker.floors)  # member size -> members of that size
-    minimal: dict[int, list[Hypergraph]] = {size: [] for size in levels}
-    histogram: Counter[int] = Counter()
+    by_size: list[list[int]] = [[] for _ in range(ground.cell_count + 1)]
     for mask in _ideal_dfs(ground):
-        size = mask.bit_count()
-        histogram[size] += 1
-        if size in minimal:
-            minimal[size].append(Hypergraph._from_mask(ground, mask))
-    count = math.prod(math.comb(len(minimal[size]) + m - 1, m)
-                      for size, m in levels.items())
+        by_size[mask.bit_count()].append(mask)
+    levels = [Counter(sizes) for sizes in
+              _minimal_sizes(checker.floors, checker.sums, ground.cell_count)]
+    count = sum(math.prod(math.comb(len(by_size[size]) + m - 1, m)
+                          for size, m in level.items()) for level in levels)
     if count > MAX_EXHAUSTIVE_INSTANCES:
         raise InputError(
             f"exhaustive enumeration refused: about {count} minimal "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
+    members = {size: [Hypergraph._from_mask(ground, m) for m in by_size[size]]
+               for size in set().union(*levels)}
     counters: list[dict] = []
-    for parts in itertools.product(*(
-            itertools.combinations_with_replacement(minimal[size], m)
-            for size, m in levels.items())):
-        family = Family([h for part in parts for h in part])
-        if not checker.hypothesis(family):
-            raise TheoremViolationError("minimal family outside the hypothesis",
-                                        instance=family)
-        if not checker.conclusion(family):
-            counters.append(Instance.from_family(family).to_dict())
-    return _covered(checker.floors, histogram), counters
+    for level in levels:
+        for parts in itertools.product(*(
+                itertools.combinations_with_replacement(members[size], m)
+                for size, m in level.items())):
+            family = Family([h for part in parts for h in part])
+            if not checker.hypothesis(family):
+                raise TheoremViolationError("minimal family outside the hypothesis",
+                                            instance=family)
+            if not checker.conclusion(family):
+                counters.append(Instance.from_family(family).to_dict())
+    return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
 
 
-def _covered(floors: tuple[int, ...], histogram: Counter[int]) -> int:
-    """Ordered families of members, drawn from a size histogram, whose sorted
-    sizes dominate the ascending floors. A member's class is the number of
-    floors at or below its size, and a family qualifies iff its i-th
-    smallest class is at least i."""
+def _minimal_sizes(floors: tuple[int, ...], sums: tuple[int, ...],
+                   most: int) -> Iterator[tuple[int, ...]]:
+    """The minimal ascending size tuples, none above most, whose size j (from
+    0) is at least floors[j] and whose sizes 0..j sum to at least sums[j],
+    in ascending order, by depth-first search. Two rules cut it:
+
+    - A meeting tuple is minimal iff lowering the first size of each run of
+      equal sizes breaks it: that size sits at its floor, or a prefix sum
+      from it on sits exactly at its sum floor. Proof: such a lowering keeps
+      the tuple ascending and lowers each prefix sum from it on by one; and
+      if a meeting tuple lies below t, so does t lowered at the first place
+      where the two differ, which starts a run of t.
+    - A size s at place i raised past its floor stops rising once no prefix
+      sum from it on can land on its sum floor. Proof: every later size is
+      at least s, so the sum through j is at least the sum before i plus
+      (j - i + 1) * s, which grows with s.
+    """
     k = len(floors)
-    weight = [0] * (k + 1)
-    for size, members in histogram.items():
-        weight[bisect_right(floors, size)] += members
-    total = 0
-    for classes in itertools.combinations_with_replacement(range(1, k + 1), k):
-        if all(c >= i for i, c in enumerate(classes, 1)):
-            orders = math.factorial(k)
-            for c, m in Counter(classes).items():
-                orders = orders // math.factorial(m) * weight[c] ** m
-            total += orders
-    return total
+    sizes: list[int] = []
+
+    def extend(prev: int, total: int, pending: bool) -> Iterator[tuple[int, ...]]:
+        i = len(sizes)  # pending: a size raised past its floors awaits a tight sum
+        if i == k:
+            if not pending:
+                yield tuple(sizes)
+            return
+        for s in range(max(prev, floors[i], sums[i] - total), most + 1):
+            needs = pending or s > max(prev, floors[i])
+            if needs and all(total + (j - i + 1) * s > sums[j] for j in range(i, k)):
+                break
+            sizes.append(s)
+            yield from extend(s, total + s, needs and total + s != sums[i])
+            sizes.pop()
+
+    return extend(0, 0, False)
 
 
-def _run_ordered(checker: _Checker) -> tuple[int, list[dict]]:
-    """Every ordered k-tuple of shifted members no smaller than the least
-    floor, non-empty without floors: the walk for a non-monotone checker.
-
-    A verdict ignores member order, so each multiset of members is decided
-    once and counts as many families as it has orders. The failing families
-    are every order of every failing multiset, listed in product order."""
-    _guard_cells(checker.ground, MAX_EXHAUSTIVE_CELLS)
-    least = min(checker.floors, default=1)
-    candidates = [h for h in iter_shifted(checker.ground) if len(h) >= least]
-    estimate = len(candidates) ** checker.k
-    if estimate > MAX_EXHAUSTIVE_INSTANCES:
-        raise InputError(
-            f"exhaustive enumeration refused: about {estimate} candidate "
-            f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
-    checked = 0
-    failing: set[tuple[int, ...]] = set()
-    for picks in itertools.combinations_with_replacement(range(len(candidates)), checker.k):
-        family = Family([candidates[i] for i in picks])
-        if not checker.hypothesis(family):
-            continue
-        checked += math.factorial(checker.k) // math.prod(
-            math.factorial(m) for m in Counter(picks).values())
-        if not checker.conclusion(family):
-            failing.update(itertools.permutations(picks))
-    counters = [Instance.from_family(Family([candidates[i] for i in order])).to_dict()
-                for order in sorted(failing)]
-    return checked, counters
+def _count_families(floors: tuple[int, ...], sums: tuple[int, ...],
+                    histogram: Iterable[int]) -> int:
+    """Ordered families of members, histogram[s] of them of size s, whose
+    ascending sizes meet the floors and sums: the sizes are placed in
+    ascending order, m members of a size with c of them taking m of the
+    k - j places still open, C(k - j, m) * c^m ways. A state is (members
+    placed, their size sum capped at the largest sum floor)."""
+    k, cap = len(floors), max(sums)
+    ways: Counter[tuple[int, int]] = Counter({(0, 0): 1})
+    for size, c in enumerate(histogram):
+        for (j, total), w in list(ways.items()):
+            for m in range(1, k - j + 1):
+                t = j + m - 1  # the place the m-th member takes
+                if size < floors[t] or total + m * size < sums[t]:
+                    break
+                ways[j + m, min(cap, total + m * size)] += w * math.comb(k - j, m) * c ** m
+    return sum(w for (j, _), w in ways.items() if j == k)
 
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:

@@ -487,6 +487,21 @@ class TestSolveCommand:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("argv,message", [
+        (["--conjecture", "simple", "--n", "4", "--k", "2", "--r", "5"], "needs r=2, got r=5"),
+        (["--conjecture", "simple", "--n", "4", "--k", "2", "--r", "3"], "needs r=2, got r=3"),
+        (["--conjecture", "matrix", "--n", "3", "--k", "2", "--r", "3",
+          "--mode", "exhaustive"], "needs r=2, got r=3"),
+        (["--conjecture", "degree_condition", "--n", "4", "--k", "2", "--r", "3", "--d", "1"],
+         "needs r=2, got r=3"),
+        (["--conjecture", "size_condition", "--n", "3", "--k", "2", "--d", "7"],
+         "takes no degree cap d, got d=7"),
+    ])
+    def test_verify_refuses_a_parameter_it_never_reads(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_nu(self, capsys):
         star = FIXTURES / "star_n3_r2_k2.json"
         code, out, _ = run_cli(capsys, "nu", "--in", str(star))
@@ -1061,6 +1076,28 @@ def test_closed_output_exits_141_without_a_traceback(close):
         if close == "reader":
             os.close(write)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, b"")
+
+
+UNBUFFERED_ENV = {**ENTRY_ENV, "PYTHONUNBUFFERED": "1"}
+
+
+def test_unbuffered_output_arrives_whole(capsys):
+    # unbuffered, a raw write to a pipe may take only part of its bytes
+    code, out, err = run_cli(capsys, *STAR_300)
+    proc = subprocess.run([sys.executable, "-m", "rainbowmatch", *STAR_300], capture_output=True,
+                          env=UNBUFFERED_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
+
+
+def test_unbuffered_output_closed_after_one_byte_exits_141():
+    # the reader closes while the first write is under way: the rest of it
+    # fails, where a dropped partial write used to end with status 0
+    proc = subprocess.Popen([sys.executable, "-m", "rainbowmatch", *STAR_300],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=UNBUFFERED_ENV)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (cli.EXIT_CLOSED_OUTPUT, b"")
 
 
 @pytest.mark.parametrize("argv,status", [

@@ -127,9 +127,8 @@ class TestComputeThreshold:
         monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_CELLS", 15)
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
             compute_threshold_exact("g_partite", 4, 2, 3)
-        checker = _make_checker(ConjectureId.MATRIX, {"n": 4, "k": 2})
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
-            verify._run_ordered(checker)
+            check_conjecture("matrix", {"n": 4, "k": 2}, mode="exhaustive")
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
             check_conjecture("size_condition", {"n": 4, "r": 2, "k": 2}, mode="exhaustive")
 
@@ -200,6 +199,29 @@ class TestCheckConjecture:
         with pytest.raises(InputError):
             check_conjecture(ConjectureId.DEGREE_CONDITION,
                              {"n": 2, "k": 2, "d": 1}, mode="exhaustive")
+
+    @pytest.mark.parametrize("conjecture,params,message", [
+        ("simple", {"n": 4, "k": 2, "r": 5}, "simple checks bipartite families: needs r=2, got r=5"),
+        ("matrix", {"n": 4, "k": 2, "r": 3}, "needs r=2, got r=3"),
+        ("degree_condition", {"n": 4, "k": 2, "r": 3, "d": 1}, "needs r=2, got r=3"),
+        ("size_condition", {"n": 4, "k": 2, "r": 2, "d": 7},
+         "size_condition takes no degree cap d, got d=7"),
+        ("simple", {"n": 4, "k": 2, "d": 1}, "takes no degree cap d"),
+        ("rainbow_general", {"n": 6, "k": 2, "d": 1}, "takes no degree cap d"),
+        ("matrix", {"n": 4, "k": 2, "d": 1}, "takes no degree cap d"),
+    ])
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_a_parameter_the_check_never_reads_is_refused(self, conjecture, params, message,
+                                                          mode):
+        with pytest.raises(InputError, match=message):
+            check_conjecture(conjecture, params, mode=mode, budget=10)
+
+    def test_read_parameters_are_accepted(self):
+        for conjecture, params in [("simple", {"n": 3, "k": 2, "r": 2}),
+                                   ("matrix", {"n": 3, "k": 2, "r": 2, "d": None}),
+                                   ("size_condition", {"n": 3, "k": 2, "r": 3}),
+                                   ("degree_condition", {"n": 3, "k": 2, "r": 2, "d": 1})]:
+            assert check_conjecture(conjecture, params, budget=10).instances_checked == 10
 
     def test_degree_condition_d2_random(self):
         rep = check_conjecture(ConjectureId.DEGREE_CONDITION,
@@ -645,18 +667,29 @@ def _case_id(case):
     return conjecture + "-" + "-".join(f"{k}{v}" for k, v in sorted(params.items()))
 
 
+def assert_matches_the_product_walk(checker, checked, counters):
+    """An exhaustive count and counterexample list against reference_ordered,
+    which decides every ordered family: the same count and verdict, and
+    each reported multiset among the reference's failures."""
+    ordered_checked, ordered = reference_ordered.run_ordered(checker)
+    assert checked == ordered_checked
+    assert bool(counters) == bool(ordered)
+    assert {member_masks(inst) for inst in counters} <= {member_masks(inst) for inst in ordered}
+
+
 class TestMinimalFamilies:
-    """Monotone conjectures are checked on minimal member multisets; the
-    ordered walk over every family stays the reference."""
+    """Every exhaustive check decides only its minimal member multisets; the
+    product walk over every ordered family (reference_ordered) is the
+    reference."""
 
     @pytest.mark.parametrize("case", MONOTONE_CASES, ids=_case_id)
-    def test_report_equals_the_ordered_walk(self, case, monkeypatch):
-        from rainbowmatch import verify
+    def test_report_equals_the_ordered_walk(self, case):
         conjecture, params = case
-        fast = check_conjecture(conjecture, params, mode="exhaustive")
-        monkeypatch.setattr(verify, "_run_exhaustive", verify._run_ordered)
-        ordered = check_conjecture(conjecture, params, mode="exhaustive")
-        assert fast == ordered and fast.instances_checked > 0
+        report = check_conjecture(conjecture, params, mode="exhaustive")
+        checker = _make_checker(ConjectureId(conjecture), params)
+        assert report.instances_checked > 0
+        assert_matches_the_product_walk(checker, report.instances_checked,
+                                        report.counterexamples)
 
     @pytest.mark.parametrize("conjecture,params,inside", [
         ("size_condition", {"n": 3, "r": 2, "k": 2}, [(0, 0), (0, 1), (0, 2), (1, 0)]),
@@ -675,10 +708,9 @@ class TestMinimalFamilies:
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam),
-            sample=base.sample, exhaustive_allowed=base.exhaustive_allowed,
-            floors=base.floors)
+            sample=base.sample, floors=base.floors, sums=base.sums)
         checked, counters = verify._run_exhaustive(checker)
-        ordered_checked, ordered = verify._run_ordered(checker)
+        ordered_checked, ordered = reference_ordered.run_ordered(checker)
         assert checked == ordered_checked
         # the minimal report lists each failing multiset at the floor sizes
         # once; the ordered walk lists every order of every failure
@@ -696,8 +728,7 @@ class TestMinimalFamilies:
     def test_planted_failure_with_the_floor_lowered(self, n, checked):
         # the floor lowered by one to (k-1)n: the paper's stars now qualify
         # and fail, and only two stars, at either side's first vertex, do;
-        # n=5 and n=6 (25 and 36 cells) were refused while a failure handed
-        # the report to the 21-cell ordered walk
+        # n=5 and n=6 (25 and 36 cells) are out of the product walk's reach
         from rainbowmatch import verify
         ground = GroundSet(PARTITE, 2, n)
         checker = verify._rainbow_checker(ground, 2, lambda i: g_formula(n, 2, 2))
@@ -712,20 +743,10 @@ class TestMinimalFamilies:
         from rainbowmatch import TheoremViolationError, verify
         base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
         checker = verify._Checker(base.ground, base.k, lambda fam: False,
-                                  base.conclusion, base.sample, floors=base.floors)
+                                  base.conclusion, base.sample, floors=base.floors,
+                                  sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
             verify._run_exhaustive(checker)
-
-    def test_ordered_walk_runs_only_on_a_failure(self, monkeypatch):
-        from rainbowmatch import verify
-        calls = []
-        ordered = verify._run_ordered
-        monkeypatch.setattr(verify, "_run_ordered",
-                            lambda checker: calls.append(checker) or ordered(checker))
-        check_conjecture("size_condition", {"n": 3, "r": 2, "k": 2}, mode="exhaustive")
-        assert calls == []
-        check_conjecture("matrix", {"n": 2, "k": 2}, mode="exhaustive")
-        assert len(calls) == 1  # matrix is not monotone
 
     @pytest.mark.parametrize("conjecture,n,r,k,checked", [
         ("size_condition", 3, 3, 2, 625_681), ("size_condition", 5, 2, 3, 4_492_125),
@@ -758,16 +779,77 @@ class TestMinimalFamilies:
             check_conjecture("size_condition", {"n": 6, "r": 2, "k": 4}, mode="exhaustive")
         assert time.perf_counter() - start < 1.0
 
-    def test_covered_counts_ordered_dominating_families(self):
-        from collections import Counter
-        from rainbowmatch.verify import _covered
-        histogram = Counter({1: 2, 2: 3, 3: 1, 4: 5})
-        floors = (2, 4)
-        sizes = [s for s, m in histogram.items() for _ in range(m)]
+    @pytest.mark.parametrize("conjecture,n,k", [("simple", 6, 6), ("matrix", 6, 6)])
+    def test_refuses_past_the_family_limit_at_once(self, conjecture, n, k):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match=r"minimal families \(limit 2000000\)"):
+            check_conjecture(conjecture, {"n": n, "k": k}, mode="exhaustive")
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_families_counts_ordered_families_meeting_the_floors(self):
+        from rainbowmatch.verify import _count_families
+        histogram = [0, 2, 3, 1, 5]  # members of sizes 0..4
+        sizes = [s for s, m in enumerate(histogram) for _ in range(m)]
         brute = sum(1 for a, b in itertools.product(sizes, repeat=2)
                     if min(a, b) >= 2 and max(a, b) >= 4)
-        assert _covered(floors, histogram) == brute
-        assert _covered((3, 3, 3), histogram) == 6 ** 3
+        assert _count_families((2, 4), (0, 0), histogram) == brute
+        assert _count_families((3, 3, 3), (0, 0, 0), histogram) == 6 ** 3
+        # prefix-sum floors: the smaller size at least 2, the two sum to at least 7
+        brute = sum(1 for a, b in itertools.product(sizes, repeat=2)
+                    if min(a, b) >= 2 and a + b >= 7)
+        assert _count_families((0, 0), (2, 7), histogram) == brute == 2 * 1 * 5 + 5 * 5
+
+
+def brute_meeting(floors, sums, most):
+    """Every ascending size tuple up to most meeting the floors and sums."""
+    return [t for t in itertools.combinations_with_replacement(range(most + 1), len(floors))
+            if all(s >= f for s, f in zip(t, floors))
+            and all(p >= f for p, f in zip(itertools.accumulate(t), sums))]
+
+
+@st.composite
+def size_conditions(draw):
+    """Floors and sums of up to 4 members over up to 9 cells, and a size
+    histogram, empty sizes included."""
+    k = draw(st.integers(1, 4))
+    cells = draw(st.integers(0, 9))
+    floors = tuple(draw(st.lists(st.integers(0, cells + 1), min_size=k, max_size=k)))
+    sums = tuple(draw(st.lists(st.integers(0, 3 * cells + 1), min_size=k, max_size=k)))
+    histogram = draw(st.lists(st.integers(0, 3), min_size=cells + 1, max_size=cells + 1))
+    return floors, sums, histogram
+
+
+class TestSizeConditions:
+    """The minimal size tuples and the family count of the exhaustive walk
+    against brute force over every size tuple."""
+
+    @given(size_conditions())
+    def test_minimal_sizes_are_the_minimal_meeting_tuples(self, case):
+        from rainbowmatch.verify import _minimal_sizes
+        floors, sums, histogram = case
+        minimal = []  # by ascending sum: one below a tuple is listed before it
+        for t in sorted(brute_meeting(floors, sums, len(histogram) - 1), key=sum):
+            if not any(all(a <= b for a, b in zip(m, t)) for m in minimal):
+                minimal.append(t)
+        assert list(_minimal_sizes(floors, sums, len(histogram) - 1)) == sorted(minimal)
+
+    @given(size_conditions())
+    def test_count_families_is_the_brute_count(self, case):
+        from rainbowmatch.verify import _count_families
+        floors, sums, histogram = case
+        meeting = set(brute_meeting(floors, sums, len(histogram) - 1))
+        brute = sum(math.prod(histogram[s] for s in order)
+                    for order in itertools.product(range(len(histogram)), repeat=len(floors))
+                    if tuple(sorted(order)) in meeting)
+        assert _count_families(floors, sums, histogram) == brute
+
+    def test_a_rainbow_checker_has_one_minimal_tuple_its_floors(self):
+        from rainbowmatch.verify import _minimal_sizes
+        for conjecture, params in MONOTONE_CASES:
+            checker = _make_checker(ConjectureId(conjecture), params)
+            assert checker.sums == (0,) * checker.k
+            assert (list(_minimal_sizes(checker.floors, checker.sums, checker.ground.cell_count))
+                    == [checker.floors])
 
 
 def _setsize(size):
@@ -833,14 +915,15 @@ class TestDrawsAgainstTheStandardLibrary:
 
 
 class TestOrderedWalk:
-    """The ordered walk decides each member multiset once; the product walk
-    of reference_ordered, which decides every order, is its reference."""
+    """The minimal-family walk against the product walk of reference_ordered,
+    which decides every ordered family: matrix, whose hypothesis is Hall's
+    condition on the prefix sums, and the rainbow checkers."""
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
     def test_matrix_equals_the_product_walk(self, n, k):
         from rainbowmatch import verify
         checker = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k})
-        assert verify._run_ordered(checker) == reference_ordered.run_ordered(checker)
+        assert_matches_the_product_walk(checker, *verify._run_exhaustive(checker))
 
     @pytest.mark.parametrize("case", [("size_condition", {"n": 3, "r": 2, "k": 2}),
                                       ("rainbow_general", {"n": 5, "r": 2, "k": 2}),
@@ -849,22 +932,71 @@ class TestOrderedWalk:
         from rainbowmatch import verify
         conjecture, params = case
         checker = _make_checker(ConjectureId(conjecture), params)
-        assert verify._run_ordered(checker) == reference_ordered.run_ordered(checker)
+        assert_matches_the_product_walk(checker, *verify._run_exhaustive(checker))
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_every_order_of_a_failure_in_product_order(self, k):
-        # the hypothesis refuses some multisets, and the conclusion fails on
-        # members of one size: multisets with repeated and with distinct members
-        from rainbowmatch import verify
-        base = _make_checker(ConjectureId.MATRIX, {"n": 3, "k": k})
-        checker = verify._Checker(base.ground, k,
-                                  hypothesis=lambda fam: sum(fam.sizes()) % 3 != 1,
-                                  conclusion=lambda fam: len(set(fam.sizes())) > 1,
-                                  sample=base.sample)
-        checked, counters = verify._run_ordered(checker)
-        assert (checked, counters) == reference_ordered.run_ordered(checker)
-        members = [member_masks(inst) for inst in counters]
-        assert len(set(members)) < len(members) < checked
+
+def down_closure(ground, cells):
+    """The partite r=2 cells at or below some given cell, coordinatewise."""
+    return Hypergraph(ground, {(a, b) for x, y in cells
+                               for a in range(x + 1) for b in range(y + 1)})
+
+
+class TestMatrixExhaustive:
+    """matrix is checked on its minimal families: its hypothesis is a floor on
+    each ascending prefix sum, and its conclusion survives supersets."""
+
+    @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
+    def test_the_conclusion_survives_a_shifted_superset(self, n, k, seed, data):
+        from rainbowmatch.verify import _matrix_concl
+        k = min(k, n)
+        ground = GroundSet(PARTITE, 2, n)
+        cells = list(ground.cells())
+        rng = random.Random(seed)
+        members = [down_closure(ground, rng.sample(cells, rng.randint(0, 3)))
+                   for _ in range(k)]
+        i = data.draw(st.integers(0, k - 1))
+        wider = down_closure(ground, list(members[i].edges) + rng.sample(cells, rng.randint(1, 3)))
+        assert all(is_shifted(h) for h in [*members, wider])
+        replaced = members[:i] + [wider] + members[i + 1:]
+        if _matrix_concl(Family(members)):
+            assert _matrix_concl(Family(replaced))
+
+    def test_n5_k3_has_one_failing_minimal_family(self):
+        # F1 = {m1 w1}; F2 = rows m1, m2 and column w1; F3 = rows m1..m3 and
+        # column w1: sizes 1, 13 and 17
+        report = check_conjecture("matrix", {"n": 5, "k": 3}, mode="exhaustive")
+        assert report.instances_checked == 12_713_469
+        (counter,) = report.counterexamples
+        ground = GroundSet(PARTITE, 2, 5)
+        column = {(x, 0) for x in range(5)}
+        expected = [Hypergraph(ground, [(0, 0)]),
+                    Hypergraph(ground, {(x, y) for x in range(2) for y in range(5)} | column),
+                    Hypergraph(ground, {(x, y) for x in range(3) for y in range(5)} | column)]
+        family = instance_from_dict(counter).to_family()
+        assert list(family) == expected and family.sizes() == (1, 13, 17)
+        assert check_hall_condition(family).ok  # 1 > 0, 14 > 10, 31 > 30
+        dm = DegreeMatrix.from_family(family)
+        assert [row[:3] for row in dm.entries] == [(1, 0, 0), (5, 2, 2), (5, 3, 3)]
+        # no permutation's sorted selection has every prefix sum above j(j-1)
+        for perm in itertools.permutations(range(3)):
+            sel = sorted(dm.entries[i][perm[i]] for i in range(3))
+            assert not all(total > j * (j - 1)
+                           for j, total in enumerate(itertools.accumulate(sel), 1))
+        result = check_matrix_conjecture(dm)
+        assert result.hypothesis and result.permutation is None
+        assert result.weak_permutation is not None
+
+    def test_n6_k2_through_the_cli_within_a_second(self, capsys):
+        from rainbowmatch.cli import main
+        start = time.perf_counter()
+        code = main(["verify", "--conjecture", "matrix", "--n", "6", "--k", "2",
+                     "--mode", "exhaustive", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["instances_checked"] == 849_728
+        assert payload["counterexamples"] == []
+        assert elapsed < 1.0
 
 
 class TestSamplerAgainstReference:
