@@ -19,9 +19,9 @@ from typing import NoReturn
 
 from .core import PARTITE, ConjectureId, Family, nu_exact, rainbow_exact
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
-from .instances import Instance, edge_text, parse_instance, serialize_instance
-# bound, not executed: a command runs a module the first time it calls into it
-from . import extremal, shifting, solvers, verify
+# bound, not executed: a command runs a module the first time it calls into it,
+# so one that reads and writes no instance never runs instances
+from . import extremal, instances, shifting, solvers, verify
 
 EXIT_OK = 0
 EXIT_NO_MATCHING = 2
@@ -34,16 +34,16 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _instance_text(instance: Instance) -> str:
+def _instance_text(instance: instances.Instance) -> str:
     g = instance.ground
     lines = [f"kind: {g.kind} r={g.r} n={g.n}"]
     for i, member in enumerate(instance.families):
-        edges = ", ".join(edge_text(g, e) for e in member.edges)
+        edges = ", ".join(instances.edge_text(g, e) for e in member.edges)
         lines.append(f"F_{i + 1}: {edges}" if edges else f"F_{i + 1}: (empty)")
     return "\n".join(lines) + "\n"
 
 
-def _read_instance(path: str) -> Instance:
+def _read_instance(path: str) -> instances.Instance:
     source = "stdin" if path == "-" else path
     try:
         if path == "-":
@@ -59,7 +59,7 @@ def _read_instance(path: str) -> Instance:
         raise InputError(f"cannot read {source}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_instance(text)
+    return instances.parse_instance(text)
 
 
 def _cmd_solve(args) -> int:
@@ -96,7 +96,7 @@ def _cmd_solve(args) -> int:
     if matching:
         status, extra = "success", {}
         choices = [[v + 1 for v in e] for e in matching.choices]
-        text = "".join(f"F_{i + 1}: {edge_text(family.ground, e)}\n"
+        text = "".join(f"F_{i + 1}: {instances.edge_text(family.ground, e)}\n"
                        for i, e in enumerate(matching.choices))
     if args.format == "json":
         text = _dump({"schema_version": 1, "kind": "solve", "status": status,
@@ -108,7 +108,7 @@ def _cmd_solve(args) -> int:
 def _cmd_shift(args) -> int:
     family = _read_instance(args.infile).to_family()
     shifted, log = shifting.shifted_closure(family)
-    instance = Instance.from_family(shifted)
+    instance = instances.Instance.from_family(shifted)
     if args.format == "json":
         sys.stdout.write(_dump({"schema_version": 1, "kind": "shift_result",
                                 "instance": instance.to_dict(), "log": log.to_json()}))
@@ -155,8 +155,8 @@ def _cmd_extremal(args) -> int:
         family = extremal.r3_counterexample(args.n)
     else:  # ekr
         family = Family([extremal.ekr_star(args.n, args.r)])
-    instance = Instance.from_family(family)
-    sys.stdout.write(serialize_instance(instance) if args.format == "json"
+    instance = instances.Instance.from_family(family)
+    sys.stdout.write(instances.serialize_instance(instance) if args.format == "json"
                      else _instance_text(instance))
     return EXIT_OK
 
@@ -282,7 +282,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"theorem violation: {exc}\n")
         if exc.instance is not None:
             try:
-                sys.stderr.write(serialize_instance(Instance.from_family(exc.instance)))
+                sys.stderr.write(instances.serialize_instance(
+                    instances.Instance.from_family(exc.instance)))
             except RainbowError:
                 pass
         return EXIT_THEOREM_VIOLATION

@@ -13,12 +13,12 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, ConjectureId, Family, GroundSet,
-                   Hypergraph, _dominates, _guard_index, _mask, _Record, capped_cells,
-                   estimate_text, nu_exact, rainbow_exact)
+                   Hypergraph, _dominates, _guard_index, _mask, _Record, _repeat,
+                   capped_cells, estimate_text, nu_exact, rainbow_exact)
 from .errors import InputError, TheoremViolationError
-from . import extremal, shifting, solvers
+# bound, not executed: instances runs only when a counterexample is listed
+from . import extremal, instances, shifting, solvers
 from .extremal import f_r2, g_formula
-from .instances import Instance
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
 # 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
@@ -189,6 +189,10 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 
 
 class _Checker(_Record):
+    """A conjecture at fixed parameters: its hypothesis and conclusion on a
+    family, a sampler of hypothesis families, and what the exhaustive walk
+    (floors, sums) and the random one (kernel) may reduce to."""
+
     ground: GroundSet
     k: int
     hypothesis: Callable[[Family], bool]
@@ -200,6 +204,12 @@ class _Checker(_Record):
     # Empty floors refuse exhaustive mode: no shifted reduction is known.
     floors: tuple[int, ...] = ()
     sums: tuple[int, ...] = ()
+    # the k-kernel's cells (_kernel_mask) when the conclusion is a function
+    # of the multiset of the members' traces on it, so that random mode
+    # decides each such multiset once per shard (_run_shard); 0 reads the
+    # whole family. Sound only for shifted members, which the rainbow
+    # sampler's closure makes every member (the kernel lemma).
+    kernel: int = 0
 
 
 def _rainbow_concl(family: Family) -> bool:
@@ -232,20 +242,26 @@ def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
     setsize = 21  # Random.sample's choice between a pool list and a set
     if size > 5:
         setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    # each position is _below's rejection loop, written out: this is the
+    # innermost loop of random mode
     if u <= setsize:
         # a partial Fisher-Yates: pool[:m] holds the positions not yet drawn
         pool = list(range(u))
         mask = 0
         for m in range(u, u - size, -1):
-            j = _below(getrandbits, m)
+            b = m.bit_length()
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
             mask |= 1 << pool[j]
             pool[j] = pool[m - 1]
         return mask
     seen: set[int] = set()
+    b = u.bit_length()
     for _ in range(size):
-        j = _below(getrandbits, u)
-        while j in seen:
-            j = _below(getrandbits, u)
+        j = getrandbits(b)
+        while j >= u or j in seen:  # out of range, or drawn before: draw again
+            j = getrandbits(b)
         seen.add(j)
     return _mask(seen, u)
 
@@ -280,7 +296,10 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
     for _ in range(200):
         target = min_size + _below(getrandbits, most - min_size + 1)
         for i in range(u - 1, 0, -1):
-            j = _below(getrandbits, i + 1)
+            b = (i + 1).bit_length()  # _below(getrandbits, i + 1), written out
+            j = getrandbits(b)
+            while j > i:
+                j = getrandbits(b)
             positions[i], positions[j] = positions[j], positions[i]
         degs = ([0] * n, [0] * n)
         picked = []
@@ -297,13 +316,56 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
     raise InputError("could not sample a degree-capped member at these parameters")
 
 
+def _kernel_mask(ground: GroundSet, k: int) -> int:
+    """The cells of the k-kernel K as a mask: [k]^r on a partite ground, the
+    r-sets of the first kr vertices on a general one; the whole ground where
+    n <= k (partite) or n <= kr (general).
+
+    Shifted members F_1..F_k have a rainbow matching iff their traces
+    F_i & K do. Take a rainbow matching: on each side its k edges use k
+    values (on a general ground, kr vertices). Map them in order onto
+    0..k-1 (0..kr-1). No value goes up, so each image edge lies below its
+    edge, and a shifted member holds it; the images are disjoint and in K.
+
+    No cell is listed and no general index built, which would cost seconds
+    on grounds that exhaustive mode then refuses, and the mask ends at the
+    kernel's last cell. On a partite ground the cells whose side-0 vertex
+    is below k are the low k*n^(r-1) bits, and side s keeps k*t bits of
+    every n*t (t its stride); a general ground's kernel is _lex_kernel's."""
+    n, r = ground.n, ground.r
+    if ground.kind == GENERAL:
+        return _lex_kernel(n, r, k * r)
+    m = min(k, n)
+    top = m * n ** (r - 1)
+    mask = (1 << top) - 1
+    for s in range(1, r):
+        t = n ** (r - 1 - s)
+        mask &= _repeat((1 << m * t) - 1, n * t, top)
+    return mask
+
+
+def _lex_kernel(n: int, r: int, m: int) -> int:
+    """The r-sets of range(m) among the r-sets of range(n), as a mask in
+    lexicographic order. The r-sets with least vertex a are a block, the
+    (r-1)-sets of the n-1-a vertices above a in the same order, so the
+    mask is, block by block, the kernel of that smaller ground; the blocks
+    of least vertex m or more hold none."""
+    if r <= 1 or m >= n:
+        return (1 << math.comb(min(m, n), r)) - 1
+    mask = 0
+    for a in range(min(m, n - r + 1) - 1, -1, -1):  # the top block first
+        mask = mask << math.comb(n - 1 - a, r - 1) | _lex_kernel(n - 1 - a, r - 1, m - 1 - a)
+    return mask
+
+
 def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> _Checker:
     """The rainbow-matching checker for families of k members whose sorted
     sizes dominate the floors floor(0) <= ... <= floor(k-1). A ground too
     large to index (every mode needs it) and a top floor past the cell count
     are refused before any floor is listed, as k may be huge. A rainbow
     matching of a family is one of every family of supersets, so the
-    checker is monotone."""
+    checker is monotone; its sampler closes every member, so the verdict
+    reads only the members' traces on the k-kernel."""
     _guard_index(ground)
     if (top := floor(k - 1)) > ground.cell_count:
         raise InputError(f"hypothesis bound {top - 1} leaves no admissible size")
@@ -313,7 +375,7 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
         hypothesis=lambda fam: _dominates(fam.sizes(), floors),
         conclusion=_rainbow_concl,
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
-        floors=tuple(floors), sums=(0,) * k)
+        floors=tuple(floors), sums=(0,) * k, kernel=_kernel_mask(ground, k))
 
 
 def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
@@ -396,12 +458,16 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
     Exhaustive mode covers every family of shifted members meeting the
     hypothesis at the given parameters (sound for the conjectures that survive
     shifting; refused for the degree-capped one), deciding only its minimal
-    families (_run_exhaustive). Random mode draws seeded
-    hypothesis-satisfying samples. Counterexamples are embedded as instances.
+    families (_run_exhaustive), in one process: more workers are refused.
+    Random mode draws seeded hypothesis-satisfying samples, split over the
+    workers. Counterexamples are embedded as instances.
     """
     conjecture = ConjectureId(conjecture)
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
+    if mode == "exhaustive" and workers > 1:
+        raise InputError(f"exhaustive mode runs in one process: workers must be 1, "
+                         f"got {workers}")
     checker = _make_checker(conjecture, params)
     start = time.perf_counter()
     if mode == "random":
@@ -459,7 +525,7 @@ def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
                 raise TheoremViolationError("minimal family outside the hypothesis",
                                             instance=family)
             if not checker.conclusion(family):
-                counters.append(Instance.from_family(family).to_dict())
+                counters.append(instances.Instance.from_family(family).to_dict())
     return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
 
 
@@ -520,8 +586,19 @@ def _count_families(floors: tuple[int, ...], sums: tuple[int, ...],
 
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
+    """One shard: count trials from a generator seeded by the run's seed
+    and the shard's number. Each family is sampled and checked against the
+    hypothesis, and each one failing the conclusion is listed in full.
+
+    With checker.kernel set, the conclusion is decided once per distinct
+    sorted tuple of the members' kernel traces and its verdict reused for
+    the rest of the shard: the kernel lemma (_kernel_mask) makes it a
+    function of that multiset. The verdicts live in this call, so at most
+    count of them, each keyed by masks no larger than the family's."""
     checker, seed, shard, count = args
     rng = random.Random(f"{seed}:{shard}")
+    kernel = checker.kernel
+    verdicts: dict[tuple[int, ...], bool] = {}
     counters: list[dict] = []
     for _ in range(count):
         family = checker.sample(rng)
@@ -529,8 +606,14 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
                 instance=family)
-        if not checker.conclusion(family):
-            counters.append(Instance.from_family(family).to_dict())
+        if not kernel:
+            holds = checker.conclusion(family)
+        else:
+            key = tuple(sorted(h.mask & kernel for h in family))
+            if (holds := verdicts.get(key)) is None:
+                holds = verdicts[key] = checker.conclusion(family)
+        if not holds:
+            counters.append(instances.Instance.from_family(family).to_dict())
     return count, counters
 
 

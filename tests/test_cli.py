@@ -612,6 +612,17 @@ class TestOtherCommands:
                                  "--workers", workers)
         assert code == 3 and out == "" and "workers" in err
 
+    @pytest.mark.parametrize("workers", ["2", "3"])
+    def test_verify_exhaustive_with_more_workers_exits_3(self, capsys, workers):
+        # exhaustive mode runs in one process, so --workers above 1 is refused
+        # rather than ignored
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "size_condition",
+                                 "--n", "3", "--r", "2", "--k", "2", "--mode", "exhaustive",
+                                 "--workers", workers)
+        assert (code, out) == (3, "")
+        assert err == (f"error: exhaustive mode runs in one process: workers must be 1, "
+                       f"got {workers}\n")
+
     @pytest.mark.parametrize("stop", ["killed", "fork refused"])
     def test_verify_worker_that_stops_leaves_the_one_worker_report(self, capsys, monkeypatch,
                                                                     stop):
@@ -977,23 +988,26 @@ def test_importing_the_package_registers_every_module_and_runs_none():
     assert executed_modules() == ("None", set())
 
 
-# what each command executes besides cli, core, errors and instances, which
-# every command runs
+# what each command executes besides cli, core and errors, which every
+# command runs; instances runs only where an instance is read or written
 COMMAND_MODULES = [
-    (["extremal", "--name", "star", "--n", "3"], "0", {"extremal"}),
-    (["nu", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", set()),
+    (["extremal", "--name", "star", "--n", "3"], "0", {"extremal", "instances"}),
+    (["nu", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"instances"}),
     (["solve", "--algorithm", "oracle", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
-     set()),
+     {"instances"}),
     (["solve", "--algorithm", "greedy", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
-     {"solvers"}),
-    (["check", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"solvers"}),
+     {"instances", "solvers"}),
+    (["check", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"instances", "solvers"}),
     (["solve", "--algorithm", "hall", "--in", str(FIXTURES / "steal_q3_n6.json")], "2",
-     {"solvers", "shifting"}),
+     {"instances", "solvers", "shifting"}),
     (["solve", "--algorithm", "r3", "--in", str(CLI_GOLDENS / "in_r3_cube.json")], "0",
-     {"solvers", "shifting", "extremal"}),
-    (["shift", "--in", str(FIXTURES / "shift_in_partite_r2.json")], "0", {"shifting"}),
+     {"instances", "solvers", "shifting", "extremal"}),
+    (["shift", "--in", str(FIXTURES / "shift_in_partite_r2.json")], "0",
+     {"instances", "shifting"}),
+    # a named instance is built, never read or written
     (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting"}),
-    # random rainbow checks close their samples, and run no solver
+    # random rainbow checks close their samples, and run no solver; a report
+    # without counterexamples writes no instance
     (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--budget", "20"],
      "0", {"verify", "extremal", "shifting"}),
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--k", "2", "--budget", "20"],
@@ -1014,7 +1028,16 @@ COMMAND_MODULES = [
 @pytest.mark.parametrize("argv,status,modules", COMMAND_MODULES,
                          ids=[" ".join(argv[:3]) for argv, *_ in COMMAND_MODULES])
 def test_each_command_executes_only_the_modules_it_runs(argv, status, modules):
-    assert executed_modules(*argv) == (status, {"cli", "core", "errors", "instances"} | modules)
+    assert executed_modules(*argv) == (status, {"cli", "core", "errors"} | modules)
+
+
+def test_a_listed_counterexample_executes_instances():
+    # two different perfect matchings of K_{2,2} have no rainbow matching, and
+    # a report lists each failing family as an instance
+    argv = ["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "2", "--k", "2",
+            "--budget", "20"]
+    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "extremal",
+                                             "instances"})
 
 
 # The process entry, cli.run(): main's status, both streams flushed, and

@@ -42,7 +42,7 @@ RECORDS = {
     # builtins stand in for the callables: they pickle by name
     _Checker: {"ground": (B3, B4), "k": (2, 3), "hypothesis": (bool, callable),
                "conclusion": (callable, bool), "sample": (repr, ascii),
-               "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7))},
+               "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7)), "kernel": (0b1011, 0)},
 }
 UNCOMPARED = {(VerifyReport, "elapsed")}
 # a field that cannot change alone, with the changes that keep the record valid
@@ -131,7 +131,7 @@ def test_defaults():
     report = VerifyReport("simple", {}, "random", 0, ())
     assert report.elapsed == 0.0 and report.seed is None
     checker = _Checker(B3, 2, bool, bool, repr)
-    assert checker.floors == () and checker.sums == ()
+    assert checker.floors == () and checker.sums == () and checker.kernel == 0
     with pytest.raises(TypeError):
         HallCheck()
     with pytest.raises(TypeError):

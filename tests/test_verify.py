@@ -20,7 +20,9 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           rainbow_exact, shifted_closure)
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
-from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _sample_mask
+from rainbowmatch.shifting import _closed_mask
+from rainbowmatch.verify import (SHARD_TRIALS, _below, _kernel_mask, _make_checker,
+                                 _sample_mask)
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -314,6 +316,22 @@ class TestCheckConjecture:
                 check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
                                  mode="random", budget=10, workers=workers)
 
+    def test_more_workers_in_exhaustive_mode_are_refused(self, monkeypatch):
+        # exhaustive mode runs in one process; the refusal comes before the
+        # checker, whose exact threshold may itself walk every shifted set
+        from rainbowmatch import verify
+        params = {"n": 3, "r": 2, "k": 2}
+        make = verify._make_checker
+        monkeypatch.setattr(verify, "_make_checker", lambda *args: pytest.fail("checker built"))
+        for workers in (2, 3):
+            with pytest.raises(InputError, match=f"^exhaustive mode runs in one process: "
+                                                 f"workers must be 1, got {workers}$"):
+                check_conjecture(ConjectureId.SIZE_CONDITION, params, mode="exhaustive",
+                                 workers=workers)
+        monkeypatch.setattr(verify, "_make_checker", make)
+        assert check_conjecture(ConjectureId.SIZE_CONDITION, params, mode="exhaustive",
+                                workers=1).ok
+
     def test_pool_size_clamp(self, monkeypatch):
         from rainbowmatch import verify
         monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
@@ -462,18 +480,24 @@ class TestForkedPool:
         assert_no_child()
 
     def test_planted_failures_are_listed_alike_at_every_pool_size(self, monkeypatch):
-        # a wrong verdict on every family whose sizes sum to a multiple of 5,
-        # inherited by the children
+        # real failures, planted by lowering the size floor by 6 below g, which
+        # the children inherit; each failing family is listed in full, also
+        # where its shard decided its kernel traces before
         from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
-        exact = verify.rainbow_exact
-        monkeypatch.setattr(verify, "rainbow_exact",
-                            lambda fam: None if sum(fam.sizes()) % 5 == 0 else exact(fam))
-        a, b, c = (check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
+        monkeypatch.setattr(verify, "g_formula", lambda n, r, k: g_formula(n, r, k) - 6)
+        a, b, c = (check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 2, "k": 3},
                                     budget=SHARD_TRIALS * 4 + 9, seed=2, workers=workers)
                    for workers in (1, 2, 3))
-        assert a.counterexamples
-        assert all(sum(map(len, c["families"])) % 5 == 0 for c in a.counterexamples)
+        # the same list as the oracle's on every family: no kernel, no memo
+        monkeypatch.setattr(verify, "_kernel_mask", lambda ground, k: 0)
+        assert a == check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 2, "k": 3},
+                                     budget=SHARD_TRIALS * 4 + 9, seed=2)
+        assert len(a.counterexamples) > 1
+        for listed in a.counterexamples:
+            family = instance_from_dict(listed).to_family()
+            assert rainbow_exact(family) is None
+            assert min(family.sizes()) <= g_formula(4, 2, 3)
         assert a == b == c
         assert_no_child()
 
@@ -1071,3 +1095,149 @@ class TestSamplerAgainstReference:
         text = "\n".join(" ".join(format(h.mask, "x") for h in checker.sample(rng))
                          for _ in range(SHARD_TRIALS))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def kernel_cells(ground, k):
+    """The k-kernel listed cell by cell: every vertex below k on a partite
+    ground, below k*r on a general one."""
+    top = k if ground.kind == PARTITE else k * ground.r
+    return sum(1 << i for i, cell in enumerate(ground.cells()) if max(cell) < top)
+
+
+@st.composite
+def shifted_families(draw):
+    """k <= 4 shifted members on a partite ground of r = 1..3 or a general
+    one of r = 2..3, with n below, at and above k (kr on a general ground)."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 3))
+        ground = GroundSet(PARTITE, r, draw(st.integers(1, k + 2 if r < 3 else 5)))
+    else:
+        r = draw(st.integers(2, 3))
+        ground = GroundSet(GENERAL, r, draw(st.integers(r, k * r + 2 if r < 3 else 12)))
+    u = ground.cell_count
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    # small members keep traces apart from members; any size reaches every closure
+    sizes = draw(st.lists(st.integers(0, 2 * k) | st.integers(0, u), min_size=k, max_size=k))
+    return ground, Family([Hypergraph._from_mask(ground, _closed_mask(
+        ground, _sample_mask(rng, ground, min(size, u)))) for size in sizes])
+
+
+# the eight random jobs of perfbench's verify-random workload:
+# (conjecture, n, r, k, d, budget), and the SHA-256 of the JSON report at
+# seeds 1 and 977, keys sorted and elapsed removed
+BENCHMARK_REPORTS = [
+    (("size_condition", 4, 3, 2, None, 512),
+     "65fe1998623d3e251bf92b11246bf37c30300577256aef1d99dffb00865c55ee",
+     "8f048be7561cfc06fab7c042d68cff1d79c1b53bf034adca111c9964d51165f8"),
+    (("simple", 5, 2, 3, None, 512),
+     "d94d2309083a53772eb14bcd6f278e4c62453cec408f3855414bea91410c90ab",
+     "317f923907d5ee3d6e17bbfa80dc9fafc7195773e14d82ef68e9cb0e1a268116"),
+    (("rainbow_general", 8, 2, 3, None, 512),
+     "e202d3dc3df39c552aa5129eff53d9865264dac69038ae936985819a5ba153ee",
+     "ad0d9c71c4dab696e5235df5f4cac63cb72079e5c992189582fa16b6e0e41910"),
+    (("degree_condition", 4, 2, 2, 1, 1024),
+     "3287e2de98465abc4482fe08282aeaaf99094fe1f051408dc4df4ed9d0043fbf",
+     "c9edd2a7abc0455fc4a0e2d67154872935fb0f4df1817fcae4f8b4c57953e5b8"),
+    (("size_condition", 3, 3, 2, None, 512),
+     "6024bcbff18541f088083104ba723482a382d136f045362d9bce15f2fadd77fb",
+     "5e431d2b177a8cdd4803797e232011b01f4b260feec77921155f8b17180a6960"),
+    (("size_condition", 4, 2, 3, None, 512),
+     "0436c34611c17189420ebcfa7b043ce1894e397e88433e860eb4cbeeebaeb20a",
+     "3762f791f48e59dad583d8d1226bdb448826c181cc39f2ad4c7f2f483b961db3"),
+    (("simple", 4, 2, 3, None, 512),
+     "5394f8c58e442704f8787660ab16e255fc7a3f15cd5a4f11e5ab7da4bf369685",
+     "431a58f577ac23c7a788e87cb91e7b4e30b4a1f811d8328a9922a8680950bf84"),
+    (("degree_condition", 5, 2, 3, 2, 512),
+     "c474eef3a38e52248525e49ad71d3c54f9d18e8e180816c15567fc053a7dca26",
+     "cb44a603109f073e0cef905957bd0cf935c0e371ca73037a49d24ec70f75bcfb"),
+]
+
+
+class TestKernelVerdicts:
+    """Random rainbow checks decide each multiset of kernel traces once per
+    shard (_run_shard); the kernel lemma (_kernel_mask) makes that exact."""
+
+    @pytest.mark.parametrize("kind,r,n_values", [(PARTITE, 1, range(1, 7)),
+                                                 (PARTITE, 2, range(1, 7)),
+                                                 (PARTITE, 3, range(1, 5)),
+                                                 (GENERAL, 2, range(2, 11)),
+                                                 (GENERAL, 3, range(3, 10))])
+    def test_kernel_mask_is_the_listed_kernel(self, kind, r, n_values):
+        for n in n_values:
+            ground = GroundSet(kind, r, n)
+            for k in range(1, 5):
+                assert _kernel_mask(ground, k) == kernel_cells(ground, k), (n, k)
+
+    @given(shifted_families())
+    def test_shifted_members_match_iff_their_traces_do(self, case):
+        ground, family = case
+        kernel = kernel_cells(ground, family.k)
+        traces = Family([Hypergraph._from_mask(ground, h.mask & kernel) for h in family])
+        assert (rainbow_exact(family) is None) == (rainbow_exact(traces) is None)
+
+    def test_only_the_rainbow_checkers_take_the_kernel(self):
+        for conjecture, params, ground, k in [
+                ("size_condition", {"n": 4, "r": 3, "k": 2}, GroundSet(PARTITE, 3, 4), 2),
+                ("simple", {"n": 5, "k": 3}, GroundSet(PARTITE, 2, 5), 3),
+                ("rainbow_general", {"n": 8, "k": 3}, GroundSet(GENERAL, 2, 8), 3),
+                ("rainbow_general", {"n": 7, "r": 3, "k": 2}, GroundSet(GENERAL, 3, 7), 2)]:
+            assert _make_checker(ConjectureId(conjecture), params).kernel == \
+                kernel_cells(ground, k)
+        # raw members and the degree-matrix conclusion read the whole family
+        assert _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}).kernel == 0
+        assert _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2}).kernel == 0
+
+    def test_each_trace_multiset_is_decided_once_per_shard(self, monkeypatch):
+        from rainbowmatch import verify
+        params = {"n": 4, "r": 3, "k": 2}
+        checker = _make_checker(ConjectureId.SIZE_CONDITION, params)
+        kernel = kernel_cells(checker.ground, 2)
+
+        def traces(family):
+            return tuple(sorted(h.mask & kernel for h in family))
+
+        # the distinct trace multisets of each shard's families, drawn again
+        # from the shard's own seed
+        distinct = set()
+        for s in range(2):
+            rng = random.Random(f"1:{s}")
+            distinct.update((s, traces(checker.sample(rng))) for _ in range(SHARD_TRIALS))
+        shard, calls = [None], []
+        exact, run_shard = verify.rainbow_exact, verify._run_shard
+        monkeypatch.setattr(verify, "rainbow_exact", lambda family: calls.append(
+            (shard[0], traces(family))) or exact(family))
+        monkeypatch.setattr(verify, "_run_shard",
+                            lambda args: shard.__setitem__(0, args[2]) or run_shard(args))
+        report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
+                                  seed=1)
+        assert report.instances_checked == 2 * SHARD_TRIALS and report.ok
+        assert sorted(calls) == sorted(distinct)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("case", [
+        ("size_condition", {"n": 3, "r": 3, "k": 2}, 2080),
+        ("size_condition", {"n": 4, "r": 2, "k": 3}, 84),
+        ("simple", {"n": 4, "k": 3}, 200),
+        ("rainbow_general", {"n": 6, "r": 2, "k": 3}, 4)], ids=lambda c: _case_id(c[:2]))
+    def test_exhaustive_mode_decides_every_minimal_family(self, monkeypatch, case):
+        # the kernel is for random mode only: the exhaustive walk makes one
+        # oracle call per minimal multiset, as before it
+        from rainbowmatch import verify
+        conjecture, params, calls = case
+        made, exact = [], verify.rainbow_exact
+        monkeypatch.setattr(verify, "rainbow_exact",
+                            lambda family: made.append(1) or exact(family))
+        assert check_conjecture(conjecture, params, mode="exhaustive").ok
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("case", BENCHMARK_REPORTS,
+                             ids=lambda c: "-".join(map(str, c[0][:4])))
+    def test_benchmark_reports_are_pinned(self, case):
+        (conjecture, n, r, k, d, budget), digest_1, digest_977 = case
+        params = {"n": n, "k": k, "r": r} | ({"d": d} if d is not None else {})
+        for seed, digest in ((1, digest_1), (977, digest_977)):
+            report = check_conjecture(conjecture, params, budget=budget, seed=seed).to_json()
+            del report["elapsed"]
+            text = json.dumps(report, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
