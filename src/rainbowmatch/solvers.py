@@ -368,9 +368,9 @@ class DegreeMatrix(_Record):
         return tuple(sum(row) for row in self.entries)
 
     @classmethod
-    def from_family(cls, family: Family, side: int = 1) -> "DegreeMatrix":
+    def from_family(cls, family: Family) -> "DegreeMatrix":
         _require_kind(family, PARTITE, r=2)
-        return cls(tuple(h.degrees(side) for h in family.members), family.ground.n)
+        return cls(tuple(h.degrees(1) for h in family.members), family.ground.n)
 
 
 def _perfect_assignment(allowed: list[list[bool]]) -> tuple[int, ...] | None:

@@ -190,34 +190,36 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 
 class _Checker(_Record):
     """A conjecture at fixed parameters: its hypothesis and conclusion on a
-    family, a sampler of hypothesis families, and what the exhaustive walk
-    (floors, sums) and the random one (kernel) may reduce to."""
+    family given as its members' masks over ground.index, a sampler of
+    hypothesis families, and what the exhaustive walk (floors, sums) and the
+    random one (kernel) may reduce to."""
 
     ground: GroundSet
     k: int
-    hypothesis: Callable[[Family], bool]
-    conclusion: Callable[[Family], bool]
-    sample: Callable[[random.Random], Family]
+    hypothesis: Callable[[tuple[int, ...]], bool]
+    conclusion: Callable[[tuple[int, ...]], bool]
+    sample: Callable[[random.Random], tuple[int, ...]]
     # the hypothesis as floors on the ascending member sizes, when the
     # conclusion also holds for every family of supersets: size j (from 0)
     # is at least floors[j], and sizes 0..j sum to at least sums[j].
     # Empty floors refuse exhaustive mode: no shifted reduction is known.
     floors: tuple[int, ...] = ()
     sums: tuple[int, ...] = ()
-    # the k-kernel's cells (_kernel_mask) when the conclusion is a function
-    # of the multiset of the members' traces on it, so that random mode
-    # decides each such multiset once per shard (_run_shard); 0 reads the
-    # whole family. Sound only for shifted members, which the rainbow
-    # sampler's closure makes every member (the kernel lemma).
-    kernel: int = 0
+    # cells whose traces, as a multiset, decide the conclusion, so that
+    # random mode decides each multiset once per shard (_run_shard): -1,
+    # every cell, as no verdict depends on member order; the k-kernel
+    # (_kernel_mask) for the rainbow checkers, whose closing sampler makes
+    # every member shifted, as the kernel lemma needs.
+    kernel: int = -1
 
 
-def _rainbow_concl(family: Family) -> bool:
-    return rainbow_exact(family) is not None
+def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
+    """The members as a Family, for the oracle, an error or a listing."""
+    return Family([Hypergraph._from_mask(ground, m) for m in masks])
 
 
-def _matrix_concl(family: Family) -> bool:
-    return check_matrix_conjecture(solvers.DegreeMatrix.from_family(family)).ok
+def _rainbow_concl(ground: GroundSet) -> Callable[[tuple[int, ...]], bool]:
+    return lambda masks: rainbow_exact(_family(ground, masks)) is not None
 
 
 def _below(getrandbits: Callable[[int], int], m: int) -> int:
@@ -267,19 +269,18 @@ def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
 
 
 def _sample_shifted_family(rng: random.Random, ground: GroundSet,
-                           floors: list[int]) -> Family:
+                           floors: list[int]) -> tuple[int, ...]:
     """Uniform members of sizes drawn from [floor, cell_count], each closed
-    as shifted_closure would close their family."""
+    as shifted_closure would close their family; the closure draws nothing."""
     u = ground.cell_count
     getrandbits = rng.getrandbits
-    drawn = [_sample_mask(rng, ground, f + _below(getrandbits, u - f + 1)) for f in floors]
-    return Family([Hypergraph._from_mask(ground, shifting._closed_mask(ground, m))
-                   for m in drawn])
+    return tuple(shifting._closed_mask(ground, _sample_mask(
+        rng, ground, f + _below(getrandbits, u - f + 1))) for f in floors)
 
 
 def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
-                          min_size: int) -> Hypergraph:
-    """A member of at least min_size edges and max degree at most d: a
+                          min_size: int) -> int:
+    """A member mask of at least min_size edges and max degree at most d: a
     target size drawn from [min_size, n*min(d, n)], then the cell positions
     in shuffled order, each kept while both its vertices have degree below
     d; a new target and shuffle when the walk falls short. n*min(d, n) is
@@ -312,7 +313,7 @@ def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
                 degs[0][x] += 1
                 degs[1][y] += 1
         if len(picked) == target:
-            return Hypergraph._from_mask(ground, _mask(picked, u))
+            return _mask(picked, u)
     raise InputError("could not sample a degree-capped member at these parameters")
 
 
@@ -372,8 +373,8 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     floors = [floor(i) for i in range(k)]
     return _Checker(
         ground, k,
-        hypothesis=lambda fam: _dominates(fam.sizes(), floors),
-        conclusion=_rainbow_concl,
+        hypothesis=lambda masks: _dominates(map(int.bit_count, masks), floors),
+        conclusion=_rainbow_concl(ground),
         sample=lambda rng: _sample_shifted_family(rng, ground, floors),
         floors=tuple(floors), sums=(0,) * k, kernel=_kernel_mask(ground, k))
 
@@ -413,28 +414,34 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
                              f"(limit {extremal.MAX_LISTED_VERTICES})")
         min_size = (k - 1) * d + 1
 
-        def hyp(fam: Family) -> bool:
+        def hyp(masks: tuple[int, ...]) -> bool:
             index = ground.index
-            return all(len(h) > (k - 1) * d and max(map(max, index.degrees(h.mask))) <= d
-                       for h in fam)
+            return all(m.bit_count() > (k - 1) * d and max(map(max, index.degrees(m))) <= d
+                       for m in masks)
 
-        def sample(rng: random.Random) -> Family:
+        def sample(rng: random.Random) -> tuple[int, ...]:
             # no shifted reduction is known for a degree cap: sample raw members
-            return Family([_sample_degree_capped(rng, ground, d, min_size)
-                           for _ in range(k)])
+            return tuple(_sample_degree_capped(rng, ground, d, min_size) for _ in range(k))
 
-        return _Checker(ground, k, hyp, _rainbow_concl, sample)
+        return _Checker(ground, k, hyp, _rainbow_concl(ground), sample)
 
     if conjecture is ConjectureId.MATRIX:
         ground = GroundSet(PARTITE, 2, n)
+        if k > 10:
+            raise InputError(f"permutation search is limited to k <= 10, got k={k}")
         if k > n:
             raise InputError(f"matrix permutations need k <= n, got k={k}, n={n}")
         _guard_index(ground)  # every mode needs it; refused before k sizes are drawn
 
-        def hyp(fam: Family) -> bool:
-            return bool(solvers.check_hall_condition(fam))
+        def hyp(masks: tuple[int, ...]) -> bool:
+            return not solvers._hall_violation(map(int.bit_count, masks), n)
 
-        def sample(rng: random.Random) -> Family:
+        def concl(masks: tuple[int, ...]) -> bool:
+            # row i: member i's degrees at w_1..w_n, read from its mask
+            rows = tuple(ground.index.degrees(m)[1] for m in masks)
+            return check_matrix_conjecture(solvers.DegreeMatrix(rows, n)).ok
+
+        def sample(rng: random.Random) -> tuple[int, ...]:
             u = ground.cell_count
             for _ in range(1000):
                 sizes = [1 + _below(rng.getrandbits, u) for _ in range(k)]
@@ -444,7 +451,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
 
         # Hall's condition on the ascending prefixes: the j smallest sizes
         # sum to more than n*j*(j-1)
-        return _Checker(ground, k, hyp, _matrix_concl, sample, floors=(0,) * k,
+        return _Checker(ground, k, hyp, concl, sample, floors=(0,) * k,
                         sums=tuple(n * j * (j - 1) + 1 for j in range(1, k + 1)))
 
     raise InputError(f"unknown conjecture: {conjecture!r}")
@@ -513,19 +520,17 @@ def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
         raise InputError(
             f"exhaustive enumeration refused: about {count} minimal "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
-    members = {size: [Hypergraph._from_mask(ground, m) for m in by_size[size]]
-               for size in set().union(*levels)}
     counters: list[dict] = []
     for level in levels:
         for parts in itertools.product(*(
-                itertools.combinations_with_replacement(members[size], m)
+                itertools.combinations_with_replacement(by_size[size], m)
                 for size, m in level.items())):
-            family = Family([h for part in parts for h in part])
-            if not checker.hypothesis(family):
+            masks = sum(parts, ())
+            if not checker.hypothesis(masks):
                 raise TheoremViolationError("minimal family outside the hypothesis",
-                                            instance=family)
-            if not checker.conclusion(family):
-                counters.append(instances.Instance.from_family(family).to_dict())
+                                            instance=_family(ground, masks))
+            if not checker.conclusion(masks):
+                counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
     return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
 
 
@@ -590,30 +595,27 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
     and the shard's number. Each family is sampled and checked against the
     hypothesis, and each one failing the conclusion is listed in full.
 
-    With checker.kernel set, the conclusion is decided once per distinct
-    sorted tuple of the members' kernel traces and its verdict reused for
-    the rest of the shard: the kernel lemma (_kernel_mask) makes it a
-    function of that multiset. The verdicts live in this call, so at most
-    count of them, each keyed by masks no larger than the family's."""
+    The conclusion is decided once per distinct sorted tuple of the
+    members' traces on checker.kernel, and its verdict reused for the rest
+    of the shard (exact: see _Checker.kernel). The verdicts live in this
+    call, so at most count of them, each keyed by masks no larger than the
+    family's."""
     checker, seed, shard, count = args
     rng = random.Random(f"{seed}:{shard}")
-    kernel = checker.kernel
+    ground, kernel = checker.ground, checker.kernel
     verdicts: dict[tuple[int, ...], bool] = {}
     counters: list[dict] = []
     for _ in range(count):
-        family = checker.sample(rng)
-        if not checker.hypothesis(family):
+        masks = checker.sample(rng)
+        if not checker.hypothesis(masks):
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
-                instance=family)
-        if not kernel:
-            holds = checker.conclusion(family)
-        else:
-            key = tuple(sorted(h.mask & kernel for h in family))
-            if (holds := verdicts.get(key)) is None:
-                holds = verdicts[key] = checker.conclusion(family)
+                instance=_family(ground, masks))
+        key = tuple(sorted(m & kernel for m in masks))
+        if (holds := verdicts.get(key)) is None:
+            holds = verdicts[key] = checker.conclusion(masks)
         if not holds:
-            counters.append(instances.Instance.from_family(family).to_dict())
+            counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
     return count, counters
 
 
@@ -769,8 +771,8 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         rng = random.Random(f"{seed}:{r}:{k}:{n}")
         successes = 0
         for _ in range(trials):
-            family = Family([Hypergraph._from_mask(ground, _sample_mask(
-                rng, ground, bound + 1 + _below(rng.getrandbits, ground.cell_count - bound)))
+            family = _family(ground, [_sample_mask(
+                rng, ground, bound + 1 + _below(rng.getrandbits, ground.cell_count - bound))
                 for _ in range(k)])
             matching = solvers.large_n_procedure(family)
             if matching is not None:

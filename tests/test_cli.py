@@ -605,6 +605,15 @@ class TestOtherCommands:
         assert err == ("error: no bipartite graph with max degree 100000 "
                        "has more than 90000 edges\n")
 
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    @pytest.mark.parametrize("n", ["12", "30"])
+    def test_verify_matrix_k_past_10_exits_3_with_one_message(self, capsys, n, mode):
+        # refused before any draw or walk, whatever n and the mode
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "matrix", "--n", n,
+                                 "--k", "11", "--mode", mode, "--budget", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: permutation search is limited to k <= 10, got k=11\n"
+
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_verify_workers_below_one_exit(self, capsys, workers):
         code, out, err = run_cli(capsys, "verify", "--conjecture", "size_condition",

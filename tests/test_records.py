@@ -131,7 +131,7 @@ def test_defaults():
     report = VerifyReport("simple", {}, "random", 0, ())
     assert report.elapsed == 0.0 and report.seed is None
     checker = _Checker(B3, 2, bool, bool, repr)
-    assert checker.floors == () and checker.sums == () and checker.kernel == 0
+    assert checker.floors == () and checker.sums == () and checker.kernel == -1
     with pytest.raises(TypeError):
         HallCheck()
     with pytest.raises(TypeError):

@@ -292,18 +292,19 @@ class TestDegreeMatrix:
             fam = shifted_random_family(rng, B3, rng.randint(1, 3), low=1)
             dm = DegreeMatrix.from_family(fam)
             assert dm.row_sums() == fam.sizes()
-            for side in (0, 1):
-                assert DegreeMatrix.from_family(fam, side).entries == tuple(
-                    tuple(h.degree(j, side) for j in range(B3.n)) for h in fam)
+            # row i holds member i's degrees at w_1..w_n, side 1
+            assert dm.entries == tuple(tuple(h.degree(j, 1) for j in range(B3.n)) for h in fam)
             for row in dm.entries:
                 assert all(row[j] >= row[j + 1] for j in range(dm.n - 1))
 
     def test_validation(self):
         with pytest.raises(InputError):
             DegreeMatrix(((1, 2),), 3)
-        for side in (-1, 2):
-            with pytest.raises(InputError, match="side"):
-                DegreeMatrix.from_family(Family([Hypergraph(B3, [(0, 0)])]), side)
+        # rows are w-side degrees of bipartite members
+        for ground, edge in ((GroundSet(GENERAL, 2, 4), (0, 1)),
+                             (GroundSet(PARTITE, 3, 2), (0, 0, 0))):
+            with pytest.raises(InputError, match="needs"):
+                DegreeMatrix.from_family(Family([Hypergraph(ground, [edge])]))
         with pytest.raises(InputError):
             DegreeMatrix(((4, 0, 0),), 3)
 

@@ -489,8 +489,9 @@ class TestForkedPool:
         a, b, c = (check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 2, "k": 3},
                                     budget=SHARD_TRIALS * 4 + 9, seed=2, workers=workers)
                    for workers in (1, 2, 3))
-        # the same list as the oracle's on every family: no kernel, no memo
-        monkeypatch.setattr(verify, "_kernel_mask", lambda ground, k: 0)
+        # the same list with the verdicts keyed by whole members: a kernel of
+        # every cell
+        monkeypatch.setattr(verify, "_kernel_mask", lambda ground, k: -1)
         assert a == check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 2, "k": 3},
                                      budget=SHARD_TRIALS * 4 + 9, seed=2)
         assert len(a.counterexamples) > 1
@@ -657,6 +658,18 @@ class TestMatrixConjecture:
             check_matrix_conjecture(DegreeMatrix(
                 tuple((1,) * 11 for _ in range(11)), 11))
 
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_k_past_10_is_refused_before_any_draw_or_walk(self, monkeypatch, n, mode):
+        # one message whatever n and the mode, where the permutation search
+        # would refuse it after the draws
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify, "_below", lambda *args: pytest.fail("drawn"))
+        monkeypatch.setattr(verify, "_ideal_dfs", lambda *args: pytest.fail("walked"))
+        with pytest.raises(InputError, match=r"^permutation search is limited to k <= 10, "
+                                             r"got k=11$"):
+            check_conjecture("matrix", {"n": n, "k": 11}, mode=mode, budget=1)
+
 
 class TestMatrixConjectureViaFamilies:
     def test_random_mode(self):
@@ -691,11 +704,25 @@ def _case_id(case):
     return conjecture + "-" + "-".join(f"{k}{v}" for k, v in sorted(params.items()))
 
 
+def family_view(checker):
+    """The checker with its hypothesis and conclusion read from a Family, as
+    reference_ordered calls them; the checker itself reads member masks."""
+    from rainbowmatch import verify
+
+    def masks(family):
+        return tuple(h.mask for h in family)
+
+    return verify._Checker(checker.ground, checker.k,
+                           lambda family: checker.hypothesis(masks(family)),
+                           lambda family: checker.conclusion(masks(family)),
+                           checker.sample, floors=checker.floors, sums=checker.sums)
+
+
 def assert_matches_the_product_walk(checker, checked, counters):
     """An exhaustive count and counterexample list against reference_ordered,
     which decides every ordered family: the same count and verdict, and
     each reported multiset among the reference's failures."""
-    ordered_checked, ordered = reference_ordered.run_ordered(checker)
+    ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
     assert checked == ordered_checked
     assert bool(counters) == bool(ordered)
     assert {member_masks(inst) for inst in counters} <= {member_masks(inst) for inst in ordered}
@@ -731,10 +758,10 @@ class TestMinimalFamilies:
         assert is_shifted(fixed)
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
-            conclusion=lambda fam: any(h.mask & ~fixed.mask for h in fam),
+            conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
             sample=base.sample, floors=base.floors, sums=base.sums)
         checked, counters = verify._run_exhaustive(checker)
-        ordered_checked, ordered = reference_ordered.run_ordered(checker)
+        ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
         assert checked == ordered_checked
         # the minimal report lists each failing multiset at the floor sizes
         # once; the ordered walk lists every order of every failure
@@ -766,7 +793,7 @@ class TestMinimalFamilies:
     def test_a_minimal_family_outside_the_hypothesis_is_a_fault(self):
         from rainbowmatch import TheoremViolationError, verify
         base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
-        checker = verify._Checker(base.ground, base.k, lambda fam: False,
+        checker = verify._Checker(base.ground, base.k, lambda masks: False,
                                   base.conclusion, base.sample, floors=base.floors,
                                   sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
@@ -971,8 +998,8 @@ class TestMatrixExhaustive:
 
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
     def test_the_conclusion_survives_a_shifted_superset(self, n, k, seed, data):
-        from rainbowmatch.verify import _matrix_concl
         k = min(k, n)
+        conclusion = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k}).conclusion
         ground = GroundSet(PARTITE, 2, n)
         cells = list(ground.cells())
         rng = random.Random(seed)
@@ -982,8 +1009,8 @@ class TestMatrixExhaustive:
         wider = down_closure(ground, list(members[i].edges) + rng.sample(cells, rng.randint(1, 3)))
         assert all(is_shifted(h) for h in [*members, wider])
         replaced = members[:i] + [wider] + members[i + 1:]
-        if _matrix_concl(Family(members)):
-            assert _matrix_concl(Family(replaced))
+        if conclusion(tuple(h.mask for h in members)):
+            assert conclusion(tuple(h.mask for h in replaced))
 
     def test_n5_k3_has_one_failing_minimal_family(self):
         # F1 = {m1 w1}; F2 = rows m1, m2 and column w1; F3 = rows m1..m3 and
@@ -1050,7 +1077,7 @@ class TestSamplerAgainstReference:
             else:
                 expected = reference._sample_shifted_family(twin, checker.ground,
                                                             list(checker.floors))
-            assert [h.edges for h in family] == [h.edges for h in expected]
+            assert family == tuple(h.mask for h in expected)
         assert rng.getstate() == twin.getstate()
 
     @pytest.mark.parametrize("seed", [1, 5, 977])
@@ -1067,7 +1094,7 @@ class TestSamplerAgainstReference:
             expected = [reference._sample_degree_capped(twin, checker.ground, min(d, n),
                                                         (k - 1) * d + 1)
                         for _ in range(k)]
-            assert [h.edges for h in family] == [h.edges for h in expected]
+            assert family == tuple(h.mask for h in expected)
         assert rng.getstate() == twin.getstate()
 
     # SHA-256 of the closed member masks, one family a line, drawn by the
@@ -1092,7 +1119,7 @@ class TestSamplerAgainstReference:
         conjecture, params, digest = case
         checker = _make_checker(ConjectureId(conjecture), params)
         rng = random.Random("1:0")  # seed 1, shard 0, as _run_shard seeds it
-        text = "\n".join(" ".join(format(h.mask, "x") for h in checker.sample(rng))
+        text = "\n".join(" ".join(format(m, "x") for m in checker.sample(rng))
                          for _ in range(SHARD_TRIALS))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -1184,9 +1211,9 @@ class TestKernelVerdicts:
                 ("rainbow_general", {"n": 7, "r": 3, "k": 2}, GroundSet(GENERAL, 3, 7), 2)]:
             assert _make_checker(ConjectureId(conjecture), params).kernel == \
                 kernel_cells(ground, k)
-        # raw members and the degree-matrix conclusion read the whole family
-        assert _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}).kernel == 0
-        assert _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2}).kernel == 0
+        # raw members and the degree-matrix conclusion read every cell
+        assert _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}).kernel == -1
+        assert _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2}).kernel == -1
 
     def test_each_trace_multiset_is_decided_once_per_shard(self, monkeypatch):
         from rainbowmatch import verify
@@ -1194,8 +1221,8 @@ class TestKernelVerdicts:
         checker = _make_checker(ConjectureId.SIZE_CONDITION, params)
         kernel = kernel_cells(checker.ground, 2)
 
-        def traces(family):
-            return tuple(sorted(h.mask & kernel for h in family))
+        def traces(masks):
+            return tuple(sorted(m & kernel for m in masks))
 
         # the distinct trace multisets of each shard's families, drawn again
         # from the shard's own seed
@@ -1206,7 +1233,7 @@ class TestKernelVerdicts:
         shard, calls = [None], []
         exact, run_shard = verify.rainbow_exact, verify._run_shard
         monkeypatch.setattr(verify, "rainbow_exact", lambda family: calls.append(
-            (shard[0], traces(family))) or exact(family))
+            (shard[0], traces(h.mask for h in family))) or exact(family))
         monkeypatch.setattr(verify, "_run_shard",
                             lambda args: shard.__setitem__(0, args[2]) or run_shard(args))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
@@ -1214,6 +1241,46 @@ class TestKernelVerdicts:
         assert report.instances_checked == 2 * SHARD_TRIALS and report.ok
         assert sorted(calls) == sorted(distinct)
         assert len(calls) == 8
+
+    def test_a_passing_run_builds_one_family_per_oracle_call(self, monkeypatch):
+        # members travel as masks: only the oracle is handed a Family
+        from rainbowmatch import verify
+        builds, calls = [], []
+        init, exact = Family.__init__, verify.rainbow_exact
+        monkeypatch.setattr(Family, "__init__",
+                            lambda self, members: builds.append(1) or init(self, members))
+        monkeypatch.setattr(verify, "rainbow_exact",
+                            lambda family: calls.append(1) or exact(family))
+        report = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
+                                  budget=2 * SHARD_TRIALS, seed=1)
+        assert report.ok
+        assert len(builds) == len(calls) == 8
+
+    @pytest.mark.parametrize("case", [
+        ("degree_condition", {"n": 4, "k": 2, "d": 1}),
+        ("degree_condition", {"n": 3, "k": 3, "d": 1}),
+        ("matrix", {"n": 4, "k": 2})], ids=_case_id)
+    def test_raw_and_matrix_checkers_decide_each_family_once_per_shard(self, case):
+        # one verdict path: degree_condition and matrix key on whole members
+        # (kernel -1), and their reused verdicts are those of every family
+        from rainbowmatch import verify
+        conjecture, params = case
+        base = _make_checker(ConjectureId(conjecture), params)
+        assert base.kernel == -1
+        calls = []
+        checker = verify._Checker(
+            base.ground, base.k, base.hypothesis,
+            lambda masks: calls.append(tuple(sorted(masks))) or base.conclusion(masks),
+            base.sample)
+        for shard in range(2):
+            calls.clear()
+            count, listed = verify._run_shard((checker, 1, shard, SHARD_TRIALS))
+            rng = random.Random(f"1:{shard}")
+            drawn = [base.sample(rng) for _ in range(SHARD_TRIALS)]
+            assert count == SHARD_TRIALS
+            assert sorted(calls) == sorted({tuple(sorted(masks)) for masks in drawn})
+            assert ([tuple(h.mask for h in instance_from_dict(c).to_family()) for c in listed]
+                    == [masks for masks in drawn if not base.conclusion(masks)])
 
     @pytest.mark.parametrize("case", [
         ("size_condition", {"n": 3, "r": 3, "k": 2}, 2080),
@@ -1230,6 +1297,28 @@ class TestKernelVerdicts:
                             lambda family: made.append(1) or exact(family))
         assert check_conjecture(conjecture, params, mode="exhaustive").ok
         assert len(made) == calls
+
+    # random matrix reports at budget 600, three shards: (n, k) and the
+    # SHA-256 at seeds 1 and 977, as for BENCHMARK_REPORTS
+    MATRIX_REPORTS = [
+        ((4, 2), "6c0c2fb67d309755437f2afd87d27e9492c74933735b5e22de22caae74919b71",
+         "6719e9dda30b89ed3c7f8cb78442b40ba8fc1fe9e154aa0a132e30cfd3d9ac06"),
+        ((5, 3), "79803ab15e2c78e9c827825a39596ea509cc0e2a7d30bf20b845b7d5cfb04694",
+         "5465aa2e85bceaee99ec181fa12c2e7850121518b6407af12c7d3a97497de234"),
+    ]
+
+    @pytest.mark.parametrize("case", MATRIX_REPORTS, ids=lambda c: "n{}-k{}".format(*c[0]))
+    def test_matrix_reports_are_pinned_at_every_pool_size(self, monkeypatch, case):
+        (n, k), digest_1, digest_977 = case
+        fork_workers(monkeypatch, 3)
+        for seed, digest in ((1, digest_1), (977, digest_977)):
+            for workers in (1, 2, 3):
+                report = check_conjecture("matrix", {"n": n, "k": k}, budget=600, seed=seed,
+                                          workers=workers).to_json()
+                del report["elapsed"]
+                text = json.dumps(report, sort_keys=True)
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, workers)
+        assert_no_child()
 
     @pytest.mark.parametrize("case", BENCHMARK_REPORTS,
                              ids=lambda c: "-".join(map(str, c[0][:4])))
