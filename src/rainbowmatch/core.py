@@ -1,12 +1,13 @@
 """Ground sets, hypergraphs, families, and exact brute-force oracles."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from bisect import bisect_left
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -244,36 +245,45 @@ class CellIndex:
     order.
 
     Each kind has one numbering. A partite position is the cell's vertices
-    read as base-n digits, so the partite index keeps no per-cell table, just
-    r masks of cell_count bits: side s's cells with vertex 0 there, which
-    shift left by v*n^(r-1-s) to side s's cells with vertex v. A general cell
-    is found by its vertex set as a mask: the index keeps each cell's vertex
-    set, the map back to positions and one mask per vertex, O(cell_count)
-    entries plus n*cell_count bits. The cell tuple is listed only when asked
-    for: the exact oracles take it as their edge tuple up to SHIFT_MASK_BITS
-    cells (_edge_masks). The samplers draw positions and never list it.
+    read as base-n digits, and a general cell is found by its vertex set as
+    a mask. Every table the index keeps, and its size bound, with N the cell
+    count (at most MAX_INDEX_BITS / r bits partite, MAX_INDEX_BITS / n
+    general):
 
-    The index also keeps the closure plan of shifting._closed_mask, the
-    constants of one sweep, once the first member is closed on its ground,
-    and a partite ground's vertex masks for the exact oracles, side s's
-    zero[s] << v*t for each vertex v, once _edge_masks first asks for them.
+    - partite, from the start: _stride, the r strides n^(r-1-s), and _zero,
+      r masks of N bits, side s's cells with vertex 0 there; they shift left
+      by v*n^(r-1-s) to side s's cells with vertex v.
+    - general, from the start: _sets, each cell's vertex set (N ints of n
+      bits); _by_set, the map back to positions (N entries); and _vertex,
+      the cells through each vertex (n masks of N bits).
+    - _cells, the cell tuple (N tuples), listed only when asked for: the
+      exact oracles take it as their edge tuple up to SHIFT_MASK_BITS cells.
+      The samplers draw positions and never list it.
+    - _plan, the closure plan of shifting._closer, the constants of one
+      sweep, once the first closer is made on the ground: at most
+      shifting.MAX_PLAN_ENTRIES entries, else none is kept.
+    - _side_vertex and _conflict, the exact oracles' tables, kept only on a
+      ground of at most SHIFT_MASK_BITS cells and built by the first search
+      past the root pigeonhole test (search_tables): a partite ground's
+      vertex masks, side s's zero[s] << v*t for each vertex v (r*n masks of
+      at most 1,024 bits; a general ground's are _vertex), and each cell's
+      conflict mask, the cells that share a vertex with it (at most 1,024
+      masks of 1,024 bits, 128 KiB of bits).
     """
 
-    __slots__ = ("_ground", "_partite", "_cells", "_stride", "_zero",
-                 "_sets", "_by_set", "_vertex", "_side_vertex", "_plan")
+    __slots__ = ("_ground", "_partite", "_cells", "_stride", "_zero", "_sets",
+                 "_by_set", "_vertex", "_side_vertex", "_conflict", "_plan")
 
     def __init__(self, ground: GroundSet):
         _guard_index(ground, sweep=False)
         self._ground = ground
-        self._cells = None
-        self._plan = None
+        self._cells = self._side_vertex = self._conflict = self._plan = None
         n, r = ground.n, ground.r
         self._partite = ground.kind == PARTITE
         if self._partite:
             self._stride = tuple(n ** (r - 1 - s) for s in range(r))
             self._zero = tuple(_repeat((1 << t) - 1, n * t, ground.cell_count)
                                for t in self._stride)
-            self._side_vertex = None
             return
         # replacing a vertex of a general cell is two XORs and a lookup
         self._sets = tuple(map(sum, itertools.combinations([1 << v for v in range(n)], r)))
@@ -322,14 +332,50 @@ class CellIndex:
         positions, n = bits(mask), self._ground.n
         return tuple(zip(*([p // t % n for p in positions] for t in self._stride)))
 
-    def degrees(self, mask: int) -> tuple[tuple[int, ...], ...]:
-        """Hypergraph.degrees of a partite mask on every side, with no edge
+    def degrees(self, *sides: int) -> Callable[[int], Iterator[int]]:
+        """A reader of a partite mask's degrees at every vertex of the given
+        sides, side by side and vertex by vertex, lazily and with no edge
         listed: side s's vertex v holds the cells zero[s] << v*t, so its
-        degree is the bit count of (mask >> v*t) & zero[s]. The vertex masks
-        are shifted per call rather than kept, n*cell_count bits a side."""
+        degree is the bit count of (mask >> v*t) & zero[s]. The shifts v*t
+        are fixed here, once; the vertex masks are shifted per read rather
+        than kept, n*cell_count bits a side."""
         n = self._ground.n
-        return tuple(tuple(((mask >> v * t) & zero).bit_count() for v in range(n))
-                     for t, zero in zip(self._stride, self._zero))
+        shifts = [v * self._stride[s] for s in sides for v in range(n)]
+        zeros = [self._zero[s] for s in sides for _ in range(n)]
+        return lambda mask: map(int.bit_count, map(operator.and_, map(mask.__rshift__, shifts),
+                                                   zeros))
+
+    def touched(self, mask: int) -> list[list[int]]:
+        """The vertices that some cell of the mask holds, ascending: one list
+        per side on a partite ground, one on a general ground. Read off the
+        vertex-0 masks (partite) or the vertex masks (general), so no table
+        is built."""
+        if self._partite:
+            n = self._ground.n
+            return [[v for v in range(n) if mask >> v * t & zero]
+                    for t, zero in zip(self._stride, self._zero)]
+        return [[v for v, m in enumerate(self._vertex) if mask & m]]
+
+    def search_tables(self) -> tuple[tuple[Edge, ...], Sequence[int], tuple[int, ...]]:
+        """The exact oracles' tables on this numbering (_edge_masks), built
+        on the first call and then kept: the cells; the cells through each
+        vertex of the first position (side 0, or any vertex on a general
+        ground); and each cell's conflict mask. A cell's conflict mask is
+        the OR of its vertices' masks, taken over the cells in position
+        order: the product of the sides' vertex masks (partite) or their
+        r-combinations (general). For grounds of at most SHIFT_MASK_BITS
+        cells only."""
+        if self._conflict is None:
+            if self._partite:
+                n = self._ground.n
+                self._side_vertex = tuple(tuple(zero << v * t for v in range(n))
+                                          for t, zero in zip(self._stride, self._zero))
+                groups = itertools.product(*self._side_vertex)
+            else:
+                groups = itertools.combinations(self._vertex, self._ground.r)
+            self._conflict = tuple(functools.reduce(operator.or_, g) for g in groups)
+        first = self._side_vertex[0] if self._partite else self._vertex
+        return self.cells, first, self._conflict
 
     def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
         """The shift y -> x of an edge mask, as (origins, images): the edges
@@ -550,7 +596,7 @@ class Family:
 def _dominates(sizes, floors) -> bool:
     """True iff the i-th smallest size is at least the i-th of the ascending
     floors, for every i."""
-    return all(s >= f for s, f in zip(sorted(sizes), floors))
+    return all(map(operator.ge, sorted(sizes), floors))
 
 
 class RainbowMatching(_Record):
@@ -583,46 +629,64 @@ def is_matching(ground: GroundSet, edges: Iterable[Sequence[int]]) -> bool:
 SHIFT_MASK_BITS = 1024
 
 
+class _Conflicts(dict):
+    """Conflict masks of locally numbered edges, by bit: each computed on its
+    first lookup, as the OR of the masks of its vertices, and then kept."""
+
+    __slots__ = ("edges", "vertex")
+
+    def __init__(self, edges: tuple[Edge, ...], vertex: list[dict[int, int]]):
+        super().__init__()
+        self.edges, self.vertex = edges, vertex
+
+    def __missing__(self, i: int) -> int:
+        mask = 0
+        for by_vertex, v in zip(self.vertex, self.edges[i]):
+            mask |= by_vertex[v]
+        self[i] = mask
+        return mask
+
+
 def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
-                ) -> tuple[tuple[Edge, ...], list[int], list[dict[int, int]]]:
+                ) -> tuple[list[int], list[list[int]], Callable[[], tuple]]:
     """Bit numbering of the members' edges, for the exact oracles.
 
-    Returns a tuple of edges, where bit i stands for the i-th, one edge mask
-    per member, and one dict per vertex position mapping each vertex an
-    edge touches there to a mask of the edges holding it: a partite ground
-    has one dict per side, and a general ground one dict shared by all r
-    positions.
+    Returns one edge mask per member; the vertices their edges touch,
+    ascending, one list per side on a partite ground and one list on a
+    general ground; and a function giving the search tables. Those are the
+    edges, where bit i stands for the i-th; the masks of the edges through
+    each vertex of the first position (side 0, or any vertex on a general
+    ground); and, indexed by bit, each edge's conflict mask, the edges that
+    share a vertex with it, itself included. A search node then takes an
+    edge with one OR. The oracles refute by pigeonhole on the touched
+    vertices before they ask for the tables.
 
     The ground alone picks the numbering. Up to SHIFT_MASK_BITS cells it is
-    the index's: the edges are index.cells, the member masks the members'
-    own, and vertex v's mask holds every cell through it (an edge of no
-    member is never a candidate, so the extra bits change nothing); a
-    partite index lists those masks on its first such call. Past it
-    the members' distinct edges are numbered locally, each mask set through
-    _mask in time linear in |E|, and the index is not built. Both orders are
-    lexicographic, so the search takes the same path either way. The cells
-    are counted by capped_cells: a general ground's full count can take
-    seconds."""
+    the index's: the member masks are the members' own, the vertices are
+    read off the index, and the tables are the index's own, built by the
+    first search that asks for them and kept (CellIndex.search_tables).
+    Their vertex and conflict masks hold every cell of the ground; an edge
+    of no member is never a candidate, so the extra bits change nothing.
+    Past it the members' distinct edges are numbered locally, each mask set
+    through _mask in time linear in |E|, and the index is not built: one
+    mask per touched vertex, and an edge's conflict mask computed on its
+    first use in the call (_Conflicts), never for all |E| edges at once.
+    Both orders are lexicographic, so the search takes the same path either
+    way. The cells are counted by capped_cells: a general ground's full
+    count can take seconds."""
     if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
         index = ground.index
         masks = [h.mask for h in members]
         union = 0
         for m in masks:
             union |= m
-        if ground.kind == PARTITE:
-            if index._side_vertex is None:
-                index._side_vertex = tuple(tuple(zero << v * t for v in range(ground.n))
-                                           for t, zero in zip(index._stride, index._zero))
-            vertex = [{v: m for v, m in enumerate(side) if union & m}
-                      for side in index._side_vertex]
-        else:
-            vertex = [{v: m for v, m in enumerate(index._vertex) if union & m}] * ground.r
-        return index.cells, masks, vertex
+        return masks, index.touched(union), index.search_tables
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
     position = dict(zip(edges, range(m)))
     masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
-    groups = [(s,) for s in range(ground.r)] if ground.kind == PARTITE else [range(ground.r)]
+    partite = ground.kind == PARTITE
+    groups = [(s,) for s in range(ground.r)] if partite else [range(ground.r)]
     vertex = []
     for slots in groups:
         at: dict[int, list[int]] = {}
@@ -630,7 +694,8 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
             for s in slots:
                 at.setdefault(e[s], []).append(i)
         vertex.append({v: _mask(p, m) for v, p in at.items()})
-    return edges, masks, vertex if ground.kind == PARTITE else vertex * ground.r
+    conflict = _Conflicts(edges, vertex if partite else vertex * ground.r)
+    return masks, [sorted(by_vertex) for by_vertex in vertex], lambda: (edges, vertex[0], conflict)
 
 
 def nu_exact(h: Hypergraph) -> int:
@@ -639,33 +704,34 @@ def nu_exact(h: Hypergraph) -> int:
     A node is a size and a mask of live edges: those disjoint from every
     edge taken so far and not through a vertex left unmatched. It branches
     on the lowest side-0 vertex (partite) or lowest vertex (general) with a
-    live edge: first each of its live edges in order, then leaving it
-    unmatched. A frame holds a node and the branch vertex's edges not yet
-    tried, so the stack holds one frame per level of the current path. No
-    vertex below the branch vertex has a live edge, so a node is pruned when
-    its size plus the touched side-0 vertices (partite) or touched vertices
-    // r (general) from the branch vertex on cannot beat the best; the
-    search stops once a matching meets the bound at the root.
+    live edge: first each of its live edges in order, each clearing its
+    conflict mask from the live edges, then leaving it unmatched. A frame
+    holds a node and the branch vertex's edges not yet tried, so the stack
+    holds one frame per level of the current path. No vertex below the
+    branch vertex has a live edge, so a node is pruned when its size plus
+    the touched side-0 vertices (partite) or touched vertices // r
+    (general) from the branch vertex on cannot beat the best; the search
+    stops once a matching meets the bound at the root.
     """
     if not len(h):
         return 0
     g = h.ground
-    edges, (live,), vertex = _edge_masks(g, (h,))
-    touched = sorted(vertex[0])
+    (live,), touched, tables = _edge_masks(g, (h,))
+    edges, first, conflict = tables()
+    touched0 = touched[0]
     per_edge = 1 if g.kind == PARTITE else g.r
-    limit = min(map(len, vertex)) // per_edge  # the bound at the root
+    limit = min(map(len, touched)) // per_edge  # the bound at the root
     best = 0
-    stack = [(0, live, vertex[0][edges[(live & -live).bit_length() - 1][0]] & live)]
+    stack = [(0, live, first[edges[(live & -live).bit_length() - 1][0]] & live)]
     while stack:
         size, live, rest = stack.pop()
         if rest:
             low = rest & -rest
             stack.append((size, live, rest ^ low))
-            for by_vertex, v in zip(vertex, edges[low.bit_length() - 1]):
-                live &= ~by_vertex[v]
+            live &= ~conflict[low.bit_length() - 1]
             size += 1
         else:  # the branch vertex stays unmatched
-            live &= ~vertex[0][edges[(live & -live).bit_length() - 1][0]]
+            live &= ~first[edges[(live & -live).bit_length() - 1][0]]
         if not live:
             if size > best:
                 best = size
@@ -673,8 +739,8 @@ def nu_exact(h: Hypergraph) -> int:
                     break
             continue
         u = edges[(live & -live).bit_length() - 1][0]
-        if size + (len(touched) - bisect_left(touched, u)) // per_edge > best:
-            stack.append((size, live, vertex[0][u] & live))
+        if size + (len(touched0) - bisect_left(touched0, u)) // per_edge > best:
+            stack.append((size, live, first[u] & live))
     return best
 
 
@@ -683,26 +749,25 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
 
     Refuses at the root by pigeonhole when the members' edges together touch
     fewer than k vertices on some side (partite) or fewer than r*k vertices
-    (general). Otherwise searches on an explicit stack: members are taken in
-    ascending size order (fail-first, ties by index) and each member's free
-    edges lowest bit first, which is lexicographic order, so the first
-    matching found is deterministic. A frame is (depth, remaining candidates,
-    blocked mask), and a node is pruned when some later member has no edge
-    left outside the blocked mask. Choices are reported in the original
-    member order.
+    (general), before any search table is asked for. Otherwise searches on
+    an explicit stack: members are taken in ascending size order (fail-first,
+    ties by index, as Family.by_size) and each member's free edges lowest
+    bit first, which is lexicographic order, so the first matching found is
+    deterministic. A frame is (depth, remaining candidates, blocked mask);
+    taking an edge ORs its conflict mask into the blocked mask, and a node
+    is pruned when some later member has no edge left outside it. Choices
+    are reported in the original member order.
     """
     g = family.ground
     k = family.k
-    edges, masks, vertex = _edge_masks(g, family.members)
-    if g.kind == PARTITE:
-        if any(len(by_vertex) < k for by_vertex in vertex):
-            return None
-    elif len(vertex[0]) < g.r * k:
+    masks, touched, tables = _edge_masks(g, family.members)
+    if min(map(len, touched)) < (k if g.kind == PARTITE else g.r * k):
         return None
-    order = family.by_size()
+    order = sorted(range(k), key=list(map(int.bit_count, masks)).__getitem__)
     masks = [masks[i] for i in order]
-    if not all(masks):
+    if not masks[0]:  # the smallest member is empty
         return None
+    edges, _, conflict = tables()
     chosen = [0] * k
     stack = [(0, masks[0], 0)]
     while stack:
@@ -712,8 +777,7 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
             stack.append((depth, candidates ^ low, blocked))
         i = low.bit_length() - 1
         chosen[depth] = i
-        for by_vertex, v in zip(vertex, edges[i]):
-            blocked |= by_vertex[v]
+        blocked |= conflict[i]
         depth += 1
         if depth == k:
             choices: list[Edge] = [()] * k
@@ -721,7 +785,7 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
                 choices[order[d]] = edges[i]
             return RainbowMatching(tuple(choices))
         free = ~blocked
-        if all(m & free for m in masks[depth:]):
+        if all(map(free.__and__, masks[depth:])):
             stack.append((depth, masks[depth] & free, blocked))
     return None
 

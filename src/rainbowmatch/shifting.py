@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching,
                    _guard_index, _Record, bits)
@@ -176,7 +176,7 @@ MAX_PLAN_ENTRIES = 1 << 12
 
 
 def _closure_plan(ground: GroundSet) -> tuple | None:
-    """The constants of one sweep (_sweep) for _closed_mask, kept on the
+    """The constants of one sweep (_sweep) for _closer, kept on the
     cell index, or None past MAX_PLAN_ENTRIES. The sweep's guard runs here,
     once per ground, before any entry is kept.
 
@@ -206,31 +206,39 @@ def _closure_plan(ground: GroundSet) -> tuple | None:
     return plan
 
 
-def _closed_mask(ground: GroundSet, mask: int) -> int:
-    """One member's edge mask after shifted_closure, with no log kept. A
-    shift acts on each member on its own, so this is the member's mask in
-    shifted_closure's result whatever family it is closed in.
+def _closer(ground: GroundSet) -> Callable[[int], int]:
+    """The map from one member's edge mask to its mask after
+    shifted_closure, with no log kept. A shift acts on each member on its
+    own, so this is the member's mask in shifted_closure's result whatever
+    family it is closed in.
 
-    Each shift pair is one step of the ground's closure plan; past the
-    plan's bound, each is a CellIndex.move call."""
+    The ground's closure plan is read, or built, here, once per caller that
+    closes many members; each shift pair is then one step of the plan. Past
+    the plan's bound, each is a CellIndex.move call."""
     plan = ground.index._plan
     if plan is None and (plan := _closure_plan(ground)) is None:
         move = ground.index.move
-        for side, x, y in _sweep(ground):
-            origins, images = move(mask, side, x, y)
-            mask ^= origins | images
-        return mask
-    if ground.kind == PARTITE:
-        for down, zero, up, back in plan:
-            images = ((mask >> down) & zero) << up & ~mask
-            mask ^= images | images << back
-        return mask
-    for held, cells in plan:
-        if mask & held:
-            for origin, moving in cells:
-                if mask & moving == origin:  # the origin is an edge, its image is not
-                    mask ^= moving
-    return mask
+
+        def close(mask: int) -> int:
+            for side, x, y in _sweep(ground):
+                origins, images = move(mask, side, x, y)
+                mask ^= origins | images
+            return mask
+    elif ground.kind == PARTITE:
+        def close(mask: int) -> int:
+            for down, zero, up, back in plan:
+                images = ((mask >> down) & zero) << up & ~mask
+                mask ^= images | images << back
+            return mask
+    else:
+        def close(mask: int) -> int:
+            for held, cells in plan:
+                if mask & held:
+                    for origin, moving in cells:
+                        if mask & moving == origin:  # the origin is an edge, its image is not
+                            mask ^= moving
+            return mask
+    return close
 
 
 def pullback_rainbow(log: ShiftLog, original: Family,

@@ -234,87 +234,134 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     return r
 
 
-def _sample_mask(rng: random.Random, ground: GroundSet, size: int) -> int:
-    """The mask of Random.sample(range(cell_count), size), a uniform member of
-    the given size: Random.sample's two branches and getrandbits calls, with
-    each drawn position set in the mask rather than listed."""
+def _built_at_first_call(build: Callable[[], Callable]) -> Callable:
+    """A function whose body is build(), made at its first call and then
+    kept: random mode fixes a checker's drawing constants at its first
+    draw, so that making a checker, which exhaustive mode also does, and
+    may then refuse its ground, builds no cell index."""
+    body = None
+
+    def call(*args):
+        nonlocal body
+        if body is None:
+            body = build()
+        return body(*args)
+
+    return call
+
+
+def _pool_from(u: int) -> int:
+    """The least size at which Random.sample(range(u), size) takes its pool
+    branch. It takes it iff u <= setsize, which is 21 plus, past size 5,
+    4 ** ceil(log(3 * size, 4)), and never falls as size grows, so one
+    comparison with this size picks the branch of every draw. Found by
+    bisection on that same expression, floats and all; size u always
+    takes the pool branch."""
+    low, high = 0, u
+    while low < high:
+        size = (low + high) // 2
+        if u <= 21 + (4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 0):
+            high = size
+        else:
+            low = size + 1
+    return low
+
+
+def _mask_sampler(ground: GroundSet) -> Callable[[Callable[[int], int], int], int]:
+    """A drawer of uniform members of a given size, called with a
+    generator's getrandbits and the size: the mask of
+    Random.sample(range(cell_count), size), by Random.sample's two branches
+    and getrandbits calls, with each drawn position set in the mask rather
+    than listed. The drawing constants are fixed here, once: the cell
+    count, its bit width and the least size of the pool branch
+    (_pool_from)."""
     ground.index  # refuses a ground too large to index before anything is drawn
     u = ground.cell_count
-    getrandbits = rng.getrandbits
-    setsize = 21  # Random.sample's choice between a pool list and a set
-    if size > 5:
-        setsize += 4 ** math.ceil(math.log(size * 3, 4))
+    width = u.bit_length()
+    pool_from = _pool_from(u)
+
     # each position is _below's rejection loop, written out: this is the
     # innermost loop of random mode
-    if u <= setsize:
-        # a partial Fisher-Yates: pool[:m] holds the positions not yet drawn
-        pool = list(range(u))
-        mask = 0
-        for m in range(u, u - size, -1):
-            b = m.bit_length()
-            j = getrandbits(b)
-            while j >= m:
+    def sample(getrandbits: Callable[[int], int], size: int) -> int:
+        if size >= pool_from:
+            # a partial Fisher-Yates: pool[:m] holds the positions not yet drawn
+            pool = list(range(u))
+            mask = 0
+            for m in range(u, u - size, -1):
+                b = m.bit_length()
                 j = getrandbits(b)
-            mask |= 1 << pool[j]
-            pool[j] = pool[m - 1]
-        return mask
-    seen: set[int] = set()
-    b = u.bit_length()
-    for _ in range(size):
-        j = getrandbits(b)
-        while j >= u or j in seen:  # out of range, or drawn before: draw again
-            j = getrandbits(b)
-        seen.add(j)
-    return _mask(seen, u)
+                while j >= m:
+                    j = getrandbits(b)
+                mask |= 1 << pool[j]
+                pool[j] = pool[m - 1]
+            return mask
+        seen: set[int] = set()
+        for _ in range(size):
+            j = getrandbits(width)
+            while j >= u or j in seen:  # out of range, or drawn before: draw again
+                j = getrandbits(width)
+            seen.add(j)
+        return _mask(seen, u)
+
+    return sample
 
 
-def _sample_shifted_family(rng: random.Random, ground: GroundSet,
-                           floors: list[int]) -> tuple[int, ...]:
-    """Uniform members of sizes drawn from [floor, cell_count], each closed
-    as shifted_closure would close their family; the closure draws nothing."""
+def _shifted_sampler(ground: GroundSet) -> Callable[[Callable[[int], int], Iterable[int]],
+                                                    tuple[int, ...]]:
+    """A drawer of families, called with a generator's getrandbits and the
+    floors: for each floor f, a size drawn from [f, cell_count] as
+    Random.randint draws it, then a uniform member of that size
+    (_mask_sampler), closed as shifted_closure would close their family
+    (shifting._closer). The closure draws nothing. The member drawer and
+    the closure plan are fixed here, once."""
     u = ground.cell_count
-    getrandbits = rng.getrandbits
-    return tuple(shifting._closed_mask(ground, _sample_mask(
-        rng, ground, f + _below(getrandbits, u - f + 1))) for f in floors)
+    draw, close = _mask_sampler(ground), shifting._closer(ground)
+    return lambda getrandbits, floors: tuple(
+        [close(draw(getrandbits, f + _below(getrandbits, u - f + 1))) for f in floors])
 
 
-def _sample_degree_capped(rng: random.Random, ground: GroundSet, d: int,
-                          min_size: int) -> int:
-    """A member mask of at least min_size edges and max degree at most d: a
-    target size drawn from [min_size, n*min(d, n)], then the cell positions
-    in shuffled order, each kept while both its vertices have degree below
-    d; a new target and shuffle when the walk falls short. n*min(d, n) is
-    the most edges such a member has, so a cap past n draws as the cap n.
-    The random calls are those of Random.randint and Random.shuffle on a
-    list of every cell."""
+def _degree_capped_sampler(ground: GroundSet, d: int,
+                           min_size: int) -> Callable[[Callable[[int], int]], int]:
+    """A drawer of member masks of at least min_size edges and max degree at
+    most d, called with a generator's getrandbits: a target size drawn from
+    [min_size, n*min(d, n)], then the cell positions in shuffled order, each
+    kept while both its vertices have degree below d; a new target and
+    shuffle when the walk falls short. n*min(d, n) is the most edges such a
+    member has, so a cap past n draws as the cap n. The random calls are
+    those of Random.randint and Random.shuffle on a list of every cell. The
+    refusal of parameters it cannot meet, and the target's span, are fixed
+    here, once."""
     n = ground.n
     if min_size > (most := n * min(d, n)):
         raise InputError(
             f"no bipartite graph with max degree {d} has more than {most} edges")
     u = ground.cell_count
-    getrandbits = rng.getrandbits
-    positions = list(range(u))  # shuffled in place, draw after draw
-    for _ in range(200):
-        target = min_size + _below(getrandbits, most - min_size + 1)
-        for i in range(u - 1, 0, -1):
-            b = (i + 1).bit_length()  # _below(getrandbits, i + 1), written out
-            j = getrandbits(b)
-            while j > i:
+    span = most - min_size + 1
+
+    def sample(getrandbits: Callable[[int], int]) -> int:
+        positions = list(range(u))  # shuffled in place, draw after draw
+        for _ in range(200):
+            target = min_size + _below(getrandbits, span)
+            for i in range(u - 1, 0, -1):
+                b = (i + 1).bit_length()  # _below(getrandbits, i + 1), written out
                 j = getrandbits(b)
-            positions[i], positions[j] = positions[j], positions[i]
-        degs = ([0] * n, [0] * n)
-        picked = []
-        for p in positions:
-            if len(picked) == target:
-                break
-            x, y = divmod(p, n)  # a partite r=2 position is x*n + y
-            if degs[0][x] < d and degs[1][y] < d:
-                picked.append(p)
-                degs[0][x] += 1
-                degs[1][y] += 1
-        if len(picked) == target:
-            return _mask(picked, u)
-    raise InputError("could not sample a degree-capped member at these parameters")
+                while j > i:
+                    j = getrandbits(b)
+                positions[i], positions[j] = positions[j], positions[i]
+            u_degrees, w_degrees = [0] * n, [0] * n
+            picked = []
+            for p in positions:
+                x = p // n  # a partite r=2 position is x*n + y
+                y = p - x * n
+                if u_degrees[x] < d and w_degrees[y] < d:
+                    picked.append(p)
+                    if len(picked) == target:
+                        return _mask(picked, u)
+                    u_degrees[x] += 1
+                    w_degrees[y] += 1
+        raise InputError("could not sample a degree-capped member at these parameters")
+
+    return sample
 
 
 def _kernel_mask(ground: GroundSet, k: int) -> int:
@@ -371,11 +418,12 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     if (top := floor(k - 1)) > ground.cell_count:
         raise InputError(f"hypothesis bound {top - 1} leaves no admissible size")
     floors = [floor(i) for i in range(k)]
+    draw = _built_at_first_call(lambda: _shifted_sampler(ground))
     return _Checker(
         ground, k,
         hypothesis=lambda masks: _dominates(map(int.bit_count, masks), floors),
         conclusion=_rainbow_concl(ground),
-        sample=lambda rng: _sample_shifted_family(rng, ground, floors),
+        sample=lambda rng: draw(rng.getrandbits, floors),
         floors=tuple(floors), sums=(0,) * k, kernel=_kernel_mask(ground, k))
 
 
@@ -413,15 +461,20 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
                              f"{estimate_text(listed)} vertices, cells times r "
                              f"(limit {extremal.MAX_LISTED_VERTICES})")
         min_size = (k - 1) * d + 1
+        degrees, within = ground.index.degrees(0, 1), d.__ge__
 
         def hyp(masks: tuple[int, ...]) -> bool:
-            index = ground.index
-            return all(m.bit_count() > (k - 1) * d and max(map(max, index.degrees(m))) <= d
+            # each member's size, then its degrees vertex by vertex, up to
+            # the first past d
+            return all(m.bit_count() >= min_size and all(map(within, degrees(m)))
                        for m in masks)
+
+        draw = _built_at_first_call(lambda: _degree_capped_sampler(ground, d, min_size))
 
         def sample(rng: random.Random) -> tuple[int, ...]:
             # no shifted reduction is known for a degree cap: sample raw members
-            return tuple(_sample_degree_capped(rng, ground, d, min_size) for _ in range(k))
+            getrandbits = rng.getrandbits
+            return tuple([draw(getrandbits) for _ in range(k)])
 
         return _Checker(ground, k, hyp, _rainbow_concl(ground), sample)
 
@@ -436,17 +489,22 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         def hyp(masks: tuple[int, ...]) -> bool:
             return not solvers._hall_violation(map(int.bit_count, masks), n)
 
+        w_degrees = _built_at_first_call(lambda: ground.index.degrees(1))
+
         def concl(masks: tuple[int, ...]) -> bool:
             # row i: member i's degrees at w_1..w_n, read from its mask
-            rows = tuple(ground.index.degrees(m)[1] for m in masks)
+            rows = tuple(tuple(w_degrees(m)) for m in masks)
             return check_matrix_conjecture(solvers.DegreeMatrix(rows, n)).ok
 
+        draw = _built_at_first_call(lambda: _shifted_sampler(ground))
+        u = ground.cell_count
+
         def sample(rng: random.Random) -> tuple[int, ...]:
-            u = ground.cell_count
+            getrandbits = rng.getrandbits
             for _ in range(1000):
-                sizes = [1 + _below(rng.getrandbits, u) for _ in range(k)]
+                sizes = [1 + _below(getrandbits, u) for _ in range(k)]
                 if not solvers._hall_violation(sizes, n):
-                    return _sample_shifted_family(rng, ground, sizes)
+                    return draw(getrandbits, sizes)
             raise InputError("could not sample sizes meeting the sum condition")
 
         # Hall's condition on the ascending prefixes: the j smallest sizes
@@ -611,7 +669,7 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
                 instance=_family(ground, masks))
-        key = tuple(sorted(m & kernel for m in masks))
+        key = tuple(sorted(map(kernel.__and__, masks)))
         if (holds := verdicts.get(key)) is None:
             holds = verdicts[key] = checker.conclusion(masks)
         if not holds:
@@ -769,10 +827,11 @@ def scan_large_n(r: int, k: int, n_values, trials: int = 50,
         if bound + 1 > ground.cell_count:
             raise InputError(f"no admissible member size at n={n}, r={r}, k={k}")
         rng = random.Random(f"{seed}:{r}:{k}:{n}")
+        draw, getrandbits = _mask_sampler(ground), rng.getrandbits
         successes = 0
         for _ in range(trials):
-            family = _family(ground, [_sample_mask(
-                rng, ground, bound + 1 + _below(rng.getrandbits, ground.cell_count - bound))
+            family = _family(ground, [draw(
+                getrandbits, bound + 1 + _below(getrandbits, ground.cell_count - bound))
                 for _ in range(k)])
             matching = solvers.large_n_procedure(family)
             if matching is not None:

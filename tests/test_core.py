@@ -12,7 +12,7 @@ import reference_oracle as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, is_matching, iter_shifted,
                           nu_exact, pm_decomposition, rainbow_exact)
-from rainbowmatch.core import SHIFT_MASK_BITS
+from rainbowmatch.core import SHIFT_MASK_BITS, edge_vertices
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
 
@@ -171,7 +171,7 @@ class TestDegree:
     def test_index_counts_every_side_as_the_edge_walk(self, r, n, data):
         ground = GroundSet(PARTITE, r, n)
         h = Hypergraph._from_mask(ground, data.draw(st.integers(0, (1 << ground.cell_count) - 1)))
-        counts = ground.index.degrees(h.mask)
+        counts = tuple(tuple(ground.index.degrees(s)(h.mask)) for s in range(r))
         assert h._edges is None  # read from the mask, with no edge listed
         assert counts == tuple(h.degrees(s) for s in range(r))
 
@@ -431,6 +431,49 @@ class TestIndexNumbering:
             for h in fam:
                 nu_exact(h)
             assert all(h._edges is None for h in fam)
+
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 1, 5), GroundSet(PARTITE, 3, 3),
+                                        GroundSet(GENERAL, 2, 6), GroundSet(GENERAL, 3, 7)])
+    def test_search_tables_are_built_once_per_ground_and_kept(self, ground):
+        index = ground.index
+        assert index._conflict is None and index._side_vertex is None
+        cells = list(ground.cells())
+        full = Hypergraph(ground, cells)
+        assert nu_exact(full) == ground.n // (1 if ground.kind == PARTITE else ground.r)
+        tables = index._conflict, index._side_vertex
+        # each cell's conflict mask is the cells sharing a vertex with it,
+        # on the same side if partite
+        assert index._conflict == tuple(
+            sum(1 << j for j, other in enumerate(cells)
+                if set(edge_vertices(ground, cell)) & set(edge_vertices(ground, other)))
+            for cell in cells)
+        assert (index._side_vertex is None) == (ground.kind == GENERAL)  # general: _vertex
+        rng = seeded(f"tables:{ground.kind}:{ground.r}")
+        for _ in range(20):
+            fam = random_family(rng, ground, rng.randint(1, 3))
+            rainbow_exact(fam)
+            nu_exact(fam[0])
+        assert (index._conflict, index._side_vertex) == tables
+        assert index._conflict is tables[0] and index._side_vertex is tables[1]
+
+    @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 33), GroundSet(GENERAL, 2, 47)])
+    def test_no_tables_past_the_cell_limit(self, ground):
+        # 1,089 and 1,081 cells: the edges are numbered locally and the
+        # ground gets no index, so no table with one entry per cell
+        rng = random.Random(ground.n)
+        cells = list(ground.cells())
+        fam = Family([Hypergraph(ground, rng.sample(cells, 40)) for _ in range(3)])
+        rainbow_exact(fam)
+        nu_exact(fam[0])
+        assert "_index" not in vars(ground)
+
+    @pytest.mark.parametrize("n,r,k", [(6, 2, 5), (4, 3, 4), (3, 2, 3)])
+    def test_a_root_pigeonhole_refutation_builds_no_table(self, n, r, k):
+        from rainbowmatch import star_family
+        fam = Family([Hypergraph._from_mask(h.ground, h.mask) for h in star_family(n, r, k)])
+        assert rainbow_exact(fam) is None
+        index = fam.ground.index
+        assert index._conflict is None and index._side_vertex is None and index._cells is None
 
 
 class TestOracleLimits:

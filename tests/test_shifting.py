@@ -9,7 +9,7 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
                           shift_hypergraph, shifted_closure)
 from rainbowmatch import shifting
-from rainbowmatch.shifting import MAX_PLAN_ENTRIES, ShiftLog, ShiftStep, _closed_mask
+from rainbowmatch.shifting import MAX_PLAN_ENTRIES, ShiftLog, ShiftStep, _closer
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -499,7 +499,7 @@ class TestClosedMask:
         rng = seeded(f"unlisted:{n}")
         fam = Family([random_hypergraph(rng, g, 12) for _ in range(2)])
         shifted, _ = shifted_closure(fam)
-        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        assert [_closer(g)(h.mask) for h in fam] == [h.mask for h in shifted]
         g.index.move(fam[0].mask, None, 0, n - 1)
         assert (g.index._plan is not None) == (n == 8)
         assert g.index._cells is None
@@ -509,9 +509,9 @@ class TestClosedMask:
     def test_equals_the_closure_member_by_member(self, fam):
         g = fam.ground
         shifted, _ = shifted_closure(fam)
-        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        assert [_closer(g)(h.mask) for h in fam] == [h.mask for h in shifted]
         for h in fam:
-            assert _closed_mask(g, h.mask) == shifted_closure(Family([h]))[0][0].mask
+            assert _closer(g)(h.mask) == shifted_closure(Family([h]))[0][0].mask
 
     # (kind, r, n, whether the plan is kept): the last ground a plan is kept
     # for and the first past MAX_PLAN_ENTRIES, on each side of the bound
@@ -531,7 +531,7 @@ class TestClosedMask:
         fam = Family([random_hypergraph(rng, g, rng.randint(1, g.cell_count // 4))
                       for _ in range(2)])
         shifted, _ = shifted_closure(fam)
-        assert [_closed_mask(g, h.mask) for h in fam] == [h.mask for h in shifted]
+        assert [_closer(g)(h.mask) for h in fam] == [h.mask for h in shifted]
         assert (g.index._plan is not None) == kept
 
     def test_plan_is_built_once_and_kept_on_the_index(self, monkeypatch):
@@ -540,12 +540,12 @@ class TestClosedMask:
         monkeypatch.setattr(shifting, "_guard_index", lambda g: calls.append(g) or guard(g))
         for g in (GroundSet(PARTITE, 3, 4), GroundSet(GENERAL, 2, 8)):
             assert g.index._plan is None
-            _closed_mask(g, 1)
+            _closer(g)(1)
             plan = g.index._plan
             assert plan is not None
             rng = seeded(f"once:{g.kind}")
             for _ in range(20):
-                _closed_mask(g, rng.getrandbits(g.cell_count))
+                _closer(g)(rng.getrandbits(g.cell_count))
             assert g.index._plan is plan
             assert calls == [g]  # the sweep's guard ran when the plan was built, and only then
             calls.clear()
@@ -553,7 +553,7 @@ class TestClosedMask:
     def test_no_plan_is_kept_past_the_bound(self):
         g = GroundSet(PARTITE, 1, 92)
         for mask in (0, 1 << 91, (1 << 92) - 2):
-            _closed_mask(g, mask)
+            _closer(g)(mask)
         assert g.index._plan is None
 
     def test_one_cell_ground_past_the_sweep_limit_is_refused_before_a_plan(self):
@@ -562,6 +562,6 @@ class TestClosedMask:
         n = 23171
         g = GroundSet(GENERAL, n, n)
         with pytest.raises(InputError, match="^ground too large to shift: ") as err:
-            _closed_mask(g, 1)
+            _closer(g)(1)
         assert f"each closure sweep {n * (n - 1) // 2} shift pairs" in str(err.value)
         assert g.index._plan is None

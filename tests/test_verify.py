@@ -20,9 +20,9 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           rainbow_exact, shifted_closure)
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
-from rainbowmatch.shifting import _closed_mask
+from rainbowmatch.shifting import _closer
 from rainbowmatch.verify import (SHARD_TRIALS, _below, _kernel_mask, _make_checker,
-                                 _sample_mask)
+                                 _mask_sampler)
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -238,7 +238,7 @@ class TestCheckConjecture:
             self, monkeypatch):
         # each draw copies and shuffles all n^2 cells: 725^2 * 2 passes 2^20
         from rainbowmatch import verify
-        monkeypatch.setattr(verify, "_sample_degree_capped",
+        monkeypatch.setattr(verify, "_degree_capped_sampler",
                             lambda *a: pytest.fail("a member was drawn"))
         with pytest.raises(InputError, match="each draw would list 1051250 vertices, "
                                              r"cells times r \(limit 1048576\)"):
@@ -477,6 +477,37 @@ class TestForkedPool:
                                  workers=workers)
             raised.append((type(info.value), str(info.value)))
         assert raised == [(error, "shard 5 failed")] * 2
+        assert_no_child()
+
+    # families just outside each sampler's hypothesis, on partite r=2 n=4
+    # (position x*4 + y is the cell (x, y)): a degree-capped member whose
+    # w-side vertex 0 has degree d+1 = 2, one of exactly (k-1)d = 1 edge, and
+    # a shifted member of g = 4 cells, one below its floor g+1
+    OUTSIDE = [
+        ("degree_condition", {"n": 4, "k": 2, "d": 1}, (1 | 1 << 5, 1 | 1 << 4)),
+        ("degree_condition", {"n": 4, "k": 2, "d": 1}, (1 | 1 << 5, 1)),
+        ("size_condition", {"n": 4, "r": 2, "k": 2}, (0b11111, 0b1111))]
+
+    @pytest.mark.parametrize("case", OUTSIDE, ids=["w-degree", "size", "shifted-floor"])
+    def test_a_sampled_family_outside_the_hypothesis_is_a_fault(self, monkeypatch, case):
+        from rainbowmatch import verify
+        conjecture, params, masks = case
+        fork_workers(monkeypatch, 2)
+        if conjecture == "degree_condition":
+            members = itertools.cycle(masks)
+            monkeypatch.setattr(verify, "_degree_capped_sampler",
+                                lambda ground, d, min_size: lambda getrandbits: next(members))
+        else:
+            monkeypatch.setattr(verify, "_shifted_sampler",
+                                lambda ground: lambda getrandbits, floors: masks)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(TheoremViolationError,
+                               match="sampler produced a family outside the hypothesis") as info:
+                check_conjecture(conjecture, params, budget=2 * SHARD_TRIALS, seed=1,
+                                 workers=workers)
+            raised.append(tuple(h.mask for h in info.value.instance))
+        assert raised == [masks] * 2
         assert_no_child()
 
     def test_planted_failures_are_listed_alike_at_every_pool_size(self, monkeypatch):
@@ -819,6 +850,22 @@ class TestMinimalFamilies:
             check_conjecture("size_condition", {"n": 4, "r": 3, "k": 2}, mode="exhaustive")
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("case", [
+        ("rainbow_general", {"n": 30, "r": 2, "k": 3}), ("size_condition", {"n": 7, "r": 3, "k": 2}),
+        ("simple", {"n": 7, "k": 3}), ("matrix", {"n": 7, "k": 3})], ids=_case_id)
+    def test_a_refused_ground_gets_no_cell_index(self, case):
+        # random mode fixes its drawing constants at the first draw, not when
+        # the checker is made, so a ground that exhaustive mode then refuses
+        # is never indexed
+        from rainbowmatch import verify
+        conjecture, params = case
+        checker = _make_checker(ConjectureId(conjecture), params)
+        with pytest.raises(InputError, match="exhaustive enumeration refused"):
+            verify._run_exhaustive(checker)
+        assert "_index" not in vars(checker.ground)
+        checker.sample(random.Random(1))
+        assert "_index" in vars(checker.ground)
+
     def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
         import time
         from rainbowmatch import verify
@@ -921,7 +968,8 @@ class TestDrawsAgainstTheStandardLibrary:
         u = data.draw(st.integers(1, 1200))
         size = data.draw(st.integers(0, u))
         rng, twin = random.Random(seed), random.Random(seed)
-        assert _sample_mask(rng, GroundSet(PARTITE, 1, u), size) == _stdlib_mask(twin, u, size)
+        draw = _mask_sampler(GroundSet(PARTITE, 1, u))
+        assert draw(rng.getrandbits, size) == _stdlib_mask(twin, u, size)
         assert rng.getstate() == twin.getstate()
 
     PINNED_DRAWS = [
@@ -938,10 +986,10 @@ class TestDrawsAgainstTheStandardLibrary:
         listed, mask = [], verify._mask
         monkeypatch.setattr(verify, "_mask", lambda positions, n: listed.append(n)
                             or mask(positions, n))
+        draw = _mask_sampler(GroundSet(PARTITE, 1, u))
         for seed in (1, 5, 977):
             rng, twin = random.Random(seed), random.Random(seed)
-            assert (_sample_mask(rng, GroundSet(PARTITE, 1, u), size)
-                    == _stdlib_mask(twin, u, size))
+            assert draw(rng.getrandbits, size) == _stdlib_mask(twin, u, size)
             assert rng.getstate() == twin.getstate()
         assert listed == ([] if u <= _setsize(size) else [u] * 3)
 
@@ -1146,8 +1194,9 @@ def shifted_families(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     # small members keep traces apart from members; any size reaches every closure
     sizes = draw(st.lists(st.integers(0, 2 * k) | st.integers(0, u), min_size=k, max_size=k))
-    return ground, Family([Hypergraph._from_mask(ground, _closed_mask(
-        ground, _sample_mask(rng, ground, min(size, u)))) for size in sizes])
+    draw, close = _mask_sampler(ground), _closer(ground)
+    return ground, Family([Hypergraph._from_mask(ground, close(draw(rng.getrandbits, min(size, u))))
+                           for size in sizes])
 
 
 # the eight random jobs of perfbench's verify-random workload:
