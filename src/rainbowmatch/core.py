@@ -130,18 +130,10 @@ class GroundSet(_Record):
         alone (a general ground shifts over its one ordered vertex set)."""
         return tuple(range(self.r)) if self.kind == PARTITE else (None,)
 
-    @property
+    @functools.cached_property
     def index(self) -> "CellIndex":
-        """The cell index of this ground, built on first use and then kept.
-
-        Kept as a plain attribute, not a cached_property: writing through
-        __dict__ makes every later read of kind, r or n several times slower
-        on CPython 3.11, and the oracles read kind once per edge they try."""
-        try:
-            return self._index
-        except AttributeError:
-            object.__setattr__(self, "_index", CellIndex(self))
-            return self._index
+        """The cell index of this ground, built on first use and then kept."""
+        return CellIndex(self)
 
     def check_edge(self, edge: Sequence[int]) -> Edge:
         """The edge as a tuple, or InputError naming its fault but no vertex."""
@@ -269,6 +261,10 @@ class CellIndex:
       at most 1,024 bits; a general ground's are _vertex), and each cell's
       conflict mask, the cells that share a vertex with it (at most 1,024
       masks of 1,024 bits, 128 KiB of bits).
+
+    The queries keep nothing more: below(m), the kernel mask of verify's
+    random mode, is read off _stride (partite) or _sets (general) when asked
+    for, and degrees' shifts are held by the reader it returns.
     """
 
     __slots__ = ("_ground", "_partite", "_cells", "_stride", "_zero", "_sets",
@@ -344,6 +340,21 @@ class CellIndex:
         zeros = [self._zero[s] for s in sides for _ in range(n)]
         return lambda mask: map(int.bit_count, map(operator.and_, map(mask.__rshift__, shifts),
                                                    zeros))
+
+    def below(self, m: int) -> int:
+        """The cells whose vertices all lie below m (on every side, if
+        partite), as a mask: the whole ground once m >= n. Side s's cells
+        with a vertex below m are the first m*t of every n*t positions, and
+        a general cell lies below m iff its vertex set, as a mask, does."""
+        if self._partite:
+            n, length = self._ground.n, self._ground.cell_count
+            mask = (1 << length) - 1
+            for t in self._stride:
+                mask &= _repeat((1 << min(m, n) * t) - 1, n * t, length)
+            return mask
+        top = 1 << m
+        return _mask(itertools.compress(itertools.count(), map(top.__gt__, self._sets)),
+                     len(self._sets))
 
     def touched(self, mask: int) -> list[list[int]]:
         """The vertices that some cell of the mask holds, ascending: one list

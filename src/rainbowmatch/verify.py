@@ -10,11 +10,11 @@ import os
 import random
 import time
 from collections import Counter
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, ConjectureId, Family, GroundSet,
-                   Hypergraph, _dominates, _guard_index, _mask, _Record, _repeat,
-                   capped_cells, estimate_text, nu_exact, rainbow_exact)
+                   Hypergraph, _dominates, _guard_index, _mask, _Record, capped_cells,
+                   estimate_text, nu_exact, rainbow_exact)
 from .errors import InputError, TheoremViolationError
 # bound, not executed: instances runs only when a counterexample is listed
 from . import extremal, instances, shifting, solvers
@@ -190,27 +190,32 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 
 class _Checker(_Record):
     """A conjecture at fixed parameters: its hypothesis and conclusion on a
-    family given as its members' masks over ground.index, a sampler of
-    hypothesis families, and what the exhaustive walk (floors, sums) and the
-    random one (kernel) may reduce to."""
+    family given as its members' masks over ground.index, a builder of its
+    sampler of hypothesis families, and what the exhaustive walk (floors,
+    sums) and the random one (kernel_below) may reduce to. Random mode
+    builds the sampler and the kernel mask when it starts (_run_random), so
+    making a checker, which exhaustive mode also does and may then refuse
+    its ground, builds no cell index."""
 
     ground: GroundSet
     k: int
     hypothesis: Callable[[tuple[int, ...]], bool]
     conclusion: Callable[[tuple[int, ...]], bool]
-    sample: Callable[[random.Random], tuple[int, ...]]
+    # builds the sampler, which is called with a generator's getrandbits
+    sampler: Callable[[], Callable[[Callable[[int], int]], tuple[int, ...]]]
+    # the vertex bound of the cells whose traces, as a multiset, decide the
+    # conclusion (CellIndex.below), so that random mode decides each
+    # multiset once per shard (_run_shard): the k-kernel, k partite and kr
+    # general, for the rainbow checkers, whose closing sampler makes every
+    # member shifted, as the kernel lemma needs; n, every cell, where no
+    # verdict depends on member order.
+    kernel_below: int
     # the hypothesis as floors on the ascending member sizes, when the
     # conclusion also holds for every family of supersets: size j (from 0)
     # is at least floors[j], and sizes 0..j sum to at least sums[j].
     # Empty floors refuse exhaustive mode: no shifted reduction is known.
     floors: tuple[int, ...] = ()
     sums: tuple[int, ...] = ()
-    # cells whose traces, as a multiset, decide the conclusion, so that
-    # random mode decides each multiset once per shard (_run_shard): -1,
-    # every cell, as no verdict depends on member order; the k-kernel
-    # (_kernel_mask) for the rainbow checkers, whose closing sampler makes
-    # every member shifted, as the kernel lemma needs.
-    kernel: int = -1
 
 
 def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
@@ -232,22 +237,6 @@ def _below(getrandbits: Callable[[int], int], m: int) -> int:
     while r >= m:
         r = getrandbits(b)
     return r
-
-
-def _built_at_first_call(build: Callable[[], Callable]) -> Callable:
-    """A function whose body is build(), made at its first call and then
-    kept: random mode fixes a checker's drawing constants at its first
-    draw, so that making a checker, which exhaustive mode also does, and
-    may then refuse its ground, builds no cell index."""
-    body = None
-
-    def call(*args):
-        nonlocal body
-        if body is None:
-            body = build()
-        return body(*args)
-
-    return call
 
 
 def _pool_from(u: int) -> int:
@@ -364,48 +353,6 @@ def _degree_capped_sampler(ground: GroundSet, d: int,
     return sample
 
 
-def _kernel_mask(ground: GroundSet, k: int) -> int:
-    """The cells of the k-kernel K as a mask: [k]^r on a partite ground, the
-    r-sets of the first kr vertices on a general one; the whole ground where
-    n <= k (partite) or n <= kr (general).
-
-    Shifted members F_1..F_k have a rainbow matching iff their traces
-    F_i & K do. Take a rainbow matching: on each side its k edges use k
-    values (on a general ground, kr vertices). Map them in order onto
-    0..k-1 (0..kr-1). No value goes up, so each image edge lies below its
-    edge, and a shifted member holds it; the images are disjoint and in K.
-
-    No cell is listed and no general index built, which would cost seconds
-    on grounds that exhaustive mode then refuses, and the mask ends at the
-    kernel's last cell. On a partite ground the cells whose side-0 vertex
-    is below k are the low k*n^(r-1) bits, and side s keeps k*t bits of
-    every n*t (t its stride); a general ground's kernel is _lex_kernel's."""
-    n, r = ground.n, ground.r
-    if ground.kind == GENERAL:
-        return _lex_kernel(n, r, k * r)
-    m = min(k, n)
-    top = m * n ** (r - 1)
-    mask = (1 << top) - 1
-    for s in range(1, r):
-        t = n ** (r - 1 - s)
-        mask &= _repeat((1 << m * t) - 1, n * t, top)
-    return mask
-
-
-def _lex_kernel(n: int, r: int, m: int) -> int:
-    """The r-sets of range(m) among the r-sets of range(n), as a mask in
-    lexicographic order. The r-sets with least vertex a are a block, the
-    (r-1)-sets of the n-1-a vertices above a in the same order, so the
-    mask is, block by block, the kernel of that smaller ground; the blocks
-    of least vertex m or more hold none."""
-    if r <= 1 or m >= n:
-        return (1 << math.comb(min(m, n), r)) - 1
-    mask = 0
-    for a in range(min(m, n - r + 1) - 1, -1, -1):  # the top block first
-        mask = mask << math.comb(n - 1 - a, r - 1) | _lex_kernel(n - 1 - a, r - 1, m - 1 - a)
-    return mask
-
-
 def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> _Checker:
     """The rainbow-matching checker for families of k members whose sorted
     sizes dominate the floors floor(0) <= ... <= floor(k-1). A ground too
@@ -413,18 +360,30 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     are refused before any floor is listed, as k may be huge. A rainbow
     matching of a family is one of every family of supersets, so the
     checker is monotone; its sampler closes every member, so the verdict
-    reads only the members' traces on the k-kernel."""
+    reads only the members' traces on the k-kernel: the cells of [k]^r on
+    a partite ground, the r-sets of the first kr vertices on a general one.
+
+    Shifted members F_1..F_k have a rainbow matching iff their traces on
+    the kernel do. Take a rainbow matching: on each side its k edges use k
+    values (on a general ground, kr vertices). Map them in order onto
+    0..k-1 (0..kr-1). No value goes up, so each image edge lies below its
+    edge, and a shifted member holds it; the images are disjoint and in
+    the kernel."""
     _guard_index(ground)
     if (top := floor(k - 1)) > ground.cell_count:
         raise InputError(f"hypothesis bound {top - 1} leaves no admissible size")
     floors = [floor(i) for i in range(k)]
-    draw = _built_at_first_call(lambda: _shifted_sampler(ground))
+
+    def sampler() -> Callable[[Callable[[int], int]], tuple[int, ...]]:
+        draw = _shifted_sampler(ground)
+        return lambda getrandbits: draw(getrandbits, floors)
+
     return _Checker(
         ground, k,
         hypothesis=lambda masks: _dominates(map(int.bit_count, masks), floors),
-        conclusion=_rainbow_concl(ground),
-        sample=lambda rng: draw(rng.getrandbits, floors),
-        floors=tuple(floors), sums=(0,) * k, kernel=_kernel_mask(ground, k))
+        conclusion=_rainbow_concl(ground), sampler=sampler,
+        kernel_below=k if ground.kind == PARTITE else k * ground.r,
+        floors=tuple(floors), sums=(0,) * k)
 
 
 def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
@@ -469,14 +428,12 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             return all(m.bit_count() >= min_size and all(map(within, degrees(m)))
                        for m in masks)
 
-        draw = _built_at_first_call(lambda: _degree_capped_sampler(ground, d, min_size))
-
-        def sample(rng: random.Random) -> tuple[int, ...]:
+        def sampler() -> Callable[[Callable[[int], int]], tuple[int, ...]]:
             # no shifted reduction is known for a degree cap: sample raw members
-            getrandbits = rng.getrandbits
-            return tuple([draw(getrandbits) for _ in range(k)])
+            draw = _degree_capped_sampler(ground, d, min_size)
+            return lambda getrandbits: tuple([draw(getrandbits) for _ in range(k)])
 
-        return _Checker(ground, k, hyp, _rainbow_concl(ground), sample)
+        return _Checker(ground, k, hyp, _rainbow_concl(ground), sampler, kernel_below=n)
 
     if conjecture is ConjectureId.MATRIX:
         ground = GroundSet(PARTITE, 2, n)
@@ -489,27 +446,27 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         def hyp(masks: tuple[int, ...]) -> bool:
             return not solvers._hall_violation(map(int.bit_count, masks), n)
 
-        w_degrees = _built_at_first_call(lambda: ground.index.degrees(1))
-
         def concl(masks: tuple[int, ...]) -> bool:
-            # row i: member i's degrees at w_1..w_n, read from its mask
-            rows = tuple(tuple(w_degrees(m)) for m in masks)
-            return check_matrix_conjecture(solvers.DegreeMatrix(rows, n)).ok
+            # row i: member i's degrees at w_1..w_k, read from its mask
+            w_degrees = ground.index.degrees(1)
+            rows = [list(itertools.islice(w_degrees(m), k)) for m in masks]
+            return _first_permutation(rows, _strong_form) is not None
 
-        draw = _built_at_first_call(lambda: _shifted_sampler(ground))
-        u = ground.cell_count
+        def sampler() -> Callable[[Callable[[int], int]], tuple[int, ...]]:
+            draw, u = _shifted_sampler(ground), ground.cell_count
 
-        def sample(rng: random.Random) -> tuple[int, ...]:
-            getrandbits = rng.getrandbits
-            for _ in range(1000):
-                sizes = [1 + _below(getrandbits, u) for _ in range(k)]
-                if not solvers._hall_violation(sizes, n):
-                    return draw(getrandbits, sizes)
-            raise InputError("could not sample sizes meeting the sum condition")
+            def sample(getrandbits: Callable[[int], int]) -> tuple[int, ...]:
+                for _ in range(1000):
+                    sizes = [1 + _below(getrandbits, u) for _ in range(k)]
+                    if not solvers._hall_violation(sizes, n):
+                        return draw(getrandbits, sizes)
+                raise InputError("could not sample sizes meeting the sum condition")
+
+            return sample
 
         # Hall's condition on the ascending prefixes: the j smallest sizes
         # sum to more than n*j*(j-1)
-        return _Checker(ground, k, hyp, concl, sample, floors=(0,) * k,
+        return _Checker(ground, k, hyp, concl, sampler, kernel_below=n, floors=(0,) * k,
                         sums=tuple(n * j * (j - 1) + 1 for j in range(1, k + 1)))
 
     raise InputError(f"unknown conjecture: {conjecture!r}")
@@ -649,22 +606,24 @@ def _count_families(floors: tuple[int, ...], sums: tuple[int, ...],
 
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
-    """One shard: count trials from a generator seeded by the run's seed
-    and the shard's number. Each family is sampled and checked against the
-    hypothesis, and each one failing the conclusion is listed in full.
+    """One shard, args (checker, sample, kernel, seed, shard, count): count
+    trials from a generator seeded by the run's seed and the shard's
+    number. Each family is drawn by sample, the checker's built sampler,
+    and checked against the hypothesis, and each one failing the
+    conclusion is listed in full.
 
     The conclusion is decided once per distinct sorted tuple of the
-    members' traces on checker.kernel, and its verdict reused for the rest
-    of the shard (exact: see _Checker.kernel). The verdicts live in this
-    call, so at most count of them, each keyed by masks no larger than the
-    family's."""
-    checker, seed, shard, count = args
-    rng = random.Random(f"{seed}:{shard}")
-    ground, kernel = checker.ground, checker.kernel
+    members' traces on the kernel mask, and its verdict reused for the rest
+    of the shard (exact: see _Checker.kernel_below). The verdicts live in
+    this call, so at most count of them, each keyed by masks no larger than
+    the family's."""
+    checker, sample, kernel, seed, shard, count = args
+    getrandbits = random.Random(f"{seed}:{shard}").getrandbits
+    ground = checker.ground
     verdicts: dict[tuple[int, ...], bool] = {}
     counters: list[dict] = []
     for _ in range(count):
-        masks = checker.sample(rng)
+        masks = sample(getrandbits)
         if not checker.hypothesis(masks):
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
@@ -765,18 +724,21 @@ def _run_random(checker: _Checker, budget: int, seed: int,
     folded in shard order by one loop at every pool size (_pooled), so the
     report does not depend on workers.
 
-    Before a pool of more than one forks, the run's first trial runs once
-    and its result is dropped. It executes the modules a trial needs and
-    builds the ground's index and closure plan, which the children then
-    inherit with the checker rather than each building its own; and a
-    sampler that fails fails there, with the error one worker raises,
-    before any fork."""
+    The run's sampler and kernel mask are built first, once: with them the
+    ground's index and closure plan, and a sampler that refuses its
+    parameters refuses here. Before a pool of more than one forks, the
+    run's first trial also runs once and its result is dropped: it executes
+    the modules a trial needs and builds the oracle's tables, and a draw
+    that fails fails there, with the error one worker raises. The children
+    inherit all of it rather than each building its own."""
+    sample = checker.sampler()
+    kernel = checker.ground.index.below(checker.kernel_below)
     count = -(-budget // SHARD_TRIALS)
-    shards = ((checker, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
+    shards = ((checker, sample, kernel, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
     size = _pool_size(workers, count)
     if size > 1:
-        _run_shard((checker, seed, 0, 1))
+        _run_shard((checker, sample, kernel, seed, 0, 1))
     checked = 0
     counters: list[dict] = []
     for trials, found in _pooled(size, shards):
@@ -799,17 +761,26 @@ def check_matrix_conjecture(dm: solvers.DegreeMatrix) -> MatrixCheck:
         raise InputError(f"permutation search is limited to k <= 10, got k={k}")
     if k > dm.n:
         raise InputError(f"needs k <= n, got k={k}, n={dm.n}")
-    hypothesis = not solvers._hall_violation(dm.row_sums(), dm.n)
-    strong = weak = None
-    for perm in itertools.permutations(range(k)):
-        sel = [dm.entries[i][perm[i]] for i in range(k)]
-        if strong is None and not solvers._hall_violation(sel, 1):
-            strong = perm
-        if weak is None and _dominates(sel, range(1, k + 1)):
-            weak = perm
-        if strong is not None and weak is not None:
-            break
-    return MatrixCheck(hypothesis, strong, weak)
+    return MatrixCheck(not solvers._hall_violation(dm.row_sums(), dm.n),
+                       _first_permutation(dm.entries, _strong_form),
+                       _first_permutation(dm.entries,
+                                          lambda sel: _dominates(sel, range(1, k + 1))))
+
+
+def _strong_form(selected: list[int]) -> bool:
+    """True iff the sorted entries have every prefix sum above j(j-1)."""
+    return not solvers._hall_violation(selected, 1)
+
+
+def _first_permutation(rows: Sequence[Sequence[int]],
+                       holds: Callable[[list[int]], bool]) -> tuple[int, ...] | None:
+    """The first permutation of range(k), k the number of rows, in
+    itertools order, whose selected entries (row i's at column
+    permutation[i]) hold: a search through the first k columns. None if no
+    permutation does."""
+    k = len(rows)
+    return next((perm for perm in itertools.permutations(range(k))
+                 if holds([rows[i][perm[i]] for i in range(k)])), None)
 
 
 # ---------------------------------------------------------------------------

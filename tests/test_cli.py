@@ -649,7 +649,7 @@ class TestOtherCommands:
         caller, run_shard = os.getpid(), verify._run_shard
 
         def killed(args):  # shard 4 is child 1's second
-            if args[2] == 4 and os.getpid() != caller:
+            if args[4] == 4 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return run_shard(args)
 
@@ -1165,7 +1165,7 @@ def test_entry_reaps_every_worker_after_a_theorem_violation(tmp_path):
             "def shard(args):\n"
             "    if os.getpid() != caller:\n"
             "        time.sleep(60)\n"
-            "    if args[3] == 1:  # the warm-up trial, before the fork\n"
+            "    if args[5] == 1:  # the warm-up trial, before the fork\n"
             "        return run_shard(args)\n"
             "    raise TheoremViolationError('planted')\n"
             "os.fork, verify._run_shard = forked, shard\n"

@@ -97,9 +97,9 @@ class TestGroundSet:
         fam = random_family(seeded("lazy"), ground, 2, low=6)
         greedy_bipartite(fam)
         check_hall_condition(fam)
-        assert "_index" not in vars(ground)
+        assert "index" not in vars(ground)
         oracle(fam)
-        assert ("_index" in vars(ground)) == indexed
+        assert ("index" in vars(ground)) == indexed
         assert ground.index is ground.index  # built once, then cached
 
     def test_bad_parameters(self):
@@ -465,7 +465,7 @@ class TestIndexNumbering:
         fam = Family([Hypergraph(ground, rng.sample(cells, 40)) for _ in range(3)])
         rainbow_exact(fam)
         nu_exact(fam[0])
-        assert "_index" not in vars(ground)
+        assert "index" not in vars(ground)
 
     @pytest.mark.parametrize("n,r,k", [(6, 2, 5), (4, 3, 4), (3, 2, 3)])
     def test_a_root_pigeonhole_refutation_builds_no_table(self, n, r, k):

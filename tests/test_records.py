@@ -41,8 +41,8 @@ RECORDS = {
                   "weak_permutation": ((0, 1), None)},
     # builtins stand in for the callables: they pickle by name
     _Checker: {"ground": (B3, B4), "k": (2, 3), "hypothesis": (bool, callable),
-               "conclusion": (callable, bool), "sample": (repr, ascii),
-               "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7)), "kernel": (0b1011, 0)},
+               "conclusion": (callable, bool), "sampler": (repr, ascii), "kernel_below": (2, 3),
+               "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7))},
 }
 UNCOMPARED = {(VerifyReport, "elapsed")}
 # a field that cannot change alone, with the changes that keep the record valid
@@ -130,8 +130,10 @@ def test_defaults():
     assert STEP.length == 1 and HALT.length is HALT.tail_side is HALT.short is None
     report = VerifyReport("simple", {}, "random", 0, ())
     assert report.elapsed == 0.0 and report.seed is None
-    checker = _Checker(B3, 2, bool, bool, repr)
-    assert checker.floors == () and checker.sums == () and checker.kernel == -1
+    checker = _Checker(B3, 2, bool, bool, repr, 3)
+    assert checker.floors == () and checker.sums == ()
+    with pytest.raises(TypeError):  # every checker names its kernel
+        _Checker(B3, 2, bool, bool, repr)
     with pytest.raises(TypeError):
         HallCheck()
     with pytest.raises(TypeError):
@@ -150,7 +152,7 @@ def test_reports_differing_only_in_elapsed_are_equal():
 def test_ground_with_a_built_index_round_trips(roundtrip):
     ground = GroundSet(PARTITE, 3, 3)
     ground.index
-    assert "_index" in vars(ground)
+    assert "index" in vars(ground)
     copied = roundtrip(ground)
     assert copied == ground and hash(copied) == hash(ground)
     assert copied.index is not ground.index and copied.index._ground is copied

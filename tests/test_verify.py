@@ -18,11 +18,11 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
                           rainbow_exact, shifted_closure)
+from rainbowmatch.core import CellIndex
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
 from rainbowmatch.shifting import _closer
-from rainbowmatch.verify import (SHARD_TRIALS, _below, _kernel_mask, _make_checker,
-                                 _mask_sampler)
+from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _mask_sampler
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -364,8 +364,8 @@ class TestCheckConjecture:
         run_shard, calls = verify._run_shard, []
 
         def failing(args):
-            calls.append(args[2])
-            if args[2] == 1:
+            calls.append(args[4])
+            if args[4] == 1:
                 raise RuntimeError("second shard")
             return run_shard(args)
 
@@ -446,9 +446,10 @@ class TestForkedPool:
         from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
         monkeypatch.setattr(verify, "_run_shard",
-                            lambda args: (args[3], [{"shard": args[2], "pid": os.getpid()}]))
+                            lambda args: (args[5], [{"shard": args[4], "pid": os.getpid()}]))
         budget = verify.SHARD_TRIALS * 40 + 7
-        checked, counters = verify._run_random(None, budget, seed=0, workers=3)
+        checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2})
+        checked, counters = verify._run_random(checker, budget, seed=0, workers=3)
         assert checked == budget
         assert [c["shard"] for c in counters] == list(range(41))
         pids = [c["pid"] for c in counters]
@@ -464,9 +465,9 @@ class TestForkedPool:
         fork_workers(monkeypatch, 3)
 
         def failing(args):
-            if args[2] in (5, 7):
-                raise error(f"shard {args[2]} failed")
-            return args[3], []
+            if args[4] in (5, 7):
+                raise error(f"shard {args[4]} failed")
+            return args[5], []
 
         monkeypatch.setattr(verify, "_run_shard", failing)
         raised = []
@@ -522,7 +523,7 @@ class TestForkedPool:
                    for workers in (1, 2, 3))
         # the same list with the verdicts keyed by whole members: a kernel of
         # every cell
-        monkeypatch.setattr(verify, "_kernel_mask", lambda ground, k: -1)
+        monkeypatch.setattr(CellIndex, "below", lambda index, m: -1)
         assert a == check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 2, "k": 3},
                                      budget=SHARD_TRIALS * 4 + 9, seed=2)
         assert len(a.counterexamples) > 1
@@ -622,8 +623,9 @@ class TestForkedPool:
         from rainbowmatch import verify
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pool of one forked"),
                             raising=False)
-        shards = [(_make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2}),
-                   7, s, 50) for s in range(3)]
+        checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})
+        sample, kernel = checker.sampler(), checker.ground.index.below(checker.kernel_below)
+        shards = [(checker, sample, kernel, 7, s, 50) for s in range(3)]
         assert list(verify._pooled(1, iter(shards))) == list(map(verify._run_shard, shards))
 
     def test_failed_fork_leaves_its_worker_to_the_caller(self, monkeypatch):
@@ -746,7 +748,8 @@ def family_view(checker):
     return verify._Checker(checker.ground, checker.k,
                            lambda family: checker.hypothesis(masks(family)),
                            lambda family: checker.conclusion(masks(family)),
-                           checker.sample, floors=checker.floors, sums=checker.sums)
+                           checker.sampler, checker.kernel_below, floors=checker.floors,
+                           sums=checker.sums)
 
 
 def assert_matches_the_product_walk(checker, checked, counters):
@@ -790,7 +793,8 @@ class TestMinimalFamilies:
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
-            sample=base.sample, floors=base.floors, sums=base.sums)
+            sampler=base.sampler, kernel_below=base.kernel_below, floors=base.floors,
+            sums=base.sums)
         checked, counters = verify._run_exhaustive(checker)
         ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
         assert checked == ordered_checked
@@ -825,7 +829,8 @@ class TestMinimalFamilies:
         from rainbowmatch import TheoremViolationError, verify
         base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
         checker = verify._Checker(base.ground, base.k, lambda masks: False,
-                                  base.conclusion, base.sample, floors=base.floors,
+                                  base.conclusion, base.sampler, base.kernel_below,
+                                  floors=base.floors,
                                   sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
             verify._run_exhaustive(checker)
@@ -854,17 +859,18 @@ class TestMinimalFamilies:
         ("rainbow_general", {"n": 30, "r": 2, "k": 3}), ("size_condition", {"n": 7, "r": 3, "k": 2}),
         ("simple", {"n": 7, "k": 3}), ("matrix", {"n": 7, "k": 3})], ids=_case_id)
     def test_a_refused_ground_gets_no_cell_index(self, case):
-        # random mode fixes its drawing constants at the first draw, not when
-        # the checker is made, so a ground that exhaustive mode then refuses
-        # is never indexed
+        # random mode builds its sampler and kernel when it starts, not when
+        # the checker is made, so neither making the checker nor the
+        # exhaustive refusal of its ground indexes the ground
         from rainbowmatch import verify
         conjecture, params = case
         checker = _make_checker(ConjectureId(conjecture), params)
+        assert "index" not in vars(checker.ground)
         with pytest.raises(InputError, match="exhaustive enumeration refused"):
             verify._run_exhaustive(checker)
-        assert "_index" not in vars(checker.ground)
-        checker.sample(random.Random(1))
-        assert "_index" in vars(checker.ground)
+        assert "index" not in vars(checker.ground)
+        checker.sampler()(random.Random(1).getrandbits)
+        assert "index" in vars(checker.ground)
 
     def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
         import time
@@ -1116,7 +1122,8 @@ class TestSamplerAgainstReference:
         conjecture, params = case
         checker = _make_checker(ConjectureId(conjecture), params)
         rng, twin = random.Random(seed), random.Random(seed)
-        families = [checker.sample(rng) for _ in range(40)]
+        sample = checker.sampler()
+        families = [sample(rng.getrandbits) for _ in range(40)]
         if checker.ground.kind == PARTITE:
             assert checker.ground.index._cells is None  # positions, not the cell tuple
         for family in families:
@@ -1136,7 +1143,8 @@ class TestSamplerAgainstReference:
         # targets up to d*n there, past every cell, and drew again.
         checker = _make_checker(ConjectureId.DEGREE_CONDITION, {"n": n, "k": k, "d": d})
         rng, twin = random.Random(seed), random.Random(seed)
-        families = [checker.sample(rng) for _ in range(40)]
+        sample = checker.sampler()
+        families = [sample(rng.getrandbits) for _ in range(40)]
         assert checker.ground.index._cells is None  # positions, not the cell tuple
         for family in families:
             expected = [reference._sample_degree_capped(twin, checker.ground, min(d, n),
@@ -1166,17 +1174,22 @@ class TestSamplerAgainstReference:
     def test_first_shard_families_are_pinned(self, case):
         conjecture, params, digest = case
         checker = _make_checker(ConjectureId(conjecture), params)
-        rng = random.Random("1:0")  # seed 1, shard 0, as _run_shard seeds it
-        text = "\n".join(" ".join(format(m, "x") for m in checker.sample(rng))
+        sample = checker.sampler()
+        getrandbits = random.Random("1:0").getrandbits  # seed 1, shard 0, as _run_shard seeds it
+        text = "\n".join(" ".join(format(m, "x") for m in sample(getrandbits))
                          for _ in range(SHARD_TRIALS))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def cells_below(ground, m):
+    """The cells whose vertices all lie below m, listed cell by cell."""
+    return sum(1 << i for i, cell in enumerate(ground.cells()) if max(cell) < m)
 
 
 def kernel_cells(ground, k):
     """The k-kernel listed cell by cell: every vertex below k on a partite
     ground, below k*r on a general one."""
-    top = k if ground.kind == PARTITE else k * ground.r
-    return sum(1 << i for i, cell in enumerate(ground.cells()) if max(cell) < top)
+    return cells_below(ground, k if ground.kind == PARTITE else k * ground.r)
 
 
 @st.composite
@@ -1232,18 +1245,23 @@ BENCHMARK_REPORTS = [
 
 class TestKernelVerdicts:
     """Random rainbow checks decide each multiset of kernel traces once per
-    shard (_run_shard); the kernel lemma (_kernel_mask) makes that exact."""
+    shard (_run_shard); the kernel lemma (_rainbow_checker) makes that exact,
+    and CellIndex.below gives the kernel's mask."""
 
     @pytest.mark.parametrize("kind,r,n_values", [(PARTITE, 1, range(1, 7)),
                                                  (PARTITE, 2, range(1, 7)),
                                                  (PARTITE, 3, range(1, 5)),
+                                                 (PARTITE, 4, range(1, 4)),
+                                                 (GENERAL, 1, range(1, 7)),
                                                  (GENERAL, 2, range(2, 11)),
-                                                 (GENERAL, 3, range(3, 10))])
-    def test_kernel_mask_is_the_listed_kernel(self, kind, r, n_values):
+                                                 (GENERAL, 3, range(3, 10)),
+                                                 (GENERAL, 4, range(4, 9))])
+    def test_below_is_the_listed_cells(self, kind, r, n_values):
+        # m from 0 up to past n: below, at and above the ground's vertices
         for n in n_values:
             ground = GroundSet(kind, r, n)
-            for k in range(1, 5):
-                assert _kernel_mask(ground, k) == kernel_cells(ground, k), (n, k)
+            for m in range(n + 3):
+                assert ground.index.below(m) == cells_below(ground, m), (n, m)
 
     @given(shifted_families())
     def test_shifted_members_match_iff_their_traces_do(self, case):
@@ -1258,11 +1276,12 @@ class TestKernelVerdicts:
                 ("simple", {"n": 5, "k": 3}, GroundSet(PARTITE, 2, 5), 3),
                 ("rainbow_general", {"n": 8, "k": 3}, GroundSet(GENERAL, 2, 8), 3),
                 ("rainbow_general", {"n": 7, "r": 3, "k": 2}, GroundSet(GENERAL, 3, 7), 2)]:
-            assert _make_checker(ConjectureId(conjecture), params).kernel == \
-                kernel_cells(ground, k)
+            checker = _make_checker(ConjectureId(conjecture), params)
+            assert checker.ground.index.below(checker.kernel_below) == kernel_cells(ground, k)
         # raw members and the degree-matrix conclusion read every cell
-        assert _make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}).kernel == -1
-        assert _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2}).kernel == -1
+        for checker in (_make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}),
+                        _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2})):
+            assert checker.ground.index.below(checker.kernel_below) == (1 << 9) - 1
 
     def test_each_trace_multiset_is_decided_once_per_shard(self, monkeypatch):
         from rainbowmatch import verify
@@ -1275,16 +1294,16 @@ class TestKernelVerdicts:
 
         # the distinct trace multisets of each shard's families, drawn again
         # from the shard's own seed
-        distinct = set()
+        distinct, sample = set(), checker.sampler()
         for s in range(2):
-            rng = random.Random(f"1:{s}")
-            distinct.update((s, traces(checker.sample(rng))) for _ in range(SHARD_TRIALS))
+            getrandbits = random.Random(f"1:{s}").getrandbits
+            distinct.update((s, traces(sample(getrandbits))) for _ in range(SHARD_TRIALS))
         shard, calls = [None], []
         exact, run_shard = verify.rainbow_exact, verify._run_shard
         monkeypatch.setattr(verify, "rainbow_exact", lambda family: calls.append(
             (shard[0], traces(h.mask for h in family))) or exact(family))
         monkeypatch.setattr(verify, "_run_shard",
-                            lambda args: shard.__setitem__(0, args[2]) or run_shard(args))
+                            lambda args: shard.__setitem__(0, args[4]) or run_shard(args))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
                                   seed=1)
         assert report.instances_checked == 2 * SHARD_TRIALS and report.ok
@@ -1311,21 +1330,24 @@ class TestKernelVerdicts:
         ("matrix", {"n": 4, "k": 2})], ids=_case_id)
     def test_raw_and_matrix_checkers_decide_each_family_once_per_shard(self, case):
         # one verdict path: degree_condition and matrix key on whole members
-        # (kernel -1), and their reused verdicts are those of every family
+        # (a kernel of every cell), and their reused verdicts are those of
+        # every family
         from rainbowmatch import verify
         conjecture, params = case
         base = _make_checker(ConjectureId(conjecture), params)
-        assert base.kernel == -1
+        kernel = base.ground.index.below(base.kernel_below)
+        assert kernel == (1 << base.ground.cell_count) - 1
         calls = []
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             lambda masks: calls.append(tuple(sorted(masks))) or base.conclusion(masks),
-            base.sample)
+            base.sampler, base.kernel_below)
         for shard in range(2):
             calls.clear()
-            count, listed = verify._run_shard((checker, 1, shard, SHARD_TRIALS))
-            rng = random.Random(f"1:{shard}")
-            drawn = [base.sample(rng) for _ in range(SHARD_TRIALS)]
+            count, listed = verify._run_shard(
+                (checker, checker.sampler(), kernel, 1, shard, SHARD_TRIALS))
+            sample, getrandbits = base.sampler(), random.Random(f"1:{shard}").getrandbits
+            drawn = [sample(getrandbits) for _ in range(SHARD_TRIALS)]
             assert count == SHARD_TRIALS
             assert sorted(calls) == sorted({tuple(sorted(masks)) for masks in drawn})
             assert ([tuple(h.mask for h in instance_from_dict(c).to_family()) for c in listed]
