@@ -658,6 +658,18 @@ class _Conflicts(dict):
         return mask
 
 
+def _index_numbering(ground: GroundSet, masks: Iterable[int]
+                     ) -> tuple[list[list[int]], Callable[[], tuple]]:
+    """The touched vertices and the search tables of masks over
+    ground.index, as _edge_masks gives them on a ground of at most
+    SHIFT_MASK_BITS cells."""
+    index = ground.index
+    union = 0
+    for m in masks:
+        union |= m
+    return index.touched(union), index.search_tables
+
+
 def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
                 ) -> tuple[list[int], list[list[int]], Callable[[], tuple]]:
     """Bit numbering of the members' edges, for the exact oracles.
@@ -686,12 +698,8 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     way. The cells are counted by capped_cells: a general ground's full
     count can take seconds."""
     if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
-        index = ground.index
         masks = [h.mask for h in members]
-        union = 0
-        for m in masks:
-            union |= m
-        return masks, index.touched(union), index.search_tables
+        return (masks, *_index_numbering(ground, masks))
     edges = tuple(sorted(set().union(*(h.edges for h in members))))
     m = len(edges)
     position = dict(zip(edges, range(m)))
@@ -756,7 +764,27 @@ def nu_exact(h: Hypergraph) -> int:
 
 
 def rainbow_exact(family: Family) -> RainbowMatching | None:
-    """A rainbow matching if one exists, else None.
+    """A rainbow matching if one exists, else None: rainbow_positions on the
+    members' masks in the numbering _edge_masks picks, the index's up to
+    SHIFT_MASK_BITS cells and a local one past it, with the chosen bits
+    read back as edges."""
+    masks, touched, tables = _edge_masks(family.ground, family.members)
+    chosen = rainbow_positions(family.ground, masks, (touched, tables))
+    if chosen is None:
+        return None
+    edges = tables()[0]
+    return RainbowMatching(tuple(edges[i] for i in chosen))
+
+
+def rainbow_positions(ground: GroundSet, masks: Sequence[int],
+                      numbering: tuple[list[list[int]], Callable[[], tuple]] | None = None
+                      ) -> list[int] | None:
+    """The bit of each member's mask that a rainbow matching takes, in
+    member order, if one exists, else None. The masks are over
+    ground.index, on a ground of at most SHIFT_MASK_BITS cells, unless
+    numbering gives the touched vertices and the search tables of their own
+    numbering, as _edge_masks returns them; the search builds no Hypergraph
+    or Family.
 
     Refuses at the root by pigeonhole when the members' edges together touch
     fewer than k vertices on some side (partite) or fewer than r*k vertices
@@ -766,19 +794,17 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
     bit first, which is lexicographic order, so the first matching found is
     deterministic. A frame is (depth, remaining candidates, blocked mask);
     taking an edge ORs its conflict mask into the blocked mask, and a node
-    is pruned when some later member has no edge left outside it. Choices
-    are reported in the original member order.
+    is pruned when some later member has no edge left outside it.
     """
-    g = family.ground
-    k = family.k
-    masks, touched, tables = _edge_masks(g, family.members)
-    if min(map(len, touched)) < (k if g.kind == PARTITE else g.r * k):
+    k = len(masks)
+    touched, tables = numbering or _index_numbering(ground, masks)
+    if min(map(len, touched)) < (k if ground.kind == PARTITE else ground.r * k):
         return None
     order = sorted(range(k), key=list(map(int.bit_count, masks)).__getitem__)
     masks = [masks[i] for i in order]
     if not masks[0]:  # the smallest member is empty
         return None
-    edges, _, conflict = tables()
+    conflict = tables()[2]
     chosen = [0] * k
     stack = [(0, masks[0], 0)]
     while stack:
@@ -791,10 +817,10 @@ def rainbow_exact(family: Family) -> RainbowMatching | None:
         blocked |= conflict[i]
         depth += 1
         if depth == k:
-            choices: list[Edge] = [()] * k
+            positions = [0] * k
             for d, i in enumerate(chosen):
-                choices[order[d]] = edges[i]
-            return RainbowMatching(tuple(choices))
+                positions[order[d]] = i
+            return positions
         free = ~blocked
         if all(map(free.__and__, masks[depth:])):
             stack.append((depth, masks[depth] & free, blocked))

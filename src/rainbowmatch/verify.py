@@ -12,9 +12,9 @@ import time
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, ConjectureId, Family, GroundSet,
-                   Hypergraph, _dominates, _guard_index, _mask, _Record, capped_cells,
-                   estimate_text, nu_exact, rainbow_exact)
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, SHIFT_MASK_BITS, ConjectureId, Family,
+                   GroundSet, Hypergraph, _dominates, _guard_index, _mask, _Record,
+                   capped_cells, estimate_text, nu_exact, rainbow_exact, rainbow_positions)
 from .errors import InputError, TheoremViolationError
 # bound, not executed: instances runs only when a counterexample is listed
 from . import extremal, instances, shifting, solvers
@@ -219,11 +219,18 @@ class _Checker(_Record):
 
 
 def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
-    """The members as a Family, for the oracle, an error or a listing."""
+    """The members as a Family, for the oracle past SHIFT_MASK_BITS cells,
+    an error or a listing."""
     return Family([Hypergraph._from_mask(ground, m) for m in masks])
 
 
 def _rainbow_concl(ground: GroundSet) -> Callable[[tuple[int, ...]], bool]:
+    """Whether the members, as masks, have a rainbow matching: the exact
+    search on the masks themselves up to SHIFT_MASK_BITS cells, with no
+    Family built; past it, rainbow_exact on their Family, which numbers the
+    members' edges locally, the split _edge_masks makes."""
+    if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
+        return lambda masks: rainbow_positions(ground, masks) is not None
     return lambda masks: rainbow_exact(_family(ground, masks)) is not None
 
 
@@ -262,20 +269,37 @@ def _mask_sampler(ground: GroundSet) -> Callable[[Callable[[int], int], int], in
     Random.sample(range(cell_count), size), by Random.sample's two branches
     and getrandbits calls, with each drawn position set in the mask rather
     than listed. The drawing constants are fixed here, once: the cell
-    count, its bit width and the least size of the pool branch
-    (_pool_from)."""
+    count, its bit width, the least size of the pool branch (_pool_from)
+    and, on a ground of at most SHIFT_MASK_BITS cells, the pool branch's
+    steps, (m - 1, m.bit_length()) for m = u, u - 1, ..., 1, and its pool of
+    one-bit ints, one a cell. Past that bound each pool draw lists its
+    positions and takes each step's bit length as it goes: one-bit ints
+    would cost about u^2/16 bytes, and a step table about 90 bytes a cell.
+    """
     ground.index  # refuses a ground too large to index before anything is drawn
     u = ground.cell_count
     width = u.bit_length()
     pool_from = _pool_from(u)
+    small = u <= SHIFT_MASK_BITS
+    steps = [(m - 1, m.bit_length()) for m in range(u, 0, -1)] if small else []
+    one_bits = [1 << i for i in range(u)] if small else []
 
     # each position is _below's rejection loop, written out: this is the
     # innermost loop of random mode
     def sample(getrandbits: Callable[[int], int], size: int) -> int:
         if size >= pool_from:
-            # a partial Fisher-Yates: pool[:m] holds the positions not yet drawn
-            pool = list(range(u))
+            # a partial Fisher-Yates: pool[:last + 1] holds the cells not yet drawn
             mask = 0
+            if small:
+                pool = one_bits.copy()
+                for last, b in itertools.islice(steps, size):
+                    j = getrandbits(b)
+                    while j > last:
+                        j = getrandbits(b)
+                    mask |= pool[j]
+                    pool[j] = pool[last]
+                return mask
+            pool = list(range(u))
             for m in range(u, u - size, -1):
                 b = m.bit_length()
                 j = getrandbits(b)
@@ -318,29 +342,53 @@ def _degree_capped_sampler(ground: GroundSet, d: int,
     shuffle when the walk falls short. n*min(d, n) is the most edges such a
     member has, so a cap past n draws as the cap n. The random calls are
     those of Random.randint and Random.shuffle on a list of every cell. The
-    refusal of parameters it cannot meet, and the target's span, are fixed
-    here, once."""
+    refusal of parameters it cannot meet, the target's span and the
+    shuffle's swaps are fixed here, once: the swaps as (b, the descending
+    range of the i whose i + 1 has bit length b), one pair a bit length, so
+    no bit length is taken per swap and the table stays small on every
+    ground. On a ground of at most SHIFT_MASK_BITS cells each cell's
+    (one-bit int, x, y) is fixed here too, and the walk reads it with no
+    division. Past that bound a draw shuffles positions, divides each one
+    into its vertices and sets its mask once: a one-bit int a cell would
+    cost about u^2/16 bytes, 17 GB at n = 724."""
     n = ground.n
     if min_size > (most := n * min(d, n)):
         raise InputError(
             f"no bipartite graph with max degree {d} has more than {most} edges")
     u = ground.cell_count
     span = most - min_size + 1
+    swaps = [(b, range(min(u - 1, (1 << b) - 2), (1 << b - 1) - 2, -1))
+             for b in range(u.bit_length(), 1, -1)]
+    small = u <= SHIFT_MASK_BITS
+    # a partite r=2 position is x*n + y
+    cells = [(1 << p, p // n, p % n) for p in range(u)] if small else []
 
     def sample(getrandbits: Callable[[int], int]) -> int:
-        positions = list(range(u))  # shuffled in place, draw after draw
+        # shuffled in place, draw after draw
+        positions = cells.copy() if small else list(range(u))
         for _ in range(200):
             target = min_size + _below(getrandbits, span)
-            for i in range(u - 1, 0, -1):
-                b = (i + 1).bit_length()  # _below(getrandbits, i + 1), written out
-                j = getrandbits(b)
-                while j > i:
+            for b, run in swaps:
+                for i in run:  # _below(getrandbits, i + 1), written out
                     j = getrandbits(b)
-                positions[i], positions[j] = positions[j], positions[i]
+                    while j > i:
+                        j = getrandbits(b)
+                    positions[i], positions[j] = positions[j], positions[i]
             u_degrees, w_degrees = [0] * n, [0] * n
+            if small:
+                mask, left = 0, target
+                for bit, x, y in positions:
+                    if u_degrees[x] < d and w_degrees[y] < d:
+                        mask |= bit
+                        left -= 1
+                        if not left:
+                            return mask
+                        u_degrees[x] += 1
+                        w_degrees[y] += 1
+                continue
             picked = []
             for p in positions:
-                x = p // n  # a partite r=2 position is x*n + y
+                x = p // n
                 y = p - x * n
                 if u_degrees[x] < d and w_degrees[y] < d:
                     picked.append(p)
@@ -420,11 +468,14 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
                              f"{estimate_text(listed)} vertices, cells times r "
                              f"(limit {extremal.MAX_LISTED_VERTICES})")
         min_size = (k - 1) * d + 1
-        degrees, within = ground.index.degrees(0, 1), d.__ge__
+        degrees, within = None, d.__ge__
 
         def hyp(masks: tuple[int, ...]) -> bool:
             # each member's size, then its degrees vertex by vertex, up to
-            # the first past d
+            # the first past d; the degree reader is built by the run's first
+            # call, so making the checker builds no cell index
+            nonlocal degrees
+            degrees = degrees or ground.index.degrees(0, 1)
             return all(m.bit_count() >= min_size and all(map(within, degrees(m)))
                        for m in masks)
 

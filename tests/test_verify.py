@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import reference_oracle
 import reference_ordered
 import reference_sampler as reference
 from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
@@ -18,7 +19,7 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
                           rainbow_exact, shifted_closure)
-from rainbowmatch.core import CellIndex
+from rainbowmatch.core import CellIndex, bits, is_matching, rainbow_positions
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
 from rainbowmatch.shifting import _closer
@@ -856,27 +857,35 @@ class TestMinimalFamilies:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("case", [
-        ("rainbow_general", {"n": 30, "r": 2, "k": 3}), ("size_condition", {"n": 7, "r": 3, "k": 2}),
-        ("simple", {"n": 7, "k": 3}), ("matrix", {"n": 7, "k": 3})], ids=_case_id)
-    def test_a_refused_ground_gets_no_cell_index(self, case):
-        # random mode builds its sampler and kernel when it starts, not when
-        # the checker is made, so neither making the checker nor the
-        # exhaustive refusal of its ground indexes the ground
+        ("rainbow_general", {"n": 30, "r": 2, "k": 3}, "exhaustive enumeration refused"),
+        ("size_condition", {"n": 7, "r": 3, "k": 2}, "exhaustive enumeration refused"),
+        ("simple", {"n": 7, "k": 3}, "exhaustive enumeration refused"),
+        ("matrix", {"n": 7, "k": 3}, "exhaustive enumeration refused"),
+        ("degree_condition", {"n": 7, "k": 3, "d": 2}, "no shifted reduction")],
+        ids=lambda c: _case_id(c[:2]))
+    def test_a_refused_ground_gets_no_cell_index(self, monkeypatch, case):
+        # random mode builds its sampler and kernel, and degree_condition's
+        # hypothesis its degree reader, when it starts, not when the checker
+        # is made, so neither making the checker nor the exhaustive refusal
+        # of its ground indexes the ground
         from rainbowmatch import verify
-        conjecture, params = case
+        conjecture, params, refusal = case
         checker = _make_checker(ConjectureId(conjecture), params)
         assert "index" not in vars(checker.ground)
-        with pytest.raises(InputError, match="exhaustive enumeration refused"):
-            verify._run_exhaustive(checker)
+        monkeypatch.setattr(verify, "_make_checker", lambda conjecture, params: checker)
+        with pytest.raises(InputError, match=refusal):
+            check_conjecture(conjecture, params, mode="exhaustive")
         assert "index" not in vars(checker.ground)
-        checker.sampler()(random.Random(1).getrandbits)
+        # a run's first trial builds them
+        assert checker.hypothesis(checker.sampler()(random.Random(1).getrandbits))
         assert "index" in vars(checker.ground)
 
     def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
         import time
         from rainbowmatch import verify
         monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_INSTANCES", 400_000)
-        monkeypatch.setattr(verify, "rainbow_exact", lambda fam: pytest.fail("oracle called"))
+        for oracle in ("rainbow_exact", "rainbow_positions"):
+            monkeypatch.setattr(verify, oracle, lambda *args: pytest.fail("oracle called"))
         start = time.perf_counter()
         with pytest.raises(InputError,
                            match=r"about 424270 minimal families \(limit 400000\)"):
@@ -1243,6 +1252,74 @@ BENCHMARK_REPORTS = [
 ]
 
 
+@st.composite
+def masked_families(draw):
+    """k <= 4 members as masks over ground.index: on a partite ground of
+    r = 1..3 or a general one of r = 2..3, or on the partite r=2 grounds of
+    1,024 and 1,089 cells (n = 32 and 33), either side of the bound up to
+    which the search reads index masks. Each member is drawn from the cells below a bound m, so that
+    small m leaves too few vertices (a pigeonhole refutation); a size of 0
+    gives an empty member."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["partite", "general", "n32", "n33"]))
+    if kind == "partite":
+        r = draw(st.integers(1, 3))
+        ground = GroundSet(PARTITE, r, draw(st.integers(1, 6 if r < 3 else 4)))
+    elif kind == "general":
+        r = draw(st.integers(2, 3))
+        ground = GroundSet(GENERAL, r, draw(st.integers(r, 9)))
+    else:
+        ground = GroundSet(PARTITE, 2, int(kind[1:]))
+    box = bits(ground.index.below(draw(st.integers(1, ground.n))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sizes = draw(st.lists(st.integers(0, 3) | st.integers(0, min(len(box), 40)),
+                          min_size=k, max_size=k))
+    return ground, tuple(sum(1 << p for p in rng.sample(box, min(size, len(box))))
+                         for size in sizes)
+
+
+class TestMaskConclusion:
+    """The rainbow conclusion on member masks (rainbow_positions up to
+    1,024 cells, rainbow_exact on a Family past it) against the recursive
+    reference oracle on the same members as a Family."""
+
+    @given(masked_families())
+    def test_conclusion_is_the_reference_verdict(self, case):
+        from rainbowmatch import verify
+        ground, masks = case
+        family = Family([Hypergraph._from_mask(ground, m) for m in masks])
+        expected = reference_oracle.rainbow_exact(family) is not None
+        assert verify._rainbow_concl(ground)(masks) == expected
+
+    @given(masked_families())
+    def test_positions_are_a_rainbow_matching(self, case):
+        ground, masks = case
+        if ground.cell_count > 1024:
+            return  # past 1,024 cells the search takes a local numbering
+        positions = rainbow_positions(ground, masks)
+        family = Family([Hypergraph._from_mask(ground, m) for m in masks])
+        matching = rainbow_exact(family)
+        if positions is None:
+            assert matching is None
+            return
+        assert all(m >> p & 1 for m, p in zip(masks, positions))
+        cells = [ground.index.cell(p) for p in positions]
+        assert is_matching(ground, cells)
+        assert tuple(cells) == matching.choices
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_an_empty_member_and_a_pigeonhole_refute(self, n):
+        from rainbowmatch import verify
+        ground = GroundSet(PARTITE, 2, n)
+        decide = verify._rainbow_concl(ground)
+        full = (1 << ground.cell_count) - 1
+        row = (1 << n) - 1  # the n cells through vertex 0 of side 0
+        assert decide((full, full, full))
+        assert not decide((full, 0, full))
+        assert not decide((row, row))
+        assert decide((row, full))
+
+
 class TestKernelVerdicts:
     """Random rainbow checks decide each multiset of kernel traces once per
     shard (_run_shard); the kernel lemma (_rainbow_checker) makes that exact,
@@ -1299,9 +1376,9 @@ class TestKernelVerdicts:
             getrandbits = random.Random(f"1:{s}").getrandbits
             distinct.update((s, traces(sample(getrandbits))) for _ in range(SHARD_TRIALS))
         shard, calls = [None], []
-        exact, run_shard = verify.rainbow_exact, verify._run_shard
-        monkeypatch.setattr(verify, "rainbow_exact", lambda family: calls.append(
-            (shard[0], traces(h.mask for h in family))) or exact(family))
+        search, run_shard = verify.rainbow_positions, verify._run_shard
+        monkeypatch.setattr(verify, "rainbow_positions", lambda ground, masks: calls.append(
+            (shard[0], traces(masks))) or search(ground, masks))
         monkeypatch.setattr(verify, "_run_shard",
                             lambda args: shard.__setitem__(0, args[4]) or run_shard(args))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
@@ -1310,19 +1387,21 @@ class TestKernelVerdicts:
         assert sorted(calls) == sorted(distinct)
         assert len(calls) == 8
 
-    def test_a_passing_run_builds_one_family_per_oracle_call(self, monkeypatch):
-        # members travel as masks: only the oracle is handed a Family
+    def test_a_passing_run_builds_no_family(self, monkeypatch):
+        # members travel as masks, and the oracle searches on them: a run
+        # that lists no counterexample builds no Family
         from rainbowmatch import verify
         builds, calls = [], []
-        init, exact = Family.__init__, verify.rainbow_exact
+        init, search = Family.__init__, verify.rainbow_positions
         monkeypatch.setattr(Family, "__init__",
                             lambda self, members: builds.append(1) or init(self, members))
-        monkeypatch.setattr(verify, "rainbow_exact",
-                            lambda family: calls.append(1) or exact(family))
+        monkeypatch.setattr(verify, "rainbow_positions",
+                            lambda ground, masks: calls.append(1) or search(ground, masks))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2},
                                   budget=2 * SHARD_TRIALS, seed=1)
         assert report.ok
-        assert len(builds) == len(calls) == 8
+        assert len(builds) == 0
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("case", [
         ("degree_condition", {"n": 4, "k": 2, "d": 1}),
@@ -1363,9 +1442,9 @@ class TestKernelVerdicts:
         # oracle call per minimal multiset, as before it
         from rainbowmatch import verify
         conjecture, params, calls = case
-        made, exact = [], verify.rainbow_exact
-        monkeypatch.setattr(verify, "rainbow_exact",
-                            lambda family: made.append(1) or exact(family))
+        made, search = [], verify.rainbow_positions
+        monkeypatch.setattr(verify, "rainbow_positions",
+                            lambda ground, masks: made.append(1) or search(ground, masks))
         assert check_conjecture(conjecture, params, mode="exhaustive").ok
         assert len(made) == calls
 
