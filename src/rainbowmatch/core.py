@@ -691,25 +691,32 @@ def _edge_masks(ground: GroundSet, members: Sequence[Hypergraph]
     Their vertex and conflict masks hold every cell of the ground; an edge
     of no member is never a candidate, so the extra bits change nothing.
     Past it the members' distinct edges are numbered locally, each mask set
-    through _mask in time linear in |E|, and the index is not built: one
-    mask per touched vertex, and an edge's conflict mask computed on its
-    first use in the call (_Conflicts), never for all |E| edges at once.
-    Both orders are lexicographic, so the search takes the same path either
-    way. The cells are counted by capped_cells: a general ground's full
-    count can take seconds."""
+    through _mask in time linear in |E|: one mask per touched vertex, and
+    an edge's conflict mask computed on its first use in the call
+    (_Conflicts), never for all |E| edges at once. Members that all hold
+    index masks are numbered from the set bits of their union, whose cells
+    are decoded once and no member's edges listed; otherwise (parsed edge
+    lists) from their edges, and the index is not built. Both orders are
+    lexicographic, so the search takes the same path either way. The cells
+    are counted by capped_cells: a general ground's full count can take
+    seconds."""
     if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
         masks = [h.mask for h in members]
         return (masks, *_index_numbering(ground, masks))
-    edges = tuple(sorted(set().union(*(h.edges for h in members))))
+    if None in (held := [h._mask for h in members]):  # keyed by edge
+        edges = tuple(sorted(set().union(*(keys := [h.edges for h in members]))))
+        position = dict(zip(edges, itertools.count()))
+    else:  # keyed by index position
+        keys, union = map(bits, held), functools.reduce(operator.or_, held)
+        edges, position = ground.index.edges(union), dict(zip(bits(union), itertools.count()))
     m = len(edges)
-    position = dict(zip(edges, range(m)))
-    masks = [_mask(map(position.__getitem__, h.edges), m) for h in members]
+    masks = [_mask(map(position.__getitem__, key), m) for key in keys]
     partite = ground.kind == PARTITE
     groups = [(s,) for s in range(ground.r)] if partite else [range(ground.r)]
     vertex = []
     for slots in groups:
         at: dict[int, list[int]] = {}
-        for e, i in position.items():
+        for i, e in enumerate(edges):
             for s in slots:
                 at.setdefault(e[s], []).append(i)
         vertex.append({v: _mask(p, m) for v, p in at.items()})

@@ -3,6 +3,7 @@ closed) edge sets, exact thresholds, conjecture checkers, and counterexample
 search."""
 from __future__ import annotations
 
+import functools
 import itertools
 import marshal
 import math
@@ -189,13 +190,26 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 
 
 class _Checker(_Record):
-    """A conjecture at fixed parameters: its hypothesis and conclusion on a
-    family given as its members' masks over ground.index, a builder of its
-    sampler of hypothesis families, and what the exhaustive walk (floors,
-    sums) and the random one (kernel_below) may reduce to. Random mode
-    builds the sampler and the kernel mask when it starts (_run_random), so
-    making a checker, which exhaustive mode also does and may then refuse
-    its ground, builds no cell index."""
+    """A conjecture at fixed parameters: its hypothesis on a family given as
+    its members' masks over ground.index, its conclusion on their traces on
+    the kernel, a builder of its sampler of hypothesis families, and what
+    the exhaustive walk (floors, sums) may reduce to.
+
+    The kernel is the cells whose vertices all lie below kernel_below
+    (CellIndex.below), and the conclusion decides the members' traces on it
+    (mask & kernel): in product order in exhaustive mode (_run_exhaustive),
+    sorted in random mode, which decides each multiset once per shard
+    (_run_shard). So the verdict must not depend on member order, and a
+    conclusion that the traces on a smaller kernel do not decide takes
+    kernel_below = n, every cell: matrix, degree_condition and any other
+    conclusion that reads whole members. A rainbow checker's kernel is the
+    k-kernel, k partite and kr general, where its members are shifted and
+    the kernel lemma makes the verdict on the traces that of the members
+    (_rainbow_checker).
+
+    Random mode builds the sampler and the kernel mask when it starts
+    (_run_random), so making a checker, which exhaustive mode also does and
+    may then refuse its ground, builds no cell index."""
 
     ground: GroundSet
     k: int
@@ -203,12 +217,6 @@ class _Checker(_Record):
     conclusion: Callable[[tuple[int, ...]], bool]
     # builds the sampler, which is called with a generator's getrandbits
     sampler: Callable[[], Callable[[Callable[[int], int]], tuple[int, ...]]]
-    # the vertex bound of the cells whose traces, as a multiset, decide the
-    # conclusion (CellIndex.below), so that random mode decides each
-    # multiset once per shard (_run_shard): the k-kernel, k partite and kr
-    # general, for the rainbow checkers, whose closing sampler makes every
-    # member shifted, as the kernel lemma needs; n, every cell, where no
-    # verdict depends on member order.
     kernel_below: int
     # the hypothesis as floors on the ascending member sizes, when the
     # conclusion also holds for every family of supersets: size j (from 0)
@@ -225,10 +233,11 @@ def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
 
 
 def _rainbow_concl(ground: GroundSet) -> Callable[[tuple[int, ...]], bool]:
-    """Whether the members, as masks, have a rainbow matching: the exact
-    search on the masks themselves up to SHIFT_MASK_BITS cells, with no
-    Family built; past it, rainbow_exact on their Family, which numbers the
-    members' edges locally, the split _edge_masks makes."""
+    """Whether the masks, a checker's kernel traces, have a rainbow
+    matching: the exact search on the masks themselves up to
+    SHIFT_MASK_BITS cells, with no Family built; past it, rainbow_exact on
+    their Family, which numbers them from the set bits of their union and
+    decodes no member, the split _edge_masks makes."""
     if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
         return lambda masks: rainbow_positions(ground, masks) is not None
     return lambda masks: rainbow_exact(_family(ground, masks)) is not None
@@ -407,9 +416,11 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     large to index (every mode needs it) and a top floor past the cell count
     are refused before any floor is listed, as k may be huge. A rainbow
     matching of a family is one of every family of supersets, so the
-    checker is monotone; its sampler closes every member, so the verdict
-    reads only the members' traces on the k-kernel: the cells of [k]^r on
-    a partite ground, the r-sets of the first kr vertices on a general one.
+    checker is monotone. Its conclusion is the rainbow search on the
+    members' traces on the k-kernel: the cells of [k]^r on a partite
+    ground, the r-sets of the first kr vertices on a general one. Both
+    drivers give it shifted members, closed by the sampler or walked as
+    ideals, and for those it is the members' own verdict.
 
     Shifted members F_1..F_k have a rainbow matching iff their traces on
     the kernel do. Take a rainbow matching: on each side its k edges use k
@@ -572,12 +583,18 @@ def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
     failing multisets are the complete counterexample list, at most the
     MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside the
     hypothesis is a fault and raises TheoremViolationError.
+
+    The hypothesis reads each minimal family's members, the conclusion
+    their traces on the checker's kernel, in the same product order, and
+    a failure and a fault are listed with the full members.
     """
     ground = checker.ground
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     by_size: list[list[int]] = [[] for _ in range(ground.cell_count + 1)]
     for mask in _ideal_dfs(ground):
         by_size[mask.bit_count()].append(mask)
+    kernel = ground.index.below(checker.kernel_below)
+    traced = [[mask & kernel for mask in masks] for masks in by_size]
     levels = [Counter(sizes) for sizes in
               _minimal_sizes(checker.floors, checker.sums, ground.cell_count)]
     count = sum(math.prod(math.comb(len(by_size[size]) + m - 1, m)
@@ -588,14 +605,16 @@ def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
     counters: list[dict] = []
     for level in levels:
-        for parts in itertools.product(*(
-                itertools.combinations_with_replacement(by_size[size], m)
-                for size, m in level.items())):
+        # the members and their traces, taken once per shifted set, walked
+        # in one product order
+        for parts, traces in zip(*(itertools.product(*(
+                itertools.combinations_with_replacement(listed[size], m)
+                for size, m in level.items())) for listed in (by_size, traced))):
             masks = sum(parts, ())
             if not checker.hypothesis(masks):
                 raise TheoremViolationError("minimal family outside the hypothesis",
                                             instance=_family(ground, masks))
-            if not checker.conclusion(masks):
+            if not checker.conclusion(sum(traces, ())):
                 counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
     return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
 
@@ -663,15 +682,15 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
     and checked against the hypothesis, and each one failing the
     conclusion is listed in full.
 
-    The conclusion is decided once per distinct sorted tuple of the
-    members' traces on the kernel mask, and its verdict reused for the rest
-    of the shard (exact: see _Checker.kernel_below). The verdicts live in
-    this call, so at most count of them, each keyed by masks no larger than
-    the family's."""
+    The conclusion decides the sorted tuple of the members' traces on the
+    kernel mask (_Checker), through a cache of its verdicts on that tuple,
+    so each multiset of traces is decided once per shard. The cache lives
+    in this call, so it holds at most count verdicts, each keyed by masks
+    no larger than the family's."""
     checker, sample, kernel, seed, shard, count = args
     getrandbits = random.Random(f"{seed}:{shard}").getrandbits
     ground = checker.ground
-    verdicts: dict[tuple[int, ...], bool] = {}
+    decide = functools.cache(checker.conclusion)
     counters: list[dict] = []
     for _ in range(count):
         masks = sample(getrandbits)
@@ -679,10 +698,7 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
                 instance=_family(ground, masks))
-        key = tuple(sorted(map(kernel.__and__, masks)))
-        if (holds := verdicts.get(key)) is None:
-            holds = verdicts[key] = checker.conclusion(masks)
-        if not holds:
+        if not decide(tuple(sorted(map(kernel.__and__, masks)))):
             counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
     return count, counters
 

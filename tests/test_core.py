@@ -12,7 +12,7 @@ import reference_oracle as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, is_matching, iter_shifted,
                           nu_exact, pm_decomposition, rainbow_exact)
-from rainbowmatch.core import SHIFT_MASK_BITS, edge_vertices
+from rainbowmatch.core import SHIFT_MASK_BITS, _edge_masks, _mask, edge_vertices
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
 
@@ -397,10 +397,25 @@ class TestOraclesAgainstReference:
                 assert nu_exact(h) == ground.n // 2
 
 
+@st.composite
+def masks_past_the_cell_limit(draw):
+    """Up to 4 members as index masks on a ground past SHIFT_MASK_BITS
+    cells: partite r=2 n=33..40, general r=2 n=47..55 or general r=3
+    n=20..21 (1,081 to 1,600 cells); each member empty, sparse or dense."""
+    kind, r, low, high = draw(st.sampled_from([(PARTITE, 2, 33, 40), (GENERAL, 2, 47, 55),
+                                               (GENERAL, 3, 20, 21)]))
+    ground = GroundSet(kind, r, draw(st.integers(low, high)))
+    u = ground.cell_count
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    sizes = draw(st.lists(st.integers(0, 3) | st.integers(0, u), min_size=1, max_size=4))
+    return ground, [_mask(rng.sample(range(u), size), u) for size in sizes]
+
+
 class TestIndexNumbering:
     """Members on a ground of at most SHIFT_MASK_BITS cells are searched on the
-    cell index's numbering and members past it on the local one, with the same
-    answers whatever form each member holds."""
+    cell index's numbering and members past it on the local one, keyed by
+    index position when every member holds a mask and by edge otherwise, with
+    the same answers whatever form each member holds."""
 
     @pytest.mark.parametrize("ground,within", [
         (GroundSet(PARTITE, 2, 32), True),    # 1,024 cells
@@ -417,8 +432,8 @@ class TestIndexNumbering:
         assert all((h._mask is not None) == within for h in listed)
         masked = Family([Hypergraph._from_mask(ground, h.mask) for h in listed])
         assert (rainbow_exact(masked), [nu_exact(h) for h in masked]) == answers
-        # only the local numbering decodes the members
-        assert all((h._edges is None) == within for h in masked)
+        # no numbering decodes a member that holds a mask
+        assert all(h._edges is None for h in masked)
 
     @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 1, 5), GroundSet(PARTITE, 3, 4),
                                         GroundSet(GENERAL, 2, 6), GroundSet(GENERAL, 3, 7)])
@@ -455,6 +470,25 @@ class TestIndexNumbering:
             nu_exact(fam[0])
         assert (index._conflict, index._side_vertex) == tables
         assert index._conflict is tables[0] and index._side_vertex is tables[1]
+
+    @given(masks_past_the_cell_limit())
+    def test_masks_are_numbered_as_their_edges_are(self, case):
+        # past the limit members holding index masks are numbered from their
+        # union's set bits, and parsed members from their edges: the same
+        # numbering, with no member decoded and no listed member's mask set
+        ground, masks = case
+        assert ground.cell_count > SHIFT_MASK_BITS
+        masked = [Hypergraph._from_mask(ground, m) for m in masks]
+        listed = [Hypergraph(ground, ground.index.edges(m)) for m in masks]
+        numberings = []
+        for members in (masked, listed):
+            local, touched, tables = _edge_masks(ground, members)
+            edges, first, conflict = tables()
+            numberings.append((local, touched, edges, first,
+                               [conflict[i] for i in range(len(edges))]))
+        assert numberings[0] == numberings[1]
+        assert all(h._edges is None for h in masked)
+        assert all(h._mask is None for h in listed)
 
     @pytest.mark.parametrize("ground", [GroundSet(PARTITE, 2, 33), GroundSet(GENERAL, 2, 47)])
     def test_no_tables_past_the_cell_limit(self, ground):

@@ -786,7 +786,8 @@ class TestMinimalFamilies:
     ])
     def test_planted_downward_closed_failure(self, conjecture, params, inside):
         # a family fails iff every member lies inside one shifted set, so a
-        # family of subsets fails whenever a family of supersets does
+        # family of subsets fails whenever a family of supersets does; the
+        # conclusion reads whole members, so its kernel is every cell
         from rainbowmatch import verify
         base = verify._make_checker(ConjectureId(conjecture), params)
         fixed = Hypergraph(base.ground, inside)
@@ -794,7 +795,7 @@ class TestMinimalFamilies:
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
-            sampler=base.sampler, kernel_below=base.kernel_below, floors=base.floors,
+            sampler=base.sampler, kernel_below=base.ground.n, floors=base.floors,
             sums=base.sums)
         checked, counters = verify._run_exhaustive(checker)
         ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
@@ -1321,9 +1322,10 @@ class TestMaskConclusion:
 
 
 class TestKernelVerdicts:
-    """Random rainbow checks decide each multiset of kernel traces once per
-    shard (_run_shard); the kernel lemma (_rainbow_checker) makes that exact,
-    and CellIndex.below gives the kernel's mask."""
+    """Every conclusion decides the members' traces on its checker's kernel,
+    and random mode decides each multiset of them once per shard
+    (_run_shard); the kernel lemma (_rainbow_checker) makes that exact, and
+    CellIndex.below gives the kernel's mask."""
 
     @pytest.mark.parametrize("kind,r,n_values", [(PARTITE, 1, range(1, 7)),
                                                  (PARTITE, 2, range(1, 7)),
@@ -1378,14 +1380,56 @@ class TestKernelVerdicts:
         shard, calls = [None], []
         search, run_shard = verify.rainbow_positions, verify._run_shard
         monkeypatch.setattr(verify, "rainbow_positions", lambda ground, masks: calls.append(
-            (shard[0], traces(masks))) or search(ground, masks))
+            (shard[0], tuple(masks))) or search(ground, masks))
         monkeypatch.setattr(verify, "_run_shard",
                             lambda args: shard.__setitem__(0, args[4]) or run_shard(args))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
                                   seed=1)
         assert report.instances_checked == 2 * SHARD_TRIALS and report.ok
+        # each decided argument is its own key: the sorted traces
+        assert all(masks == traces(masks) for _, masks in calls)
         assert sorted(calls) == sorted(distinct)
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("case", [
+        ("size_condition", {"n": 4, "r": 3, "k": 2}, "random"),
+        ("simple", {"n": 5, "k": 3}, "random"),
+        ("rainbow_general", {"n": 8, "k": 3}, "random"),
+        ("degree_condition", {"n": 4, "k": 2, "d": 1}, "random"),
+        ("matrix", {"n": 4, "k": 2}, "random"),
+        ("size_condition", {"n": 3, "r": 3, "k": 2}, "exhaustive"),
+        ("size_condition", {"n": 4, "r": 2, "k": 3}, "exhaustive"),
+        ("simple", {"n": 4, "k": 3}, "exhaustive"),
+        ("matrix", {"n": 4, "k": 2}, "exhaustive")], ids=lambda c: f"{_case_id(c[:2])}-{c[2]}")
+    def test_the_conclusion_decides_only_kernel_traces(self, case):
+        # both drivers hand the conclusion the members' traces on the kernel
+        # (cells listed one by one here), never a cell outside it: random
+        # mode the sorted traces of a drawn family, exhaustive mode the
+        # traces of the family the hypothesis has just read, in its order
+        from rainbowmatch import verify
+        conjecture, params, mode = case
+        base = _make_checker(ConjectureId(conjecture), params)
+        kernel = cells_below(base.ground, base.kernel_below)
+        families, decided = [], []
+
+        def conclusion(masks):
+            traces = tuple(m & kernel for m in families[-1])
+            assert masks == (traces if mode == "exhaustive" else tuple(sorted(traces)))
+            decided.append(masks)
+            return base.conclusion(masks)
+
+        checker = verify._Checker(base.ground, base.k,
+                                  lambda masks: families.append(masks) or base.hypothesis(masks),
+                                  conclusion, base.sampler, base.kernel_below, base.floors,
+                                  base.sums)
+        if mode == "random":
+            verify._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
+        else:
+            verify._run_exhaustive(checker)
+        assert decided and all(m & ~kernel == 0 for masks in decided for m in masks)
+        # the rainbow checkers' members reach past their kernels
+        if conjecture not in ("degree_condition", "matrix"):
+            assert any(m & ~kernel for masks in families for m in masks)
 
     def test_a_passing_run_builds_no_family(self, monkeypatch):
         # members travel as masks, and the oracle searches on them: a run
@@ -1438,8 +1482,8 @@ class TestKernelVerdicts:
         ("simple", {"n": 4, "k": 3}, 200),
         ("rainbow_general", {"n": 6, "r": 2, "k": 3}, 4)], ids=lambda c: _case_id(c[:2]))
     def test_exhaustive_mode_decides_every_minimal_family(self, monkeypatch, case):
-        # the kernel is for random mode only: the exhaustive walk makes one
-        # oracle call per minimal multiset, as before it
+        # the exhaustive walk decides each minimal multiset's kernel traces,
+        # with no cache: one oracle call per minimal multiset
         from rainbowmatch import verify
         conjecture, params, calls = case
         made, search = [], verify.rainbow_positions
@@ -1464,6 +1508,39 @@ class TestKernelVerdicts:
         for seed, digest in ((1, digest_1), (977, digest_977)):
             for workers in (1, 2, 3):
                 report = check_conjecture("matrix", {"n": n, "k": k}, budget=600, seed=seed,
+                                          workers=workers).to_json()
+                del report["elapsed"]
+                text = json.dumps(report, sort_keys=True)
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, (seed, workers)
+        assert_no_child()
+
+    # random reports on grounds past 1,024 cells, where the oracle numbers
+    # the traces from their union's set bits: (conjecture, params, budget)
+    # and the SHA-256 at seeds 1 and 977, as for BENCHMARK_REPORTS. At n <= k
+    # the kernel is the whole ground; degree_condition's is every cell.
+    LARGE_GROUND_REPORTS = [
+        (("size_condition", {"n": 33, "r": 2, "k": 2}, 600),
+         "bb9e3f4d7cd56cfd29ee1a21ad12104c80075d9a27b8c6df4b8b8b032eef403f",
+         "21fa8061a213cb0c94f3daeac29b7b084614eb9876a6177d101f70b9d2ad27b9"),
+        (("size_condition", {"n": 60, "r": 2, "k": 60}, 2),
+         "4de5a1a795690ed2643afb59358c445a9b35f47ba2e37db924d5a59ee4739a2c",
+         "d2cc1d7bc28c843dc5f77967d860818b02d322be448fe338dda591243cf2a4dd"),
+        (("simple", {"n": 40, "k": 3}, 300),
+         "db6d97ffc01012363ea1f3673ca768fd9f9564d11afde2f1411e315aef3a026e",
+         "136e6d85f3a3fa8f158b27bf6afe6c76b443cef5d5dbce4cd7d3eea8ea322556"),
+        (("degree_condition", {"n": 40, "k": 2, "d": 2}, 300),
+         "0d0883d8a669e0f1a8d2a2fa89aa31fd86f97a80b8e82add1dfce819148adee7",
+         "c579db2ff07e5d76397dd57e78f24fa1e499d5dafc7baf7b2c44ae31dbbbdd2f"),
+    ]
+
+    @pytest.mark.parametrize("case", LARGE_GROUND_REPORTS,
+                             ids=lambda c: _case_id(c[0][:2]))
+    def test_reports_past_the_cell_limit_are_pinned(self, monkeypatch, case):
+        (conjecture, params, budget), digest_1, digest_977 = case
+        fork_workers(monkeypatch, 2)
+        for seed, digest in ((1, digest_1), (977, digest_977)):
+            for workers in (1, 2):
+                report = check_conjecture(conjecture, params, budget=budget, seed=seed,
                                           workers=workers).to_json()
                 del report["elapsed"]
                 text = json.dumps(report, sort_keys=True)
