@@ -9,14 +9,16 @@ so a command pays only for the modules it calls into."""
 import importlib.util
 import sys
 
-# the module that defines each public name
+# the module that defines each public name; extremal re-exports core's
+# f_r2 and g_formula, and exhaustive, verify's walk, exports none
 _EXPORTS = {
     "core": ("ConjectureId", "Edge", "Family", "GENERAL", "GroundSet", "Hypergraph",
-             "PARTITE", "RainbowMatching", "is_matching", "nu_exact", "pm_decomposition",
-             "rainbow_exact"),
+             "PARTITE", "RainbowMatching", "f_r2", "g_formula", "is_matching", "nu_exact",
+             "pm_decomposition", "rainbow_exact"),
     "errors": ("InputError", "PreconditionError", "RainbowError", "TheoremViolationError"),
-    "extremal": ("ekr_star", "f_large_n", "f_r2", "g_formula", "r3_counterexample",
-                 "star_family", "steal_family"),
+    "exhaustive": (),
+    "extremal": ("ekr_star", "f_large_n", "r3_counterexample", "star_family",
+                 "steal_family"),
     "instances": ("Instance", "parse_instance", "serialize_instance"),
     "shifting": ("ShiftLog", "ShiftStep", "is_shifted", "pullback_rainbow",
                  "shift_hypergraph", "shifted_closure"),

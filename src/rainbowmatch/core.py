@@ -1,4 +1,7 @@
-"""Ground sets, hypergraphs, families, and exact brute-force oracles."""
+"""Ground sets and their cell index, with the shifted closure's sweep and
+plan; hypergraphs and families; the size predicates and closed-form
+thresholds the solvers and verify drivers test sizes against; and exact
+brute-force oracles."""
 from __future__ import annotations
 
 import functools
@@ -184,6 +187,11 @@ def _repeat(block: int, period: int, length: int) -> int:
 # this limit. 2^28 bits is 32 MiB of index masks.
 MAX_INDEX_BITS = 1 << 28
 
+# Vertices (members times edges times r) a family may list: up to 150 MB to
+# build and print. extremal's constructions are refused past it, and so is
+# verify's degree-capped sampler, whose every draw lists each cell.
+MAX_LISTED_VERTICES = 1 << 20
+
 
 def capped_cells(kind: str, r: int, n: int) -> int:
     """Cells of a ground of this kind with uniformity r (0 allowed) and n
@@ -251,9 +259,9 @@ class CellIndex:
     - _cells, the cell tuple (N tuples), listed only when asked for: the
       exact oracles take it as their edge tuple up to SHIFT_MASK_BITS cells.
       The samplers draw positions and never list it.
-    - _plan, the closure plan of shifting._closer, the constants of one
-      sweep, once the first closer is made on the ground: at most
-      shifting.MAX_PLAN_ENTRIES entries, else none is kept.
+    - _plan, the closure plan of _closer, the constants of one sweep, built
+      by closure_plan when the first closer is made on the ground: at most
+      MAX_PLAN_ENTRIES entries, else none is kept.
     - _side_vertex and _conflict, the exact oracles' tables, kept only on a
       ground of at most SHIFT_MASK_BITS cells and built by the first search
       past the root pigeonhole test (search_tables): a partite ground's
@@ -388,6 +396,39 @@ class CellIndex:
         first = self._side_vertex[0] if self._partite else self._vertex
         return self.cells, first, self._conflict
 
+    def closure_plan(self) -> tuple | None:
+        """The constants of one sweep (_sweep) for _closer, built on the
+        first call and then kept, or None past MAX_PLAN_ENTRIES. The sweep's
+        guard runs when the plan is built, once per ground, before any entry
+        is kept.
+
+        A partite entry is one shift pair's (y*t, zero, x*t, (y-x)*t), for
+        the stride t of its side and the mask zero of the side's vertex-0
+        cells, as in move. A general entry is one pair's mask of the cells
+        that hold y and not x, with each such cell's (origin, origin | image)
+        one-bit masks. They are read off move of that mask, which moves every
+        one of them: y -> x keeps symmetric differences, so it keeps the
+        order of cells, and the i-th origin goes to the i-th image."""
+        if self._plan is not None:
+            return self._plan
+        ground = self._ground
+        n, r = ground.n, ground.r
+        pairs = n * (n - 1) // 2
+        if (r if self._partite else math.comb(max(n - 2, 0), r - 1)) * pairs > MAX_PLAN_ENTRIES:
+            return None
+        plan = []
+        for side, x, y in _sweep(ground):
+            if self._partite:
+                t = self._stride[side]
+                plan.append((y * t, self._zero[side], x * t, (y - x) * t))
+                continue
+            origins, images = self.move(self._vertex[y] & ~self._vertex[x], None, x, y)
+            if origins:
+                plan.append((origins, tuple((1 << i, 1 << i | 1 << j)
+                                            for i, j in zip(bits(origins), bits(images)))))
+        self._plan = tuple(plan)
+        return self._plan
+
     def move(self, mask: int, side: int | None, x: int, y: int) -> tuple[int, int]:
         """The shift y -> x of an edge mask, as (origins, images): the edges
         that move and the edges they become. Every edge holding y (on the
@@ -414,6 +455,68 @@ class CellIndex:
             t = self._stride[side]
             return (images & self._zero[side] << x * t) << (y - x) * t
         return self.move(images, None, y, x)[1]  # the shift x -> y
+
+
+def _sweep(ground: GroundSet) -> Iterator[tuple[int | None, int, int]]:
+    """The closure's shift pairs (side, x, y): side by side, then x and y
+    ascending, listed once the guard on the pairs and the cell index passes.
+
+    One sweep leaves a set shifted (Frankl, 1987). Write S_ab for b -> a. If F
+    is stable under every S_ab with a < x, so is S_xy(F). Take A in it with b
+    in A, a not in A, and A' = A - b + a. If A is in F, so is A', and S_xy
+    keeps it, else A - y + x (x not in A) or A - y + a (b = x) would put
+    A' - y + x in F. If A = B - y + x is new, A' is B - y + a (b = x), which
+    avoids y, or C - y + x for C = B - b + a, which S_xy keeps or makes. S_xy
+    also keeps every S_xy' with y' < y: it adds only edges through x and
+    removes only edges avoiding x. So by induction on x the sweep ends
+    shifted. Pairs on different sides share no vertex, so side order is free."""
+    _guard_index(ground)
+    for side in ground.sides:
+        for x, y in itertools.combinations(range(ground.n), 2):
+            yield side, x, y
+
+
+# Largest closure plan kept on a cell index, in entries: r*C(n, 2) sweep
+# pairs on a partite ground, C(n, 2)*C(n-2, r-1) moving cells on a general
+# one. An entry takes up to about 160 bytes (tracemalloc, CPython 3.11), so
+# a kept plan stays under 0.7 MiB; partite r=1 with 1,024 cells would
+# otherwise keep 73 MiB.
+MAX_PLAN_ENTRIES = 1 << 12
+
+
+def _closer(ground: GroundSet) -> Callable[[int], int]:
+    """The map from one member's edge mask to its mask after
+    shifting.shifted_closure, with no log kept. A shift acts on each member
+    on its own, so this is the member's mask in shifted_closure's result
+    whatever family it is closed in.
+
+    The ground's closure plan is read, or built, here, once per caller that
+    closes many members; each shift pair is then one step of the plan. Past
+    the plan's bound, each is a CellIndex.move call."""
+    plan = ground.index.closure_plan()
+    if plan is None:
+        move = ground.index.move
+
+        def close(mask: int) -> int:
+            for side, x, y in _sweep(ground):
+                origins, images = move(mask, side, x, y)
+                mask ^= origins | images
+            return mask
+    elif ground.kind == PARTITE:
+        def close(mask: int) -> int:
+            for down, zero, up, back in plan:
+                images = ((mask >> down) & zero) << up & ~mask
+                mask ^= images | images << back
+            return mask
+    else:
+        def close(mask: int) -> int:
+            for held, cells in plan:
+                if mask & held:
+                    for origin, moving in cells:
+                        if mask & moving == origin:  # the origin is an edge, its image is not
+                            mask ^= moving
+            return mask
+    return close
 
 
 def edge_vertices(ground: GroundSet, edge: Edge) -> tuple:
@@ -608,6 +711,31 @@ def _dominates(sizes, floors) -> bool:
     """True iff the i-th smallest size is at least the i-th of the ascending
     floors, for every i."""
     return all(map(operator.ge, sorted(sizes), floors))
+
+
+def _hall_violation(sizes, n: int) -> int:
+    """The length j of the shortest ascending-size prefix whose sum is at
+    most n*j*(j-1), or 0 if every prefix sum is above it."""
+    prefix_sums = itertools.accumulate(sorted(sizes))
+    return next((j for j, total in enumerate(prefix_sums, start=1)
+                 if total <= n * j * (j - 1)), 0)
+
+
+def f_r2(n: int, k: int) -> int:
+    """Largest size of a graph on n vertices with no matching of k disjoint edges:
+    max(C(2k-1, 2), (k-1)(n-1) - C(k-1, 2)). Needs n >= 2k."""
+    if k < 1:
+        raise InputError(f"k must be at least 1, got {k}")
+    if n < 2 * k:
+        raise InputError(f"f(n, 2, k) needs n >= 2k, got n={n}, k={k}")
+    return max(math.comb(2 * k - 1, 2), (k - 1) * (n - 1) - math.comb(k - 1, 2))
+
+
+def g_formula(n: int, r: int, k: int) -> int:
+    """The n-balanced r-partite threshold (k-1) * n^(r-1)."""
+    if n < 1 or r < 1 or k < 1:
+        raise InputError("n, r and k must be at least 1")
+    return (k - 1) * n ** (r - 1)
 
 
 class RainbowMatching(_Record):

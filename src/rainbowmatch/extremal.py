@@ -5,13 +5,11 @@ import itertools
 import math
 from typing import Callable, Iterable
 
-from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, Edge, Family, GroundSet,
-                   Hypergraph, capped_cells, estimate_text)
+# f_r2, g_formula and MAX_LISTED_VERTICES live in core, where the solvers and
+# verify drivers read them without executing this module
+from .core import (GENERAL, MAX_INDEX_BITS, MAX_LISTED_VERTICES, PARTITE, Edge, Family,
+                   GroundSet, Hypergraph, capped_cells, estimate_text, f_r2, g_formula)
 from .errors import InputError
-
-# Vertices (members times edges times r) a family may list: up to 150 MB to
-# build and print.
-MAX_LISTED_VERTICES = 1 << 20
 
 
 def _family(ground: GroundSet,
@@ -39,16 +37,6 @@ def _family(ground: GroundSet,
                    for h in [Hypergraph(ground, edges() if count else ())] * copies])
 
 
-def f_r2(n: int, k: int) -> int:
-    """Largest size of a graph on n vertices with no matching of k disjoint edges:
-    max(C(2k-1, 2), (k-1)(n-1) - C(k-1, 2)). Needs n >= 2k."""
-    if k < 1:
-        raise InputError(f"k must be at least 1, got {k}")
-    if n < 2 * k:
-        raise InputError(f"f(n, 2, k) needs n >= 2k, got n={n}, k={k}")
-    return max(math.comb(2 * k - 1, 2), (k - 1) * (n - 1) - math.comb(k - 1, 2))
-
-
 def f_large_n(n: int, r: int, k: int) -> int:
     """C(n, r) - C(n-k+1, r). Valid as the general-kind threshold only for
     large n (no explicit cutoff is known); evaluates the formula for any n >= r."""
@@ -58,13 +46,6 @@ def f_large_n(n: int, r: int, k: int) -> int:
         raise InputError(f"needs n >= r, got n={n}, r={r}")
     m = n - k + 1
     return math.comb(n, r) - (math.comb(m, r) if m >= r else 0)
-
-
-def g_formula(n: int, r: int, k: int) -> int:
-    """The n-balanced r-partite threshold (k-1) * n^(r-1)."""
-    if n < 1 or r < 1 or k < 1:
-        raise InputError("n, r and k must be at least 1")
-    return (k - 1) * n ** (r - 1)
 
 
 def star_family(n: int, r: int, k: int) -> Family:

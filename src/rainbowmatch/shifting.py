@@ -7,12 +7,10 @@ Members are shifted as int masks over the ground's cell index
 general-kind shift maps each moving cell through the position map."""
 from __future__ import annotations
 
-import itertools
-import math
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching,
-                   _guard_index, _Record, bits)
+from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching, _Record,
+                   _sweep)
 from .errors import InputError, TheoremViolationError
 
 
@@ -132,27 +130,8 @@ def is_shifted(h: Hypergraph) -> bool:
                    for side in g.sides for v in range(1, g.n))
 
 
-def _sweep(ground: GroundSet) -> Iterator[tuple[int | None, int, int]]:
-    """The closure's shift pairs (side, x, y): side by side, then x and y
-    ascending, listed once the guard on the pairs and the cell index passes.
-
-    One sweep leaves a set shifted (Frankl, 1987). Write S_ab for b -> a. If F
-    is stable under every S_ab with a < x, so is S_xy(F). Take A in it with b
-    in A, a not in A, and A' = A - b + a. If A is in F, so is A', and S_xy
-    keeps it, else A - y + x (x not in A) or A - y + a (b = x) would put
-    A' - y + x in F. If A = B - y + x is new, A' is B - y + a (b = x), which
-    avoids y, or C - y + x for C = B - b + a, which S_xy keeps or makes. S_xy
-    also keeps every S_xy' with y' < y: it adds only edges through x and
-    removes only edges avoiding x. So by induction on x the sweep ends
-    shifted. Pairs on different sides share no vertex, so side order is free."""
-    _guard_index(ground)
-    for side in ground.sides:
-        for x, y in itertools.combinations(range(ground.n), 2):
-            yield side, x, y
-
-
 def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
-    """Shift every member simultaneously by each pair of one sweep (_sweep),
+    """Shift every member simultaneously by each pair of one sweep (core._sweep),
     logging the shifts that move an edge. Partite grounds shift within each
     side, general grounds over the one ordered vertex set."""
     g = family.ground
@@ -165,80 +144,6 @@ def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
             members = [h for h, _ in shifted]
             steps.append(ShiftStep(g, side, x, y, images))
     return Family(members), ShiftLog(tuple(steps))
-
-
-# Largest closure plan kept on a cell index, in entries: r*C(n, 2) sweep
-# pairs on a partite ground, C(n, 2)*C(n-2, r-1) moving cells on a general
-# one. An entry takes up to about 160 bytes (tracemalloc, CPython 3.11), so
-# a kept plan stays under 0.7 MiB; partite r=1 with 1,024 cells would
-# otherwise keep 73 MiB.
-MAX_PLAN_ENTRIES = 1 << 12
-
-
-def _closure_plan(ground: GroundSet) -> tuple | None:
-    """The constants of one sweep (_sweep) for _closer, kept on the
-    cell index, or None past MAX_PLAN_ENTRIES. The sweep's guard runs here,
-    once per ground, before any entry is kept.
-
-    A partite entry is one shift pair's (y*t, zero, x*t, (y-x)*t), for the
-    stride t of its side and the mask zero of the side's vertex-0 cells, as
-    in CellIndex.move. A general entry is one pair's mask of the cells that
-    hold y and not x, with each such cell's (origin, origin | image) one-bit
-    masks. They are read off CellIndex.move of that mask, which moves every
-    one of them: y -> x keeps symmetric differences, so it keeps the order
-    of cells, and the i-th origin goes to the i-th image."""
-    index, n, r = ground.index, ground.n, ground.r
-    pairs = n * (n - 1) // 2
-    partite = ground.kind == PARTITE
-    if (r if partite else math.comb(max(n - 2, 0), r - 1)) * pairs > MAX_PLAN_ENTRIES:
-        return None
-    plan = []
-    for side, x, y in _sweep(ground):
-        if partite:
-            t = index._stride[side]
-            plan.append((y * t, index._zero[side], x * t, (y - x) * t))
-            continue
-        origins, images = index.move(index._vertex[y] & ~index._vertex[x], None, x, y)
-        if origins:
-            plan.append((origins, tuple((1 << i, 1 << i | 1 << j)
-                                        for i, j in zip(bits(origins), bits(images)))))
-    index._plan = plan = tuple(plan)
-    return plan
-
-
-def _closer(ground: GroundSet) -> Callable[[int], int]:
-    """The map from one member's edge mask to its mask after
-    shifted_closure, with no log kept. A shift acts on each member on its
-    own, so this is the member's mask in shifted_closure's result whatever
-    family it is closed in.
-
-    The ground's closure plan is read, or built, here, once per caller that
-    closes many members; each shift pair is then one step of the plan. Past
-    the plan's bound, each is a CellIndex.move call."""
-    plan = ground.index._plan
-    if plan is None and (plan := _closure_plan(ground)) is None:
-        move = ground.index.move
-
-        def close(mask: int) -> int:
-            for side, x, y in _sweep(ground):
-                origins, images = move(mask, side, x, y)
-                mask ^= origins | images
-            return mask
-    elif ground.kind == PARTITE:
-        def close(mask: int) -> int:
-            for down, zero, up, back in plan:
-                images = ((mask >> down) & zero) << up & ~mask
-                mask ^= images | images << back
-            return mask
-    else:
-        def close(mask: int) -> int:
-            for held, cells in plan:
-                if mask & held:
-                    for origin, moving in cells:
-                        if mask & moving == origin:  # the origin is an edge, its image is not
-                            mask ^= moving
-            return mask
-    return close
 
 
 def pullback_rainbow(log: ShiftLog, original: Family,

@@ -10,9 +10,9 @@ from collections import Counter
 from operator import itemgetter
 
 from .core import (GENERAL, PARTITE, Edge, Family, GroundSet, Hypergraph,
-                   RainbowMatching, _dominates, _Record)
+                   RainbowMatching, _dominates, _hall_violation, _Record, f_r2, g_formula)
 from .errors import InputError, PreconditionError, TheoremViolationError
-from . import extremal, shifting
+from . import shifting
 
 
 def _require_kind(family: Family, kind: str, r: int | None = None) -> None:
@@ -39,14 +39,6 @@ class HallCheck(_Record):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _hall_violation(sizes, n: int) -> int:
-    """The length j of the shortest ascending-size prefix whose sum is at
-    most n*j*(j-1), or 0 if every prefix sum is above it."""
-    prefix_sums = itertools.accumulate(sorted(sizes))
-    return next((j for j, total in enumerate(prefix_sums, start=1)
-                 if total <= n * j * (j - 1)), 0)
 
 
 def check_hall_condition(family: Family) -> HallCheck:
@@ -292,7 +284,7 @@ def meshulam_r2(family: Family) -> RainbowMatching:
     n, k = family.ground.n, family.k
     if n < 2 * k:
         raise PreconditionError(f"needs n >= 2k, got n={n}, k={k}")
-    _require_sizes_above(family, extremal.f_r2(n, k))
+    _require_sizes_above(family, f_r2(n, k))
     shifted, log = shifting.shifted_closure(family)
     choices = []
     for i in range(k):
@@ -317,7 +309,7 @@ def r3_solve(family: Family) -> RainbowMatching:
     """
     _require_kind(family, PARTITE, r=3)
     n, k = family.ground.n, family.k
-    _require_sizes_above(family, extremal.g_formula(n, 3, k))
+    _require_sizes_above(family, g_formula(n, 3, k))
     shifted, log = shifting.shifted_closure(family)
     remaining = set(range(k))
     assign: list[int] = []
@@ -448,7 +440,7 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     _require_kind(family, PARTITE)
     g = family.ground
     n, r, k = g.n, g.r, family.k
-    _require_sizes_above(family, extremal.g_formula(n, r, k))
+    _require_sizes_above(family, g_formula(n, r, k))
     shifted, log = shifting.shifted_closure(family)
     if k == 1:
         return shifting.pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))

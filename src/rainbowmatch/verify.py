@@ -1,6 +1,7 @@
 """Exhaustive and randomized verification: enumeration of shifted (downward
 closed) edge sets, exact thresholds, conjecture checkers, and counterexample
-search."""
+search. The exhaustive walk and its guards are the exhaustive module's, which
+only exhaustive checks and thresholds off the closed forms execute."""
 from __future__ import annotations
 
 import functools
@@ -10,22 +11,17 @@ import math
 import os
 import random
 import time
-from collections import Counter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, SHIFT_MASK_BITS, ConjectureId, Family,
-                   GroundSet, Hypergraph, _dominates, _guard_index, _mask, _Record,
-                   capped_cells, estimate_text, nu_exact, rainbow_exact, rainbow_positions)
+from .core import (GENERAL, MAX_LISTED_VERTICES, PARTITE, SHIFT_MASK_BITS, ConjectureId,
+                   Family, GroundSet, Hypergraph, _closer, _dominates, _guard_index,
+                   _hall_violation, _mask, _Record, capped_cells, estimate_text, f_r2,
+                   g_formula, rainbow_exact, rainbow_positions)
 from .errors import InputError, TheoremViolationError
-# bound, not executed: instances runs only when a counterexample is listed
-from . import extremal, instances, shifting, solvers
-from .extremal import f_r2, g_formula
+# bound, not executed: instances runs only when a counterexample is listed,
+# exhaustive only by an exhaustive walk, solvers only by scan_large_n
+from . import exhaustive, instances, solvers
 
-# Explicit scale guardrails: exhaustive claims refuse anything beyond these.
-# 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
-# well under a second, while the family-count guard bounds the work on them.
-MAX_EXHAUSTIVE_CELLS = 36
-MAX_EXHAUSTIVE_INSTANCES = 2_000_000
 SHARD_TRIALS = 256  # random-mode work unit; fixes report contents per seed
 
 
@@ -125,16 +121,6 @@ def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
         yield Hypergraph._from_mask(ground, mask)
 
 
-def _guard_cells(ground: GroundSet, limit: int) -> None:
-    cells = capped_cells(ground.kind, ground.r, ground.n)
-    if cells > limit:
-        exact = cells <= MAX_INDEX_BITS  # else cells is a lower bound
-        text = estimate_text(cells)
-        raise InputError(f"exhaustive enumeration refused: universe has "
-                         f"{'' if exact else 'at least '}{text} cells (limit {limit}); "
-                         f"{'up to' if exact else 'at least'} 2^{text} candidate edge sets")
-
-
 # ---------------------------------------------------------------------------
 # Exact thresholds
 
@@ -158,25 +144,14 @@ def compute_threshold_exact(mode: str, n: int, r: int, k: int) -> int:
         ground = GroundSet(PARTITE, r, n)
     else:
         raise InputError(f"unknown threshold mode: {mode!r}")
-    return _largest_shifted_below(ground, k)
+    return exhaustive._largest_shifted_below(ground, k)
 
 
 def _exact_f(n: int, r: int, k: int) -> int:
     """Exact general-kind threshold at desk scale (closed form for r=2)."""
     if r == 2 and n >= 2 * k:
         return f_r2(n, k)
-    return _largest_shifted_below(GroundSet(GENERAL, r, n), k)
-
-
-def _largest_shifted_below(ground: GroundSet, k: int) -> int:
-    """Largest size of a shifted edge set over the ground with matching
-    number below k, by full enumeration."""
-    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
-    best = 0
-    for h in iter_shifted(ground):
-        if len(h) > best and nu_exact(h) < k:
-            best = len(h)
-    return best
+    return exhaustive._largest_shifted_below(GroundSet(GENERAL, r, n), k)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +172,15 @@ class _Checker(_Record):
 
     The kernel is the cells whose vertices all lie below kernel_below
     (CellIndex.below), and the conclusion decides the members' traces on it
-    (mask & kernel): in product order in exhaustive mode (_run_exhaustive),
-    sorted in random mode, which decides each multiset once per shard
-    (_run_shard). So the verdict must not depend on member order, and a
-    conclusion that the traces on a smaller kernel do not decide takes
-    kernel_below = n, every cell: matrix, degree_condition and any other
-    conclusion that reads whole members. A rainbow checker's kernel is the
-    k-kernel, k partite and kr general, where its members are shifted and
-    the kernel lemma makes the verdict on the traces that of the members
-    (_rainbow_checker).
+    (mask & kernel): in product order in exhaustive mode
+    (exhaustive._run_exhaustive), sorted in random mode, which decides each
+    multiset once per shard (_run_shard). So the verdict must not depend on
+    member order, and a conclusion that the traces on a smaller kernel do
+    not decide takes kernel_below = n, every cell: matrix, degree_condition
+    and any other conclusion that reads whole members. A rainbow checker's
+    kernel is the k-kernel, k partite and kr general, where its members are
+    shifted and the kernel lemma makes the verdict on the traces that of the
+    members (_rainbow_checker).
 
     Random mode builds the sampler and the kernel mask when it starts
     (_run_random), so making a checker, which exhaustive mode also does and
@@ -334,10 +309,10 @@ def _shifted_sampler(ground: GroundSet) -> Callable[[Callable[[int], int], Itera
     floors: for each floor f, a size drawn from [f, cell_count] as
     Random.randint draws it, then a uniform member of that size
     (_mask_sampler), closed as shifted_closure would close their family
-    (shifting._closer). The closure draws nothing. The member drawer and
+    (core._closer). The closure draws nothing. The member drawer and
     the closure plan are fixed here, once."""
     u = ground.cell_count
-    draw, close = _mask_sampler(ground), shifting._closer(ground)
+    draw, close = _mask_sampler(ground), _closer(ground)
     return lambda getrandbits, floors: tuple(
         [close(draw(getrandbits, f + _below(getrandbits, u - f + 1))) for f in floors])
 
@@ -474,10 +449,10 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         d = _params_int(params, "d")
         ground = GroundSet(PARTITE, 2, n)
         # every draw shuffles all n^2 cell positions, whatever d is
-        if (listed := ground.cell_count * ground.r) > extremal.MAX_LISTED_VERTICES:
+        if (listed := ground.cell_count * ground.r) > MAX_LISTED_VERTICES:
             raise InputError(f"degree-capped sampling refused: each draw would list "
                              f"{estimate_text(listed)} vertices, cells times r "
-                             f"(limit {extremal.MAX_LISTED_VERTICES})")
+                             f"(limit {MAX_LISTED_VERTICES})")
         min_size = (k - 1) * d + 1
         degrees, within = None, d.__ge__
 
@@ -506,7 +481,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         _guard_index(ground)  # every mode needs it; refused before k sizes are drawn
 
         def hyp(masks: tuple[int, ...]) -> bool:
-            return not solvers._hall_violation(map(int.bit_count, masks), n)
+            return not _hall_violation(map(int.bit_count, masks), n)
 
         def concl(masks: tuple[int, ...]) -> bool:
             # row i: member i's degrees at w_1..w_k, read from its mask
@@ -520,7 +495,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             def sample(getrandbits: Callable[[int], int]) -> tuple[int, ...]:
                 for _ in range(1000):
                     sizes = [1 + _below(getrandbits, u) for _ in range(k)]
-                    if not solvers._hall_violation(sizes, n):
+                    if not _hall_violation(sizes, n):
                         return draw(getrandbits, sizes)
                 raise InputError("could not sample sizes meeting the sum condition")
 
@@ -542,7 +517,8 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
     Exhaustive mode covers every family of shifted members meeting the
     hypothesis at the given parameters (sound for the conjectures that survive
     shifting; refused for the degree-capped one), deciding only its minimal
-    families (_run_exhaustive), in one process: more workers are refused.
+    families (exhaustive._run_exhaustive), in one process: more workers are
+    refused.
     Random mode draws seeded hypothesis-satisfying samples, split over the
     workers. Counterexamples are embedded as instances.
     """
@@ -563,116 +539,12 @@ def check_conjecture(conjecture: ConjectureId | str, params: dict,
             raise InputError(
                 f"{conjecture.value}: no shifted reduction is available, "
                 "exhaustive mode is refused; use random mode")
-        checked, counters = _run_exhaustive(checker)
+        checked, counters = exhaustive._run_exhaustive(checker)
         seed = None  # nothing is drawn
     else:
         raise InputError(f"unknown mode: {mode!r}")
     return VerifyReport(conjecture.value, dict(params), mode, checked,
                         tuple(counters), time.perf_counter() - start, seed)
-
-
-def _run_exhaustive(checker: _Checker) -> tuple[int, list[dict]]:
-    """The ordered hypothesis families of shifted members covered, and the
-    failing minimal families: by ascending size tuple, then in product order.
-
-    A shifted member contains a shifted member of every smaller size (keep
-    deleting a maximal cell), a family that passes makes every family of
-    supersets pass, and the verdict ignores member order. So every ordered
-    family passes iff every multiset of shifted members passes whose
-    ascending sizes are a minimal tuple meeting the floors and sums. The
-    failing multisets are the complete counterexample list, at most the
-    MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside the
-    hypothesis is a fault and raises TheoremViolationError.
-
-    The hypothesis reads each minimal family's members, the conclusion
-    their traces on the checker's kernel, in the same product order, and
-    a failure and a fault are listed with the full members.
-    """
-    ground = checker.ground
-    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
-    by_size: list[list[int]] = [[] for _ in range(ground.cell_count + 1)]
-    for mask in _ideal_dfs(ground):
-        by_size[mask.bit_count()].append(mask)
-    kernel = ground.index.below(checker.kernel_below)
-    traced = [[mask & kernel for mask in masks] for masks in by_size]
-    levels = [Counter(sizes) for sizes in
-              _minimal_sizes(checker.floors, checker.sums, ground.cell_count)]
-    count = sum(math.prod(math.comb(len(by_size[size]) + m - 1, m)
-                          for size, m in level.items()) for level in levels)
-    if count > MAX_EXHAUSTIVE_INSTANCES:
-        raise InputError(
-            f"exhaustive enumeration refused: about {count} minimal "
-            f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
-    counters: list[dict] = []
-    for level in levels:
-        # the members and their traces, taken once per shifted set, walked
-        # in one product order
-        for parts, traces in zip(*(itertools.product(*(
-                itertools.combinations_with_replacement(listed[size], m)
-                for size, m in level.items())) for listed in (by_size, traced))):
-            masks = sum(parts, ())
-            if not checker.hypothesis(masks):
-                raise TheoremViolationError("minimal family outside the hypothesis",
-                                            instance=_family(ground, masks))
-            if not checker.conclusion(sum(traces, ())):
-                counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
-    return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
-
-
-def _minimal_sizes(floors: tuple[int, ...], sums: tuple[int, ...],
-                   most: int) -> Iterator[tuple[int, ...]]:
-    """The minimal ascending size tuples, none above most, whose size j (from
-    0) is at least floors[j] and whose sizes 0..j sum to at least sums[j],
-    in ascending order, by depth-first search. Two rules cut it:
-
-    - A meeting tuple is minimal iff lowering the first size of each run of
-      equal sizes breaks it: that size sits at its floor, or a prefix sum
-      from it on sits exactly at its sum floor. Proof: such a lowering keeps
-      the tuple ascending and lowers each prefix sum from it on by one; and
-      if a meeting tuple lies below t, so does t lowered at the first place
-      where the two differ, which starts a run of t.
-    - A size s at place i raised past its floor stops rising once no prefix
-      sum from it on can land on its sum floor. Proof: every later size is
-      at least s, so the sum through j is at least the sum before i plus
-      (j - i + 1) * s, which grows with s.
-    """
-    k = len(floors)
-    sizes: list[int] = []
-
-    def extend(prev: int, total: int, pending: bool) -> Iterator[tuple[int, ...]]:
-        i = len(sizes)  # pending: a size raised past its floors awaits a tight sum
-        if i == k:
-            if not pending:
-                yield tuple(sizes)
-            return
-        for s in range(max(prev, floors[i], sums[i] - total), most + 1):
-            needs = pending or s > max(prev, floors[i])
-            if needs and all(total + (j - i + 1) * s > sums[j] for j in range(i, k)):
-                break
-            sizes.append(s)
-            yield from extend(s, total + s, needs and total + s != sums[i])
-            sizes.pop()
-
-    return extend(0, 0, False)
-
-
-def _count_families(floors: tuple[int, ...], sums: tuple[int, ...],
-                    histogram: Iterable[int]) -> int:
-    """Ordered families of members, histogram[s] of them of size s, whose
-    ascending sizes meet the floors and sums: the sizes are placed in
-    ascending order, m members of a size with c of them taking m of the
-    k - j places still open, C(k - j, m) * c^m ways. A state is (members
-    placed, their size sum capped at the largest sum floor)."""
-    k, cap = len(floors), max(sums)
-    ways: Counter[tuple[int, int]] = Counter({(0, 0): 1})
-    for size, c in enumerate(histogram):
-        for (j, total), w in list(ways.items()):
-            for m in range(1, k - j + 1):
-                t = j + m - 1  # the place the m-th member takes
-                if size < floors[t] or total + m * size < sums[t]:
-                    break
-                ways[j + m, min(cap, total + m * size)] += w * math.comb(k - j, m) * c ** m
-    return sum(w for (j, _), w in ways.items() if j == k)
 
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
@@ -828,7 +700,7 @@ def check_matrix_conjecture(dm: solvers.DegreeMatrix) -> MatrixCheck:
         raise InputError(f"permutation search is limited to k <= 10, got k={k}")
     if k > dm.n:
         raise InputError(f"needs k <= n, got k={k}, n={dm.n}")
-    return MatrixCheck(not solvers._hall_violation(dm.row_sums(), dm.n),
+    return MatrixCheck(not _hall_violation(dm.row_sums(), dm.n),
                        _first_permutation(dm.entries, _strong_form),
                        _first_permutation(dm.entries,
                                           lambda sel: _dominates(sel, range(1, k + 1))))
@@ -836,7 +708,7 @@ def check_matrix_conjecture(dm: solvers.DegreeMatrix) -> MatrixCheck:
 
 def _strong_form(selected: list[int]) -> bool:
     """True iff the sorted entries have every prefix sum above j(j-1)."""
-    return not solvers._hall_violation(selected, 1)
+    return not _hall_violation(selected, 1)
 
 
 def _first_permutation(rows: Sequence[Sequence[int]],

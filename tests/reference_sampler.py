@@ -11,7 +11,7 @@ import random
 from rainbowmatch.core import Family, GroundSet, Hypergraph
 from rainbowmatch.errors import InputError
 from rainbowmatch.shifting import shifted_closure
-from rainbowmatch.solvers import _hall_violation
+from rainbowmatch.core import _hall_violation
 
 
 def _sample_member(rng: random.Random, ground: GroundSet, size: int) -> Hypergraph:

@@ -927,16 +927,18 @@ class TestGoldenOutput:
         assert ELAPSED_LINE.sub("", out) == golden
 
 
-PACKAGE_MODULES = {"core", "errors", "extremal", "instances", "shifting", "solvers", "verify"}
+PACKAGE_MODULES = {"core", "errors", "exhaustive", "extremal", "instances", "shifting",
+                   "solvers", "verify"}
 
 
 def test_import_loads_neither_the_process_pool_nor_dataclasses():
     # no command loads more than the CLI and every module of the package do
-    # once executed (the star import runs every module that defines an export);
-    # compared against a bare interpreter, so modules that a site hook loads do
-    # not count
+    # once executed (the star import runs every module that defines an export,
+    # and reading an attribute runs exhaustive, which defines none); compared
+    # against a bare interpreter, so modules that a site hook loads do not count
     show = "import sys; print(*sorted(sys.modules))"
     run_all = ("import sys, types, rainbowmatch.cli; from rainbowmatch import *; "
+               "rainbowmatch.exhaustive.MAX_EXHAUSTIVE_CELLS; "
                "assert all(type(m) is types.ModuleType for name, m in sys.modules.items() "
                "if name.startswith('rainbowmatch')); ")
 
@@ -1010,27 +1012,33 @@ COMMAND_MODULES = [
     (["solve", "--algorithm", "hall", "--in", str(FIXTURES / "steal_q3_n6.json")], "2",
      {"instances", "solvers", "shifting"}),
     (["solve", "--algorithm", "r3", "--in", str(CLI_GOLDENS / "in_r3_cube.json")], "0",
-     {"instances", "solvers", "shifting", "extremal"}),
+     {"instances", "solvers", "shifting"}),
     (["shift", "--in", str(FIXTURES / "shift_in_partite_r2.json")], "0",
      {"instances", "shifting"}),
     # a named instance is built, never read or written
     (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting"}),
-    # random rainbow checks close their samples, and run no solver; a report
-    # without counterexamples writes no instance
+    # random checks close their samples with core's closure plan and read
+    # their thresholds from core; a report without counterexamples writes no
+    # instance
     (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--budget", "20"],
-     "0", {"verify", "extremal", "shifting"}),
+     "0", {"verify"}),
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--k", "2", "--budget", "20"],
-     "0", {"verify", "extremal", "shifting"}),
+     "0", {"verify"}),
+    # off f_r2's closed form the general threshold is walked
+    (["verify", "--conjecture", "rainbow_general", "--n", "6", "--r", "3", "--k", "2",
+      "--budget", "20"], "0", {"verify", "exhaustive"}),
     # a degree-capped member is drawn raw, not closed
     (["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "3", "--k", "2",
-      "--budget", "20"], "0", {"verify", "extremal"}),
+      "--budget", "20"], "0", {"verify"}),
     # exhaustive checks and thresholds walk shifted sets, and close nothing
     (["verify", "--conjecture", "size_condition", "--n", "2", "--k", "2", "--mode",
-      "exhaustive"], "0", {"verify", "extremal"}),
+      "exhaustive"], "0", {"verify", "exhaustive"}),
     (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2"], "0",
-     {"verify", "extremal"}),
+     {"verify", "exhaustive"}),
     (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--budget", "20"], "0",
-     PACKAGE_MODULES - {"core", "errors", "instances"}),
+     {"verify"}),
+    (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--mode", "exhaustive"], "0",
+     {"verify", "exhaustive"}),
 ]
 
 
@@ -1045,8 +1053,7 @@ def test_a_listed_counterexample_executes_instances():
     # a report lists each failing family as an instance
     argv = ["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "2", "--k", "2",
             "--budget", "20"]
-    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "extremal",
-                                             "instances"})
+    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "instances"})
 
 
 # The process entry, cli.run(): main's status, both streams flushed, and

@@ -40,6 +40,16 @@ class TestFormulas:
     def test_g_formula(self, n, r, k, value):
         assert g_formula(n, r, k) == value
 
+    @pytest.mark.parametrize("name", ["f_r2", "g_formula", "MAX_LISTED_VERTICES"])
+    def test_core_defines_what_extremal_re_exports(self, name):
+        # the solvers and verify drivers read these from core, so one object
+        # serves them and extremal's constructions
+        import rainbowmatch
+        from rainbowmatch import core, extremal
+        assert getattr(extremal, name) is getattr(core, name)
+        if not name.startswith("MAX"):
+            assert getattr(rainbowmatch, name) is getattr(core, name)
+
 
 class TestStarFamily:
     @pytest.mark.parametrize("n,r,k", [(3, 2, 2), (3, 3, 3), (2, 2, 3),

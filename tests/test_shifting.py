@@ -8,8 +8,9 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching,
                           is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
                           shift_hypergraph, shifted_closure)
-from rainbowmatch import shifting
-from rainbowmatch.shifting import MAX_PLAN_ENTRIES, ShiftLog, ShiftStep, _closer
+from rainbowmatch import core
+from rainbowmatch.core import MAX_PLAN_ENTRIES, _closer
+from rainbowmatch.shifting import ShiftLog, ShiftStep
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -535,9 +536,11 @@ class TestClosedMask:
         assert (g.index._plan is not None) == kept
 
     def test_plan_is_built_once_and_kept_on_the_index(self, monkeypatch):
+        # the sweep's guard, told apart from the index's own (sweep=False)
         calls = []
-        guard = shifting._guard_index
-        monkeypatch.setattr(shifting, "_guard_index", lambda g: calls.append(g) or guard(g))
+        guard = core._guard_index
+        monkeypatch.setattr(core, "_guard_index",
+                            lambda g, sweep=True: sweep and calls.append(g) or guard(g, sweep))
         for g in (GroundSet(PARTITE, 3, 4), GroundSet(GENERAL, 2, 8)):
             assert g.index._plan is None
             _closer(g)(1)

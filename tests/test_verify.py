@@ -19,10 +19,10 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
                           rainbow_exact, shifted_closure)
-from rainbowmatch.core import CellIndex, bits, is_matching, rainbow_positions
+from rainbowmatch import exhaustive
+from rainbowmatch.core import CellIndex, _closer, bits, is_matching, rainbow_positions
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
-from rainbowmatch.shifting import _closer
 from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _mask_sampler
 from conftest import brute_is_downward_closed, random_family, seeded
 
@@ -126,8 +126,8 @@ class TestComputeThreshold:
             compute_threshold_exact("g_partite", 7, 2, 2)
 
     def test_a_lowered_cell_limit_is_obeyed(self, monkeypatch):
-        from rainbowmatch import verify
-        monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_CELLS", 15)
+        from rainbowmatch import exhaustive
+        monkeypatch.setattr(exhaustive, "MAX_EXHAUSTIVE_CELLS", 15)
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
             compute_threshold_exact("g_partite", 4, 2, 3)
         with pytest.raises(InputError, match=r"16 cells \(limit 15\)"):
@@ -267,8 +267,8 @@ class TestCheckConjecture:
         assert rep.instances_checked == 1
 
     def test_degree_condition_listing_limit_boundary(self, monkeypatch):
-        from rainbowmatch import extremal
-        monkeypatch.setattr(extremal, "MAX_LISTED_VERTICES", 18)  # n=3: 9 cells times 2
+        from rainbowmatch import verify
+        monkeypatch.setattr(verify, "MAX_LISTED_VERTICES", 18)  # n=3: 9 cells times 2
         rep = check_conjecture(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1},
                                budget=20, seed=1)
         assert rep.instances_checked == 20
@@ -797,7 +797,7 @@ class TestMinimalFamilies:
             conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
             sampler=base.sampler, kernel_below=base.ground.n, floors=base.floors,
             sums=base.sums)
-        checked, counters = verify._run_exhaustive(checker)
+        checked, counters = exhaustive._run_exhaustive(checker)
         ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
         assert checked == ordered_checked
         # the minimal report lists each failing multiset at the floor sizes
@@ -820,7 +820,7 @@ class TestMinimalFamilies:
         from rainbowmatch import verify
         ground = GroundSet(PARTITE, 2, n)
         checker = verify._rainbow_checker(ground, 2, lambda i: g_formula(n, 2, 2))
-        count, counters = verify._run_exhaustive(checker)
+        count, counters = exhaustive._run_exhaustive(checker)
         assert count == checked
         stars = [Hypergraph(ground, [(0, j) for j in range(n)]),
                  Hypergraph(ground, [(j, 0) for j in range(n)])]
@@ -835,7 +835,7 @@ class TestMinimalFamilies:
                                   floors=base.floors,
                                   sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
-            verify._run_exhaustive(checker)
+            exhaustive._run_exhaustive(checker)
 
     @pytest.mark.parametrize("conjecture,n,r,k,checked", [
         ("size_condition", 3, 3, 2, 625_681), ("size_condition", 5, 2, 3, 4_492_125),
@@ -883,8 +883,8 @@ class TestMinimalFamilies:
 
     def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
         import time
-        from rainbowmatch import verify
-        monkeypatch.setattr(verify, "MAX_EXHAUSTIVE_INSTANCES", 400_000)
+        from rainbowmatch import exhaustive, verify
+        monkeypatch.setattr(exhaustive, "MAX_EXHAUSTIVE_INSTANCES", 400_000)
         for oracle in ("rainbow_exact", "rainbow_positions"):
             monkeypatch.setattr(verify, oracle, lambda *args: pytest.fail("oracle called"))
         start = time.perf_counter()
@@ -901,7 +901,7 @@ class TestMinimalFamilies:
         assert time.perf_counter() - start < 1.0
 
     def test_count_families_counts_ordered_families_meeting_the_floors(self):
-        from rainbowmatch.verify import _count_families
+        from rainbowmatch.exhaustive import _count_families
         histogram = [0, 2, 3, 1, 5]  # members of sizes 0..4
         sizes = [s for s, m in enumerate(histogram) for _ in range(m)]
         brute = sum(1 for a, b in itertools.product(sizes, repeat=2)
@@ -939,7 +939,7 @@ class TestSizeConditions:
 
     @given(size_conditions())
     def test_minimal_sizes_are_the_minimal_meeting_tuples(self, case):
-        from rainbowmatch.verify import _minimal_sizes
+        from rainbowmatch.exhaustive import _minimal_sizes
         floors, sums, histogram = case
         minimal = []  # by ascending sum: one below a tuple is listed before it
         for t in sorted(brute_meeting(floors, sums, len(histogram) - 1), key=sum):
@@ -949,7 +949,7 @@ class TestSizeConditions:
 
     @given(size_conditions())
     def test_count_families_is_the_brute_count(self, case):
-        from rainbowmatch.verify import _count_families
+        from rainbowmatch.exhaustive import _count_families
         floors, sums, histogram = case
         meeting = set(brute_meeting(floors, sums, len(histogram) - 1))
         brute = sum(math.prod(histogram[s] for s in order)
@@ -958,7 +958,7 @@ class TestSizeConditions:
         assert _count_families(floors, sums, histogram) == brute
 
     def test_a_rainbow_checker_has_one_minimal_tuple_its_floors(self):
-        from rainbowmatch.verify import _minimal_sizes
+        from rainbowmatch.exhaustive import _minimal_sizes
         for conjecture, params in MONOTONE_CASES:
             checker = _make_checker(ConjectureId(conjecture), params)
             assert checker.sums == (0,) * checker.k
@@ -1036,18 +1036,16 @@ class TestOrderedWalk:
 
     @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
     def test_matrix_equals_the_product_walk(self, n, k):
-        from rainbowmatch import verify
         checker = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k})
-        assert_matches_the_product_walk(checker, *verify._run_exhaustive(checker))
+        assert_matches_the_product_walk(checker, *exhaustive._run_exhaustive(checker))
 
     @pytest.mark.parametrize("case", [("size_condition", {"n": 3, "r": 2, "k": 2}),
                                       ("rainbow_general", {"n": 5, "r": 2, "k": 2}),
                                       ("simple", {"n": 3, "k": 3})], ids=_case_id)
     def test_monotone_checkers_equal_the_product_walk(self, case):
-        from rainbowmatch import verify
         conjecture, params = case
         checker = _make_checker(ConjectureId(conjecture), params)
-        assert_matches_the_product_walk(checker, *verify._run_exhaustive(checker))
+        assert_matches_the_product_walk(checker, *exhaustive._run_exhaustive(checker))
 
 
 def down_closure(ground, cells):
@@ -1425,7 +1423,7 @@ class TestKernelVerdicts:
         if mode == "random":
             verify._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
         else:
-            verify._run_exhaustive(checker)
+            exhaustive._run_exhaustive(checker)
         assert decided and all(m & ~kernel == 0 for masks in decided for m in masks)
         # the rainbow checkers' members reach past their kernels
         if conjecture not in ("degree_condition", "matrix"):
