@@ -10,16 +10,19 @@ import importlib.util
 import sys
 
 # the module that defines each public name; extremal re-exports core's
-# f_r2 and g_formula, and exhaustive, verify's walk, exports none
+# f_r2 and g_formula, core forwards the oracles' two, and exhaustive
+# (verify's walk) and index (the cell index) export none
 _EXPORTS = {
     "core": ("ConjectureId", "Edge", "Family", "GENERAL", "GroundSet", "Hypergraph",
-             "PARTITE", "RainbowMatching", "f_r2", "g_formula", "is_matching", "nu_exact",
-             "pm_decomposition", "rainbow_exact"),
+             "PARTITE", "RainbowMatching", "f_r2", "g_formula", "is_matching",
+             "pm_decomposition"),
     "errors": ("InputError", "PreconditionError", "RainbowError", "TheoremViolationError"),
     "exhaustive": (),
     "extremal": ("ekr_star", "f_large_n", "r3_counterexample", "star_family",
                  "steal_family"),
+    "index": (),
     "instances": ("Instance", "parse_instance", "serialize_instance"),
+    "oracles": ("nu_exact", "rainbow_exact"),
     "shifting": ("ShiftLog", "ShiftStep", "is_shifted", "pullback_rainbow",
                  "shift_hypergraph", "shifted_closure"),
     "solvers": ("AlgoTrace", "DegreeMatrix", "HallCheck", "StepRecord",

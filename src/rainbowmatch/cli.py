@@ -17,11 +17,11 @@ import os
 import sys
 from typing import NoReturn
 
-from .core import PARTITE, ConjectureId, Family, nu_exact, rainbow_exact
+from .core import PARTITE, ConjectureId, Family
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
 # bound, not executed: a command runs a module the first time it calls into it,
 # so one that reads and writes no instance never runs instances
-from . import extremal, instances, shifting, solvers, verify
+from . import extremal, instances, oracles, shifting, solvers, verify
 
 EXIT_OK = 0
 EXIT_NO_MATCHING = 2
@@ -66,13 +66,14 @@ def _cmd_solve(args) -> int:
     family = _read_instance(args.infile).to_family()
     extra: dict = {}
     if args.algorithm == "oracle":
-        matching = rainbow_exact(family)
+        matching = oracles.rainbow_exact(family)
         status, text = "none", "no rainbow matching\n"
     elif args.algorithm == "hall":
         solvers._require_kind(family, PARTITE, r=2)
         shifted, log = shifting.shifted_closure(family)
         trace = solvers.hall_size_algorithm(shifted)
-        matching = trace.matching and shifting.pullback_rainbow(log, family, trace.matching)
+        matching = trace.matching and shifting.pullback_rainbow(log, family, trace.matching,
+                                                                 shifted=shifted)
         status, text = "halt", f"no rainbow matching found (halted at t={trace.halt_t})\n"
         extra["halt_t"] = trace.halt_t
     else:
@@ -120,7 +121,7 @@ def _cmd_shift(args) -> int:
 
 def _cmd_nu(args) -> int:
     family = _read_instance(args.infile).to_family()
-    values = [nu_exact(h) for h in family.members]
+    values = [oracles.nu_exact(h) for h in family.members]
     if args.format == "json":
         sys.stdout.write(_dump({"schema_version": 1, "kind": "nu", "values": values}))
     else:

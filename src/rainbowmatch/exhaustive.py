@@ -13,10 +13,11 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .core import MAX_INDEX_BITS, GroundSet, capped_cells, estimate_text, nu_exact
+from .core import MAX_INDEX_BITS, GroundSet, capped_cells, estimate_text
 from .errors import InputError, TheoremViolationError
-# bound, not executed: instances runs only when a counterexample is listed
-from . import instances, verify
+# bound, not executed: instances runs only when a counterexample is listed,
+# oracles only when a threshold walk takes a matching number
+from . import instances, oracles, verify
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
 # 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
@@ -41,7 +42,7 @@ def _largest_shifted_below(ground: GroundSet, k: int) -> int:
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     best = 0
     for h in verify.iter_shifted(ground):
-        if len(h) > best and nu_exact(h) < k:
+        if len(h) > best and oracles.nu_exact(h) < k:
             best = len(h)
     return best
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching, _Record,
-                   _sweep)
+from .core import PARTITE, Edge, Family, GroundSet, Hypergraph, RainbowMatching, _Record
 from .errors import InputError, TheoremViolationError
+from .index import _sweep
 
 
 class ShiftStep(NamedTuple):
@@ -131,7 +131,7 @@ def is_shifted(h: Hypergraph) -> bool:
 
 
 def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
-    """Shift every member simultaneously by each pair of one sweep (core._sweep),
+    """Shift every member simultaneously by each pair of one sweep (index._sweep),
     logging the shifts that move an edge. Partite grounds shift within each
     side, general grounds over the one ordered vertex set."""
     g = family.ground
@@ -146,9 +146,15 @@ def shifted_closure(family: Family) -> tuple[Family, ShiftLog]:
     return Family(members), ShiftLog(tuple(steps))
 
 
-def pullback_rainbow(log: ShiftLog, original: Family,
-                     matching: RainbowMatching) -> RainbowMatching:
+def pullback_rainbow(log: ShiftLog, original: Family, matching: RainbowMatching, *,
+                     shifted: Family | None = None) -> RainbowMatching:
     """Translate a rainbow matching of the shifted family back to the original.
+
+    The shifted family is rebuilt by replaying the log on the original, which
+    checks every step, unless shifted gives it: the family shifted_closure
+    returned together with this log, which a caller that has just closed the
+    original holds, so the closure's moves are not run twice. Either way the
+    matching must be one of the shifted family.
 
     Walks the log backward with each chosen edge as a one-bit mask. At each
     reversed step (x, y), at most one chosen edge can be an image a+x of the
@@ -159,7 +165,8 @@ def pullback_rainbow(log: ShiftLog, original: Family,
     g = original.ground
     if len(original.members) != len(matching.choices):
         raise InputError("matching size does not fit the family")
-    shifted = log.replay(original)
+    if shifted is None:
+        shifted = log.replay(original)
     if not matching.is_valid_for(shifted):
         raise InputError("not a rainbow matching of the shifted family")
     masks = [h.mask for h in shifted.members]
@@ -167,7 +174,7 @@ def pullback_rainbow(log: ShiftLog, original: Family,
     index = g.index
     chosen = [1 << index.position(e) for e in matching.choices]
     for step in reversed(log.steps):
-        for i, images in enumerate(step.images):  # replay checked the step
+        for i, images in enumerate(step.images):  # checked by replay or closure
             masks[i] ^= index.origins(images, step.side, step.x, step.y) | images
         lost = [i for i, c in enumerate(chosen) if step.images[i] & c]
         if not lost:

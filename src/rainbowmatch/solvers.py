@@ -294,7 +294,8 @@ def meshulam_r2(family: Family) -> RainbowMatching:
                 f"shifted member {i + 1} misses the edge (v_{i + 1}, v_{2 * k - i})",
                 instance=family)
         choices.append(e)
-    return shifting.pullback_rainbow(log, family, RainbowMatching(tuple(choices)))
+    return shifting.pullback_rainbow(log, family, RainbowMatching(tuple(choices)),
+                                    shifted=shifted)
 
 
 def r3_solve(family: Family) -> RainbowMatching:
@@ -333,7 +334,7 @@ def r3_solve(family: Family) -> RainbowMatching:
         p, q = trace.matching.choices[j]
         choices[assign[j]] = (j, p, q)
     matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
-    return shifting.pullback_rainbow(log, family, matching)
+    return shifting.pullback_rainbow(log, family, matching, shifted=shifted)
 
 
 class DegreeMatrix(_Record):
@@ -424,7 +425,7 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
         used_m.add(e[0])
         choices[member] = e
     matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
-    return shifting.pullback_rainbow(log, family, matching)
+    return shifting.pullback_rainbow(log, family, matching, shifted=shifted)
 
 
 def large_n_procedure(family: Family) -> RainbowMatching | None:
@@ -443,7 +444,8 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     _require_sizes_above(family, g_formula(n, r, k))
     shifted, log = shifting.shifted_closure(family)
     if k == 1:
-        return shifting.pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)))
+        return shifting.pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)),
+                                        shifted=shifted)
     a = k - 1
     xs: list[tuple[int, int]] = []
     for i in range(k - 1):
@@ -485,4 +487,4 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
             used[s].add(e2[s])
         choices[i] = e2
     matching = RainbowMatching(tuple(choices))  # type: ignore[arg-type]
-    return shifting.pullback_rainbow(log, family, matching)
+    return shifting.pullback_rainbow(log, family, matching, shifted=shifted)

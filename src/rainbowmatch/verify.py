@@ -13,14 +13,15 @@ import random
 import time
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .core import (GENERAL, MAX_LISTED_VERTICES, PARTITE, SHIFT_MASK_BITS, ConjectureId,
-                   Family, GroundSet, Hypergraph, _closer, _dominates, _guard_index,
-                   _hall_violation, _mask, _Record, capped_cells, estimate_text, f_r2,
-                   g_formula, rainbow_exact, rainbow_positions)
+from .core import (GENERAL, MAX_LISTED_VERTICES, PARTITE, ConjectureId, Family, GroundSet,
+                   Hypergraph, _dominates, _guard_index, _hall_violation, _Record,
+                   capped_cells, estimate_text, f_r2, g_formula)
 from .errors import InputError, TheoremViolationError
+from .index import SHIFT_MASK_BITS, _closer, _mask, rainbow_positions
 # bound, not executed: instances runs only when a counterexample is listed,
-# exhaustive only by an exhaustive walk, solvers only by scan_large_n
-from . import exhaustive, instances, solvers
+# exhaustive only by an exhaustive walk, oracles only past SHIFT_MASK_BITS
+# cells, solvers only by scan_large_n
+from . import exhaustive, instances, oracles, solvers
 
 SHARD_TRIALS = 256  # random-mode work unit; fixes report contents per seed
 
@@ -212,10 +213,10 @@ def _rainbow_concl(ground: GroundSet) -> Callable[[tuple[int, ...]], bool]:
     matching: the exact search on the masks themselves up to
     SHIFT_MASK_BITS cells, with no Family built; past it, rainbow_exact on
     their Family, which numbers them from the set bits of their union and
-    decodes no member, the split _edge_masks makes."""
+    decodes no member, the split oracles._edge_masks makes."""
     if capped_cells(ground.kind, ground.r, ground.n) <= SHIFT_MASK_BITS:
         return lambda masks: rainbow_positions(ground, masks) is not None
-    return lambda masks: rainbow_exact(_family(ground, masks)) is not None
+    return lambda masks: oracles.rainbow_exact(_family(ground, masks)) is not None
 
 
 def _below(getrandbits: Callable[[int], int], m: int) -> int:
@@ -309,7 +310,7 @@ def _shifted_sampler(ground: GroundSet) -> Callable[[Callable[[int], int], Itera
     floors: for each floor f, a size drawn from [f, cell_count] as
     Random.randint draws it, then a uniform member of that size
     (_mask_sampler), closed as shifted_closure would close their family
-    (core._closer). The closure draws nothing. The member drawer and
+    (index._closer). The closure draws nothing. The member drawer and
     the closure plan are fixed here, once."""
     u = ground.cell_count
     draw, close = _mask_sampler(ground), _closer(ground)

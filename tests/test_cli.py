@@ -927,8 +927,8 @@ class TestGoldenOutput:
         assert ELAPSED_LINE.sub("", out) == golden
 
 
-PACKAGE_MODULES = {"core", "errors", "exhaustive", "extremal", "instances", "shifting",
-                   "solvers", "verify"}
+PACKAGE_MODULES = {"core", "errors", "exhaustive", "extremal", "index", "instances",
+                   "oracles", "shifting", "solvers", "verify"}
 
 
 def test_import_loads_neither_the_process_pool_nor_dataclasses():
@@ -1000,45 +1000,52 @@ def test_importing_the_package_registers_every_module_and_runs_none():
 
 
 # what each command executes besides cli, core and errors, which every
-# command runs; instances runs only where an instance is read or written
+# command runs; instances runs only where an instance is read or written,
+# index only where a ground is indexed, and oracles only where an exact
+# oracle takes members
 COMMAND_MODULES = [
     (["extremal", "--name", "star", "--n", "3"], "0", {"extremal", "instances"}),
-    (["nu", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"instances"}),
+    (["nu", "--in", str(FIXTURES / "steal_q3_n6.json")], "0",
+     {"instances", "index", "oracles"}),
     (["solve", "--algorithm", "oracle", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
-     {"instances"}),
+     {"instances", "index", "oracles"}),
+    # greedy and the size check read edge lists and index nothing
     (["solve", "--algorithm", "greedy", "--in", str(FIXTURES / "star_n3_r2_k2.json")], "2",
      {"instances", "solvers"}),
     (["check", "--in", str(FIXTURES / "steal_q3_n6.json")], "0", {"instances", "solvers"}),
+    # the shifted solvers close on index masks and pull back with no oracle
     (["solve", "--algorithm", "hall", "--in", str(FIXTURES / "steal_q3_n6.json")], "2",
-     {"instances", "solvers", "shifting"}),
+     {"instances", "solvers", "shifting", "index"}),
     (["solve", "--algorithm", "r3", "--in", str(CLI_GOLDENS / "in_r3_cube.json")], "0",
-     {"instances", "solvers", "shifting"}),
+     {"instances", "solvers", "shifting", "index"}),
     (["shift", "--in", str(FIXTURES / "shift_in_partite_r2.json")], "0",
-     {"instances", "shifting"}),
+     {"instances", "shifting", "index"}),
     # a named instance is built, never read or written
-    (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting"}),
-    # random checks close their samples with core's closure plan and read
-    # their thresholds from core; a report without counterexamples writes no
-    # instance
+    (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting", "index"}),
+    # random checks close their samples with index's closure plan, decide on
+    # index masks and read their thresholds from core; a report without
+    # counterexamples writes no instance
     (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--budget", "20"],
-     "0", {"verify"}),
+     "0", {"verify", "index"}),
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--k", "2", "--budget", "20"],
-     "0", {"verify"}),
-    # off f_r2's closed form the general threshold is walked
+     "0", {"verify", "index"}),
+    # off f_r2's closed form the general threshold is walked, taking matching
+    # numbers
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--r", "3", "--k", "2",
-      "--budget", "20"], "0", {"verify", "exhaustive"}),
+      "--budget", "20"], "0", {"verify", "index", "exhaustive", "oracles"}),
     # a degree-capped member is drawn raw, not closed
     (["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "3", "--k", "2",
-      "--budget", "20"], "0", {"verify"}),
-    # exhaustive checks and thresholds walk shifted sets, and close nothing
+      "--budget", "20"], "0", {"verify", "index"}),
+    # exhaustive checks and thresholds walk shifted sets, and close nothing;
+    # only a threshold takes matching numbers
     (["verify", "--conjecture", "size_condition", "--n", "2", "--k", "2", "--mode",
-      "exhaustive"], "0", {"verify", "exhaustive"}),
+      "exhaustive"], "0", {"verify", "index", "exhaustive"}),
     (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2"], "0",
-     {"verify", "exhaustive"}),
+     {"verify", "index", "exhaustive", "oracles"}),
     (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--budget", "20"], "0",
-     {"verify"}),
+     {"verify", "index"}),
     (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--mode", "exhaustive"], "0",
-     {"verify", "exhaustive"}),
+     {"verify", "index", "exhaustive"}),
 ]
 
 
@@ -1053,7 +1060,8 @@ def test_a_listed_counterexample_executes_instances():
     # a report lists each failing family as an instance
     argv = ["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "2", "--k", "2",
             "--budget", "20"]
-    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "instances"})
+    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "index",
+                                             "instances"})
 
 
 # The process entry, cli.run(): main's status, both streams flushed, and

@@ -12,7 +12,9 @@ import reference_oracle as reference
 from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, is_matching, iter_shifted,
                           nu_exact, pm_decomposition, rainbow_exact)
-from rainbowmatch.core import SHIFT_MASK_BITS, _edge_masks, _mask, edge_vertices
+from rainbowmatch.core import edge_vertices
+from rainbowmatch.index import SHIFT_MASK_BITS, _mask
+from rainbowmatch.oracles import _edge_masks
 from conftest import (brute_nu, brute_rainbow_exists, random_family,
                       random_hypergraph, seeded)
 
@@ -187,8 +189,8 @@ class TestPackage:
         import rainbowmatch
         listed = set(dir(rainbowmatch))
         assert set(rainbowmatch.__all__) <= listed
-        assert {"core", "errors", "extremal", "instances", "shifting", "solvers",
-                "verify"} <= listed
+        assert {"core", "errors", "extremal", "index", "instances", "oracles", "shifting",
+                "solvers", "verify"} <= listed
 
     def test_star_import_binds_every_export(self):
         import rainbowmatch
@@ -205,6 +207,19 @@ class TestPackage:
             rainbowmatch.nonesuch
         # private names stay on their modules
         assert not hasattr(rainbowmatch, "_dominates")
+
+    def test_core_forwards_exactly_the_two_oracles(self):
+        import rainbowmatch
+        from rainbowmatch import core, oracles
+        for name in ("nu_exact", "rainbow_exact"):
+            assert getattr(core, name) is getattr(oracles, name), name
+            assert getattr(rainbowmatch, name) is getattr(oracles, name), name
+        # nothing else that left core is read through it
+        for name in ("nonesuch", "_edge_masks", "_Conflicts", "CellIndex", "bits",
+                     "rainbow_positions", "SHIFT_MASK_BITS", "_closer"):
+            with pytest.raises(AttributeError, match=f"'rainbowmatch.core' has no attribute "
+                                                     f"'{name}'"):
+                getattr(core, name)
 
     def test_conjecture_id_is_one_class(self):
         import rainbowmatch

@@ -8,8 +8,8 @@ from rainbowmatch import (GENERAL, PARTITE, Family, GroundSet, Hypergraph,
                           InputError, RainbowMatching,
                           is_shifted, nu_exact, pullback_rainbow, rainbow_exact,
                           shift_hypergraph, shifted_closure)
-from rainbowmatch import core
-from rainbowmatch.core import MAX_PLAN_ENTRIES, _closer
+from rainbowmatch import index as index_module
+from rainbowmatch.index import MAX_PLAN_ENTRIES, _closer
 from rainbowmatch.shifting import ShiftLog, ShiftStep
 from conftest import brute_is_downward_closed, random_family, random_hypergraph, seeded
 
@@ -215,6 +215,29 @@ class TestPullback:
             assert back.is_valid_for(fam)
             found += 1
         assert found > 50  # the suite must actually exercise the pull-back
+
+    @pytest.mark.parametrize("ground", [B3, GroundSet(GENERAL, 2, 5), GroundSet(PARTITE, 3, 2),
+                                        GroundSet(GENERAL, 3, 6)])
+    def test_the_closed_family_given_pulls_back_the_same_matching(self, ground, monkeypatch):
+        rng = seeded(f"given:{ground.kind}:{ground.r}:{ground.n}")
+        cases = []
+        for _ in range(200):
+            fam = random_family(rng, ground, rng.randint(1, 3))
+            shifted, log = shifted_closure(fam)
+            m = rainbow_exact(shifted)
+            if m is not None:
+                cases.append((fam, shifted, log, m, pullback_rainbow(log, fam, m)))
+        assert len(cases) > 40
+        # the closed family given, the log is not replayed
+        monkeypatch.setattr(ShiftLog, "replay", lambda *args: pytest.fail("log replayed"))
+        for fam, shifted, log, m, back in cases:
+            assert pullback_rainbow(log, fam, m, shifted=shifted) == back
+        # and a matching of another family is still refused
+        fam, shifted, log, m, _ = next(c for c in cases if len(c[1][0]) < ground.cell_count)
+        other = RainbowMatching(tuple(e for e in ground.cells() if e not in shifted[0])[:1]
+                                + m.choices[1:])
+        with pytest.raises(InputError, match="not a rainbow matching of the shifted family"):
+            pullback_rainbow(log, fam, other, shifted=shifted)
 
     def test_counterexamples_survive_shifting(self):
         # contrapositive of the pull-back lemma: a family without a rainbow
@@ -538,8 +561,8 @@ class TestClosedMask:
     def test_plan_is_built_once_and_kept_on_the_index(self, monkeypatch):
         # the sweep's guard, told apart from the index's own (sweep=False)
         calls = []
-        guard = core._guard_index
-        monkeypatch.setattr(core, "_guard_index",
+        guard = index_module._guard_index
+        monkeypatch.setattr(index_module, "_guard_index",
                             lambda g, sweep=True: sweep and calls.append(g) or guard(g, sweep))
         for g in (GroundSet(PARTITE, 3, 4), GroundSet(GENERAL, 2, 8)):
             assert g.index._plan is None

@@ -20,7 +20,8 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           f_r2, g_formula, is_shifted, iter_shifted,
                           rainbow_exact, shifted_closure)
 from rainbowmatch import exhaustive
-from rainbowmatch.core import CellIndex, _closer, bits, is_matching, rainbow_positions
+from rainbowmatch.core import is_matching
+from rainbowmatch.index import CellIndex, _closer, bits, rainbow_positions
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
 from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _mask_sampler
@@ -883,10 +884,11 @@ class TestMinimalFamilies:
 
     def test_refuses_past_the_family_limit_before_any_oracle_call(self, monkeypatch):
         import time
-        from rainbowmatch import exhaustive, verify
+        from rainbowmatch import exhaustive, oracles, verify
         monkeypatch.setattr(exhaustive, "MAX_EXHAUSTIVE_INSTANCES", 400_000)
-        for oracle in ("rainbow_exact", "rainbow_positions"):
-            monkeypatch.setattr(verify, oracle, lambda *args: pytest.fail("oracle called"))
+        for module, oracle in ((oracles, "rainbow_exact"), (oracles, "nu_exact"),
+                               (verify, "rainbow_positions")):
+            monkeypatch.setattr(module, oracle, lambda *args: pytest.fail("oracle called"))
         start = time.perf_counter()
         with pytest.raises(InputError,
                            match=r"about 424270 minimal families \(limit 400000\)"):
