@@ -10,27 +10,27 @@ import importlib.util
 import sys
 
 # the module that defines each public name; extremal re-exports core's
-# f_r2 and g_formula, core forwards the oracles' two, and exhaustive
-# (verify's walk) and index (the cell index) export none
+# f_r2 and g_formula, core forwards the oracles' two, verify forwards the
+# names its drivers, exhaustive and sampling, took from it, and index (the
+# cell index) exports none
 _EXPORTS = {
     "core": ("ConjectureId", "Edge", "Family", "GENERAL", "GroundSet", "Hypergraph",
              "PARTITE", "RainbowMatching", "f_r2", "g_formula", "is_matching",
              "pm_decomposition"),
     "errors": ("InputError", "PreconditionError", "RainbowError", "TheoremViolationError"),
-    "exhaustive": (),
+    "exhaustive": ("compute_threshold_exact", "enumerate_shifted", "iter_shifted"),
     "extremal": ("ekr_star", "f_large_n", "r3_counterexample", "star_family",
                  "steal_family"),
     "index": (),
     "instances": ("Instance", "parse_instance", "serialize_instance"),
     "oracles": ("nu_exact", "rainbow_exact"),
+    "sampling": ("scan_large_n",),
     "shifting": ("ShiftLog", "ShiftStep", "is_shifted", "pullback_rainbow",
                  "shift_hypergraph", "shifted_closure"),
     "solvers": ("AlgoTrace", "DegreeMatrix", "HallCheck", "StepRecord",
                 "check_hall_condition", "greedy_bipartite", "hall_size_algorithm",
                 "large_n_procedure", "meshulam_r2", "r3_solve", "simple_algorithm"),
-    "verify": ("MatrixCheck", "VerifyReport", "check_conjecture", "check_matrix_conjecture",
-               "compute_threshold_exact", "enumerate_shifted", "iter_shifted",
-               "scan_large_n"),
+    "verify": ("MatrixCheck", "VerifyReport", "check_conjecture", "check_matrix_conjecture"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_OWNER)

@@ -21,7 +21,7 @@ from .core import PARTITE, ConjectureId, Family
 from .errors import InputError, PreconditionError, RainbowError, TheoremViolationError
 # bound, not executed: a command runs a module the first time it calls into it,
 # so one that reads and writes no instance never runs instances
-from . import extremal, instances, oracles, shifting, solvers, verify
+from . import exhaustive, extremal, instances, oracles, shifting, solvers, verify
 
 EXIT_OK = 0
 EXIT_NO_MATCHING = 2
@@ -164,7 +164,10 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.threshold is not None:
-        value = verify.compute_threshold_exact(args.threshold, args.n, args.r, args.k)
+        # a threshold reads no degree cap: refused, not ignored
+        if args.d is not None:
+            raise InputError(f"{args.threshold} takes no degree cap d, got d={args.d!r}")
+        value = exhaustive.compute_threshold_exact(args.threshold, args.n, args.r, args.k)
         if args.format == "json":
             sys.stdout.write(_dump({"schema_version": 1, "kind": "threshold",
                                     "mode": args.threshold, "n": args.n, "r": args.r,

@@ -1,11 +1,13 @@
-"""The exhaustive walk of the verify drivers: every family of shifted members
-a checker admits, decided through its minimal families (_run_exhaustive),
-and the exact thresholds by full enumeration (_largest_shifted_below), with
-the guards that bound both.
+"""The exhaustive driver of the verify checks: the walk over shifted
+(downward closed) edge sets (_ideal_dfs), every family of shifted members a
+checker admits, decided through its minimal families (_run_exhaustive), and
+the exact thresholds by full enumeration (compute_threshold_exact), with the
+guards that bound them.
 
-verify reaches this module through its attribute, and calls back into
-verify's enumeration (_ideal_dfs, iter_shifted) the same way, so random
-checks and closed-form thresholds never execute it."""
+verify calls into this module through its attribute (_run_exhaustive, and
+_largest_shifted_below for a general threshold off f_r2's closed form) and
+forwards the walk and the thresholds by name. A threshold runs here without
+verify, and random checks never execute this module."""
 from __future__ import annotations
 
 import itertools
@@ -13,10 +15,12 @@ import math
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .core import MAX_INDEX_BITS, GroundSet, capped_cells, estimate_text
+from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, GroundSet, Hypergraph, capped_cells,
+                   estimate_text)
 from .errors import InputError, TheoremViolationError
 # bound, not executed: instances runs only when a counterexample is listed,
-# oracles only when a threshold walk takes a matching number
+# oracles only when a threshold walk takes a matching number, verify only by
+# an exhaustive check, whose checker and listings it defines
 from . import instances, oracles, verify
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
@@ -36,16 +40,89 @@ def _guard_cells(ground: GroundSet, limit: int) -> None:
                          f"{'up to' if exact else 'at least'} 2^{text} candidate edge sets")
 
 
+# ---------------------------------------------------------------------------
+# Enumeration of shifted edge sets
+
+def _ideal_dfs(ground: GroundSet) -> Iterator[int]:
+    """All downward-closed edge masks over ground.index, each once.
+
+    Walks the cells graded by coordinate sum, a linear extension of the
+    dominance order; a cell may join only when its immediate predecessors (the
+    cells with one vertex lowered by one) are in, which makes every branch
+    downward closed.
+    """
+    index = ground.index
+    m = ground.cell_count
+    walk = sorted(range(m), key=lambda i: (sum(index.cell(i)), i))
+    # a cell's lower covers are its images under the shifts v -> v-1
+    covers = [sum(index.move(1 << i, side, v - 1, v)[1]
+                  for side in ground.sides for v in range(1, ground.n))
+              for i in walk]
+    # depth first, leaving cell walk[t] out before taking it: a popped (t, mask)
+    # leaves out every later cell and stacks the branches that take one
+    stack = [(0, 0)]
+    while stack:
+        t, mask = stack.pop()
+        for u in range(t, m):
+            if mask & covers[u] == covers[u]:
+                stack.append((u + 1, mask | 1 << walk[u]))
+        yield mask
+
+
+def enumerate_shifted(ground: GroundSet, size: int) -> Iterator[Hypergraph]:
+    """Every downward-closed edge set of exactly the given size, each once."""
+    if size < 0 or size > ground.cell_count:
+        raise InputError(f"size {size} out of range [0, {ground.cell_count}]")
+    for h in iter_shifted(ground):
+        if len(h) == size:
+            yield h
+
+
+def iter_shifted(ground: GroundSet) -> Iterator[Hypergraph]:
+    """Every downward-closed edge set over the ground, all sizes."""
+    for mask in _ideal_dfs(ground):
+        yield Hypergraph._from_mask(ground, mask)
+
+
+# ---------------------------------------------------------------------------
+# Exact thresholds
+
+F_R2_GENERAL = "f_r2_general"
+G_PARTITE = "g_partite"
+
+
+def compute_threshold_exact(mode: str, n: int, r: int, k: int) -> int:
+    """Largest size of a shifted hypergraph with matching number below k,
+    by full enumeration. Restricting to shifted sets is sound because shifting
+    never increases the matching number."""
+    if k < 1:
+        raise InputError(f"k must be at least 1, got {k}")
+    if mode == F_R2_GENERAL:
+        if r != 2:
+            raise InputError("f_r2_general computes the r=2 general-kind threshold")
+        if n < 4:
+            raise InputError(f"needs r <= n/2, got n={n}")
+        ground = GroundSet(GENERAL, 2, n)
+    elif mode == G_PARTITE:
+        ground = GroundSet(PARTITE, r, n)
+    else:
+        raise InputError(f"unknown threshold mode: {mode!r}")
+    return _largest_shifted_below(ground, k)
+
+
 def _largest_shifted_below(ground: GroundSet, k: int) -> int:
     """Largest size of a shifted edge set over the ground with matching
     number below k, by full enumeration."""
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     best = 0
-    for h in verify.iter_shifted(ground):
+    for h in iter_shifted(ground):
         if len(h) > best and oracles.nu_exact(h) < k:
             best = len(h)
     return best
 
+
+# ---------------------------------------------------------------------------
+# Exhaustive checks
 
 def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
     """The ordered hypothesis families of shifted members covered, and the
@@ -67,7 +144,7 @@ def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
     ground = checker.ground
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     by_size: list[list[int]] = [[] for _ in range(ground.cell_count + 1)]
-    for mask in verify._ideal_dfs(ground):
+    for mask in _ideal_dfs(ground):
         by_size[mask.bit_count()].append(mask)
     kernel = ground.index.below(checker.kernel_below)
     traced = [[mask & kernel for mask in masks] for masks in by_size]

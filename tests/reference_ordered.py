@@ -8,7 +8,7 @@ import itertools
 
 from rainbowmatch.core import Family
 from rainbowmatch.instances import Instance
-from rainbowmatch.verify import iter_shifted
+from rainbowmatch.exhaustive import iter_shifted
 
 
 def run_ordered(checker) -> tuple[int, list[dict]]:

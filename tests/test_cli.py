@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -496,6 +497,8 @@ class TestOtherCommands:
          "needs r=2, got r=3"),
         (["--conjecture", "size_condition", "--n", "3", "--k", "2", "--d", "7"],
          "takes no degree cap d, got d=7"),
+        (["--threshold", "g_partite", "--n", "3", "--k", "2", "--d", "4"],
+         "g_partite takes no degree cap d, got d=4"),
     ])
     def test_verify_refuses_a_parameter_it_never_reads(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "verify", *argv)
@@ -639,14 +642,14 @@ class TestOtherCommands:
         # under a process limit leave their shards to the caller
         import errno
         import signal
-        from rainbowmatch import verify
+        from rainbowmatch import sampling
         if not hasattr(os, "fork"):
             pytest.skip("the pool needs os.fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         argv = ["verify", "--conjecture", "size_condition", "--n", "4", "--r", "3", "--k", "2",
                 "--budget", "1200", "--seed", "1", "--format", "json"]
         one = run_cli(capsys, *argv)
-        caller, run_shard = os.getpid(), verify._run_shard
+        caller, run_shard = os.getpid(), sampling._run_shard
 
         def killed(args):  # shard 4 is child 1's second
             if args[4] == 4 and os.getpid() != caller:
@@ -657,7 +660,7 @@ class TestOtherCommands:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         if stop == "killed":
-            monkeypatch.setattr(verify, "_run_shard", killed)
+            monkeypatch.setattr(sampling, "_run_shard", killed)
         else:
             monkeypatch.setattr(os, "fork", refused)
         three = run_cli(capsys, *argv, "--workers", "3")
@@ -928,17 +931,17 @@ class TestGoldenOutput:
 
 
 PACKAGE_MODULES = {"core", "errors", "exhaustive", "extremal", "index", "instances",
-                   "oracles", "shifting", "solvers", "verify"}
+                   "oracles", "sampling", "shifting", "solvers", "verify"}
 
 
 def test_import_loads_neither_the_process_pool_nor_dataclasses():
     # no command loads more than the CLI and every module of the package do
     # once executed (the star import runs every module that defines an export,
-    # and reading an attribute runs exhaustive, which defines none); compared
-    # against a bare interpreter, so modules that a site hook loads do not count
+    # and verify, which imports from it, runs index, which defines none);
+    # compared against a bare interpreter, so modules that a site hook loads
+    # do not count
     show = "import sys; print(*sorted(sys.modules))"
     run_all = ("import sys, types, rainbowmatch.cli; from rainbowmatch import *; "
-               "rainbowmatch.exhaustive.MAX_EXHAUSTIVE_CELLS; "
                "assert all(type(m) is types.ModuleType for name, m in sys.modules.items() "
                "if name.startswith('rainbowmatch')); ")
 
@@ -1022,28 +1025,29 @@ COMMAND_MODULES = [
      {"instances", "shifting", "index"}),
     # a named instance is built, never read or written
     (["trace", "--name", "steal"], "0", {"extremal", "solvers", "shifting", "index"}),
-    # random checks close their samples with index's closure plan, decide on
-    # index masks and read their thresholds from core; a report without
-    # counterexamples writes no instance
+    # random checks draw through sampling, close their samples with index's
+    # closure plan, decide on index masks and read their thresholds from core;
+    # a report without counterexamples writes no instance
     (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--budget", "20"],
-     "0", {"verify", "index"}),
+     "0", {"verify", "sampling", "index"}),
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--k", "2", "--budget", "20"],
-     "0", {"verify", "index"}),
+     "0", {"verify", "sampling", "index"}),
     # off f_r2's closed form the general threshold is walked, taking matching
     # numbers
     (["verify", "--conjecture", "rainbow_general", "--n", "6", "--r", "3", "--k", "2",
-      "--budget", "20"], "0", {"verify", "index", "exhaustive", "oracles"}),
+      "--budget", "20"], "0", {"verify", "sampling", "index", "exhaustive", "oracles"}),
     # a degree-capped member is drawn raw, not closed
     (["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "3", "--k", "2",
-      "--budget", "20"], "0", {"verify", "index"}),
-    # exhaustive checks and thresholds walk shifted sets, and close nothing;
-    # only a threshold takes matching numbers
+      "--budget", "20"], "0", {"verify", "sampling", "index"}),
+    # exhaustive checks and thresholds walk shifted sets, draw nothing and
+    # close nothing; only a threshold takes matching numbers, and it builds no
+    # checker
     (["verify", "--conjecture", "size_condition", "--n", "2", "--k", "2", "--mode",
       "exhaustive"], "0", {"verify", "index", "exhaustive"}),
     (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2"], "0",
-     {"verify", "index", "exhaustive", "oracles"}),
+     {"index", "exhaustive", "oracles"}),
     (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--budget", "20"], "0",
-     {"verify", "index"}),
+     {"verify", "sampling", "index"}),
     (["verify", "--conjecture", "matrix", "--n", "3", "--k", "2", "--mode", "exhaustive"], "0",
      {"verify", "index", "exhaustive"}),
 ]
@@ -1060,8 +1064,48 @@ def test_a_listed_counterexample_executes_instances():
     # a report lists each failing family as an instance
     argv = ["verify", "--conjecture", "degree_condition", "--d", "1", "--n", "2", "--k", "2",
             "--budget", "20"]
-    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "index",
-                                             "instances"})
+    assert executed_modules(*argv) == ("0", {"cli", "core", "errors", "verify", "sampling",
+                                             "index", "instances"})
+
+
+TRACED_CLI = Path(__file__).parent.parent / "perfbench" / "traced_cli.py"
+
+
+def traced_spans(tmp_path, *argv):
+    """The spans, (name, parent index), and the counts of one request run
+    under perfbench's tracer, which wraps each traced function wherever the
+    package holds it, the names verify forwards included. A span file is a
+    JSON header line, then four int64 columns: name index, start, end and
+    parent index."""
+    out = tmp_path / "s.spans"
+    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(out), "0:req", *argv],
+                          capture_output=True, text=True, env=SRC_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, "rb") as fh:
+        header = json.loads(fh.readline())
+        columns = [array("q") for _ in range(4)]
+        for column in columns:
+            column.fromfile(fh, header["count"])
+    names, _, _, parents = columns
+    return [(header["names"][n], p) for n, p in zip(names, parents)], header["counts"]
+
+
+@pytest.mark.skipif(not TRACED_CLI.is_file(), reason="needs perfbench/traced_cli.py")
+@pytest.mark.parametrize("argv,span", [
+    (["verify", "--threshold", "g_partite", "--n", "3", "--k", "2"],
+     "verify.compute_threshold_exact"),
+    (["verify", "--conjecture", "size_condition", "--n", "3", "--k", "2", "--mode", "exhaustive"],
+     "verify.check_conjecture"),
+], ids=["threshold", "exhaustive"])
+def test_traced_walk_is_a_child_of_its_verify_span(tmp_path, argv, span):
+    # the tracer replaces the walk and the threshold by their names on
+    # verify, which forwards them to exhaustive: the walk that runs is the
+    # wrapped one, each of its steps a child of the request's verify span
+    spans, counts = traced_spans(tmp_path, *argv)
+    walks = [parent for name, parent in spans if name == "verify._ideal_dfs"]
+    assert [name for name, _ in spans].count(span) == 1
+    assert walks and all(spans[parent][0] == span for parent in walks)
+    assert counts["verify.ideals"] > 0
 
 
 # The process entry, cli.run(): main's status, both streams flushed, and
@@ -1166,10 +1210,10 @@ def test_entry_reaps_every_worker_after_a_theorem_violation(tmp_path):
     # would hold the output pipes open past the timeout
     pids = tmp_path / "pids"
     code = ("import os, sys, time\n"
-            "from rainbowmatch import cli, verify\n"
+            "from rainbowmatch import cli, sampling\n"
             "from rainbowmatch.errors import TheoremViolationError\n"
             "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
-            "caller, run_shard, fork = os.getpid(), verify._run_shard, os.fork\n"
+            "caller, run_shard, fork = os.getpid(), sampling._run_shard, os.fork\n"
             "pids = sys.argv[1]\n"
             "def forked():\n"
             "    pid = fork()\n"
@@ -1183,7 +1227,7 @@ def test_entry_reaps_every_worker_after_a_theorem_violation(tmp_path):
             "    if args[5] == 1:  # the warm-up trial, before the fork\n"
             "        return run_shard(args)\n"
             "    raise TheoremViolationError('planted')\n"
-            "os.fork, verify._run_shard = forked, shard\n"
+            "os.fork, sampling._run_shard = forked, shard\n"
             "sys.argv[1:] = ['verify', '--conjecture', 'size_condition', '--n', '3', '--k', '2',\n"
             "                '--budget', '1024', '--workers', '3']\n"
             "cli.run()\n")

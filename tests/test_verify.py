@@ -19,12 +19,13 @@ from rainbowmatch import (GENERAL, PARTITE, ConjectureId, DegreeMatrix, Family,
                           compute_threshold_exact, enumerate_shifted,
                           f_r2, g_formula, is_shifted, iter_shifted,
                           rainbow_exact, shifted_closure)
-from rainbowmatch import exhaustive
+from rainbowmatch import exhaustive, sampling
 from rainbowmatch.core import is_matching
 from rainbowmatch.index import CellIndex, _closer, bits, rainbow_positions
 from rainbowmatch.instances import instance_from_dict
 from rainbowmatch.solvers import check_hall_condition
-from rainbowmatch.verify import SHARD_TRIALS, _below, _make_checker, _mask_sampler
+from rainbowmatch.sampling import SHARD_TRIALS, _below, _mask_sampler
+from rainbowmatch.verify import _make_checker
 from conftest import brute_is_downward_closed, random_family, seeded
 
 B2 = GroundSet(PARTITE, 2, 2)
@@ -53,6 +54,19 @@ def brute_shifted_of_size(ground, size):
         if brute_is_downward_closed(h):
             found.append(h)
     return found
+
+
+def test_verify_forwards_exactly_the_names_its_drivers_took():
+    # the walk and the thresholds are exhaustive's, scan_large_n is
+    # sampling's; verify forwards them as the same objects and nothing else
+    from rainbowmatch import verify
+    for name in ("_ideal_dfs", "compute_threshold_exact", "enumerate_shifted", "iter_shifted"):
+        assert getattr(verify, name) is getattr(exhaustive, name)
+    assert verify.scan_large_n is sampling.scan_large_n
+    for name in ("_run_shard", "SHARD_TRIALS", "MAX_EXHAUSTIVE_CELLS", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"'rainbowmatch.verify' has no attribute "
+                                                 f"'{name}'"):
+            getattr(verify, name)
 
 
 class TestEnumerateShifted:
@@ -239,8 +253,7 @@ class TestCheckConjecture:
     def test_degree_condition_past_the_listing_limit_is_refused_before_any_draw(
             self, monkeypatch):
         # each draw copies and shuffles all n^2 cells: 725^2 * 2 passes 2^20
-        from rainbowmatch import verify
-        monkeypatch.setattr(verify, "_degree_capped_sampler",
+        monkeypatch.setattr(sampling, "_degree_capped_sampler",
                             lambda *a: pytest.fail("a member was drawn"))
         with pytest.raises(InputError, match="each draw would list 1051250 vertices, "
                                              r"cells times r \(limit 1048576\)"):
@@ -335,21 +348,20 @@ class TestCheckConjecture:
                                 workers=1).ok
 
     def test_pool_size_clamp(self, monkeypatch):
-        from rainbowmatch import verify
-        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                             raising=False)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-        assert verify._pool_size(1, 10) == 1
-        assert verify._pool_size(3, 10) == 3
-        assert verify._pool_size(64, 10) == 4   # no more than the CPUs it may run on
-        assert verify._pool_size(64, 2) == 2    # no more than the shards
-        monkeypatch.delattr(verify.os, "sched_getaffinity")
-        assert verify._pool_size(64, 10) == 10  # no affinity: the CPU count
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
-        assert verify._pool_size(8, 10) == 1    # CPU count unknown: serial
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: 64)
-        monkeypatch.delattr(verify.os, "fork", raising=False)
-        assert verify._pool_size(8, 10) == 1    # nothing to fork with: serial
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
+        assert sampling._pool_size(1, 10) == 1
+        assert sampling._pool_size(3, 10) == 3
+        assert sampling._pool_size(64, 10) == 4   # no more than the CPUs it may run on
+        assert sampling._pool_size(64, 2) == 2    # no more than the shards
+        monkeypatch.delattr(sampling.os, "sched_getaffinity")
+        assert sampling._pool_size(64, 10) == 10  # no affinity: the CPU count
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
+        assert sampling._pool_size(8, 10) == 1    # CPU count unknown: serial
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 64)
+        monkeypatch.delattr(sampling.os, "fork", raising=False)
+        assert sampling._pool_size(8, 10) == 1    # nothing to fork with: serial
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_huge_budget_fails_at_once(self, monkeypatch, workers):
@@ -361,9 +373,8 @@ class TestCheckConjecture:
         # caller runs the warm-up trial and shard 0, the child stops at shard
         # 1, and the caller runs shard 1 itself.
         import tracemalloc
-        from rainbowmatch import verify
         fork_workers(monkeypatch, workers)
-        run_shard, calls = verify._run_shard, []
+        run_shard, calls = sampling._run_shard, []
 
         def failing(args):
             calls.append(args[4])
@@ -371,12 +382,12 @@ class TestCheckConjecture:
                 raise RuntimeError("second shard")
             return run_shard(args)
 
-        monkeypatch.setattr(verify, "_run_shard", failing)
+        monkeypatch.setattr(sampling, "_run_shard", failing)
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="second shard"):
                 check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
-                                 mode="random", budget=verify.SHARD_TRIALS * 10 ** 5,
+                                 mode="random", budget=sampling.SHARD_TRIALS * 10 ** 5,
                                  workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -445,13 +456,12 @@ class TestForkedPool:
     monkeypatched _run_shard."""
 
     def test_shards_fold_in_order(self, monkeypatch):
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
-        monkeypatch.setattr(verify, "_run_shard",
+        monkeypatch.setattr(sampling, "_run_shard",
                             lambda args: (args[5], [{"shard": args[4], "pid": os.getpid()}]))
-        budget = verify.SHARD_TRIALS * 40 + 7
+        budget = sampling.SHARD_TRIALS * 40 + 7
         checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2})
-        checked, counters = verify._run_random(checker, budget, seed=0, workers=3)
+        checked, counters = sampling._run_random(checker, budget, seed=0, workers=3)
         assert checked == budget
         assert [c["shard"] for c in counters] == list(range(41))
         pids = [c["pid"] for c in counters]
@@ -463,7 +473,6 @@ class TestForkedPool:
 
     @pytest.mark.parametrize("error", [InputError, TheoremViolationError])
     def test_failing_shard_raises_as_at_one_worker(self, monkeypatch, error):
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
 
         def failing(args):
@@ -471,12 +480,12 @@ class TestForkedPool:
                 raise error(f"shard {args[4]} failed")
             return args[5], []
 
-        monkeypatch.setattr(verify, "_run_shard", failing)
+        monkeypatch.setattr(sampling, "_run_shard", failing)
         raised = []
         for workers in (1, 3):
             with pytest.raises(error) as info:
                 check_conjecture(ConjectureId.SIZE_CONDITION, {"n": 2, "r": 2, "k": 2},
-                                 mode="random", budget=verify.SHARD_TRIALS * 12,
+                                 mode="random", budget=sampling.SHARD_TRIALS * 12,
                                  workers=workers)
             raised.append((type(info.value), str(info.value)))
         assert raised == [(error, "shard 5 failed")] * 2
@@ -493,15 +502,14 @@ class TestForkedPool:
 
     @pytest.mark.parametrize("case", OUTSIDE, ids=["w-degree", "size", "shifted-floor"])
     def test_a_sampled_family_outside_the_hypothesis_is_a_fault(self, monkeypatch, case):
-        from rainbowmatch import verify
         conjecture, params, masks = case
         fork_workers(monkeypatch, 2)
         if conjecture == "degree_condition":
             members = itertools.cycle(masks)
-            monkeypatch.setattr(verify, "_degree_capped_sampler",
+            monkeypatch.setattr(sampling, "_degree_capped_sampler",
                                 lambda ground, d, min_size: lambda getrandbits: next(members))
         else:
-            monkeypatch.setattr(verify, "_shifted_sampler",
+            monkeypatch.setattr(sampling, "_shifted_sampler",
                                 lambda ground: lambda getrandbits, floors: masks)
         raised = []
         for workers in (1, 2):
@@ -538,7 +546,6 @@ class TestForkedPool:
 
     def test_failure_in_the_callers_own_shard_raises_at_its_shard(self, monkeypatch):
         # at three workers shard 3 is the caller's and shard 4 a child's
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 3)
 
         def failing(shard):
@@ -546,8 +553,8 @@ class TestForkedPool:
                 raise InputError(f"shard {shard} failed in {os.getpid()}")
             return 1, [shard]
 
-        monkeypatch.setattr(verify, "_run_shard", failing)
-        results = verify._pooled(3, iter(range(9)))
+        monkeypatch.setattr(sampling, "_run_shard", failing)
+        results = sampling._pooled(3, iter(range(9)))
         assert [next(results) for _ in range(3)] == [(1, [s]) for s in range(3)]
         with pytest.raises(InputError, match=f"^shard 3 failed in {os.getpid()}$"):
             next(results)
@@ -570,10 +577,9 @@ class TestForkedPool:
         assert_no_child()
 
     def test_early_close_leaves_no_child(self, monkeypatch):
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 2)
-        monkeypatch.setattr(verify, "_run_shard", lambda args: (1, [{"shard": args}]))
-        results = verify._pooled(2, iter(itertools.count()))  # workers that never end
+        monkeypatch.setattr(sampling, "_run_shard", lambda args: (1, [{"shard": args}]))
+        results = sampling._pooled(2, iter(itertools.count()))  # workers that never end
         assert [next(results) for _ in range(5)] == [(1, [{"shard": s}]) for s in range(5)]
         results.close()
         assert_no_child()
@@ -581,7 +587,6 @@ class TestForkedPool:
     def test_caller_takes_over_a_worker_that_dies(self, monkeypatch):
         # the child dies at shard 3; the caller, which never dies, runs it
         # and the child's later shards
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 2)
         caller = os.getpid()
 
@@ -590,8 +595,8 @@ class TestForkedPool:
                 os._exit(9)
             return 1, [{"shard": args, "pid": os.getpid()}]
 
-        monkeypatch.setattr(verify, "_run_shard", dying)
-        results = list(verify._pooled(2, iter(range(8))))
+        monkeypatch.setattr(sampling, "_run_shard", dying)
+        results = list(sampling._pooled(2, iter(range(8))))
         assert [found[0]["shard"] for _, found in results] == list(range(8))
         pids = [found[0]["pid"] for _, found in results]
         assert [s for s, pid in enumerate(pids) if pid != caller] == [1]
@@ -603,32 +608,30 @@ class TestForkedPool:
     def test_child_that_stops_mid_record_is_taken_over(self, monkeypatch, bad):
         # the child writes half of its second record, or one that marshal
         # cannot read, and exits
-        from rainbowmatch import verify
         fork_workers(monkeypatch, 2)
-        caller, dump, dumped = os.getpid(), verify.marshal.dump, []
+        caller, dump, dumped = os.getpid(), sampling.marshal.dump, []
 
         def partial(value, out):
             dumped.append(value)
             if os.getpid() != caller and len(dumped) == 2:
-                out.write(bad(verify.marshal.dumps(value)))
+                out.write(bad(sampling.marshal.dumps(value)))
                 out.flush()
                 os._exit(0)
             dump(value, out)
 
-        monkeypatch.setattr(verify, "_run_shard", lambda args: (args, [{"shard": args}]))
-        monkeypatch.setattr(verify.marshal, "dump", partial)
-        assert list(verify._pooled(2, iter(range(9)))) == list(verify._pooled(1, iter(range(9))))
+        monkeypatch.setattr(sampling, "_run_shard", lambda args: (args, [{"shard": args}]))
+        monkeypatch.setattr(sampling.marshal, "dump", partial)
+        assert list(sampling._pooled(2, iter(range(9)))) == list(sampling._pooled(1, iter(range(9))))
         assert dumped == []  # the caller sends nothing
         assert_no_child()
 
     def test_pool_of_one_is_the_serial_run(self, monkeypatch):
-        from rainbowmatch import verify
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pool of one forked"),
                             raising=False)
         checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})
         sample, kernel = checker.sampler(), checker.ground.index.below(checker.kernel_below)
         shards = [(checker, sample, kernel, 7, s, 50) for s in range(3)]
-        assert list(verify._pooled(1, iter(shards))) == list(map(verify._run_shard, shards))
+        assert list(sampling._pooled(1, iter(shards))) == list(map(sampling._run_shard, shards))
 
     def test_failed_fork_leaves_its_worker_to_the_caller(self, monkeypatch):
         # the second fork fails as under a process limit: worker 2's shards
@@ -698,9 +701,8 @@ class TestMatrixConjecture:
     def test_k_past_10_is_refused_before_any_draw_or_walk(self, monkeypatch, n, mode):
         # one message whatever n and the mode, where the permutation search
         # would refuse it after the draws
-        from rainbowmatch import verify
-        monkeypatch.setattr(verify, "_below", lambda *args: pytest.fail("drawn"))
-        monkeypatch.setattr(verify, "_ideal_dfs", lambda *args: pytest.fail("walked"))
+        monkeypatch.setattr(sampling, "_below", lambda *args: pytest.fail("drawn"))
+        monkeypatch.setattr(exhaustive, "_ideal_dfs", lambda *args: pytest.fail("walked"))
         with pytest.raises(InputError, match=r"^permutation search is limited to k <= 10, "
                                              r"got k=11$"):
             check_conjecture("matrix", {"n": n, "k": 11}, mode=mode, budget=1)
@@ -1000,9 +1002,8 @@ class TestDrawsAgainstTheStandardLibrary:
     def test_pinned_draws_on_both_sides_of_setsize(self, monkeypatch, u, size):
         # the set branch lists its positions once, through _mask; the pool
         # branch sets bits as it draws
-        from rainbowmatch import verify
-        listed, mask = [], verify._mask
-        monkeypatch.setattr(verify, "_mask", lambda positions, n: listed.append(n)
+        listed, mask = [], sampling._mask
+        monkeypatch.setattr(sampling, "_mask", lambda positions, n: listed.append(n)
                             or mask(positions, n))
         draw = _mask_sampler(GroundSet(PARTITE, 1, u))
         for seed in (1, 5, 977):
@@ -1378,10 +1379,10 @@ class TestKernelVerdicts:
             getrandbits = random.Random(f"1:{s}").getrandbits
             distinct.update((s, traces(sample(getrandbits))) for _ in range(SHARD_TRIALS))
         shard, calls = [None], []
-        search, run_shard = verify.rainbow_positions, verify._run_shard
+        search, run_shard = verify.rainbow_positions, sampling._run_shard
         monkeypatch.setattr(verify, "rainbow_positions", lambda ground, masks: calls.append(
             (shard[0], tuple(masks))) or search(ground, masks))
-        monkeypatch.setattr(verify, "_run_shard",
+        monkeypatch.setattr(sampling, "_run_shard",
                             lambda args: shard.__setitem__(0, args[4]) or run_shard(args))
         report = check_conjecture(ConjectureId.SIZE_CONDITION, params, budget=2 * SHARD_TRIALS,
                                   seed=1)
@@ -1423,7 +1424,7 @@ class TestKernelVerdicts:
                                   conclusion, base.sampler, base.kernel_below, base.floors,
                                   base.sums)
         if mode == "random":
-            verify._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
+            sampling._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
         else:
             exhaustive._run_exhaustive(checker)
         assert decided and all(m & ~kernel == 0 for masks in decided for m in masks)
@@ -1467,7 +1468,7 @@ class TestKernelVerdicts:
             base.sampler, base.kernel_below)
         for shard in range(2):
             calls.clear()
-            count, listed = verify._run_shard(
+            count, listed = sampling._run_shard(
                 (checker, checker.sampler(), kernel, 1, shard, SHARD_TRIALS))
             sample, getrandbits = base.sampler(), random.Random(f"1:{shard}").getrandbits
             drawn = [sample(getrandbits) for _ in range(SHARD_TRIALS)]
