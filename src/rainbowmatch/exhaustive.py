@@ -10,6 +10,7 @@ forwards the walk and the thresholds by name. A threshold runs here without
 verify, and random checks never execute this module."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -137,17 +138,16 @@ def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
     MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside the
     hypothesis is a fault and raises TheoremViolationError.
 
-    The hypothesis reads each minimal family's members, the conclusion
-    their traces on the checker's kernel, in the same product order, and
-    a failure and a fault are listed with the full members.
+    The hypothesis reads each minimal family's members in product order,
+    and a failure and a fault are listed with the full members. The
+    conclusion decides the family's key (_Checker) through a cache of its
+    verdicts that lives for the run, so each key is decided once.
     """
     ground = checker.ground
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
     by_size: list[list[int]] = [[] for _ in range(ground.cell_count + 1)]
     for mask in _ideal_dfs(ground):
         by_size[mask.bit_count()].append(mask)
-    kernel = ground.index.below(checker.kernel_below)
-    traced = [[mask & kernel for mask in masks] for masks in by_size]
     levels = [Counter(sizes) for sizes in
               _minimal_sizes(checker.floors, checker.sums, ground.cell_count)]
     count = sum(math.prod(math.comb(len(by_size[size]) + m - 1, m)
@@ -156,18 +156,16 @@ def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
         raise InputError(
             f"exhaustive enumeration refused: about {count} minimal "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
+    key, decide = checker.key(), functools.cache(checker.conclusion)
     counters: list[dict] = []
     for level in levels:
-        # the members and their traces, taken once per shifted set, walked
-        # in one product order
-        for parts, traces in zip(*(itertools.product(*(
-                itertools.combinations_with_replacement(listed[size], m)
-                for size, m in level.items())) for listed in (by_size, traced))):
+        for parts in itertools.product(*(itertools.combinations_with_replacement(by_size[size], m)
+                                         for size, m in level.items())):
             masks = sum(parts, ())
             if not checker.hypothesis(masks):
                 raise TheoremViolationError("minimal family outside the hypothesis",
                                             instance=verify._family(ground, masks))
-            if not checker.conclusion(sum(traces, ())):
+            if not decide(key(masks)):
                 counters.append(
                     instances.Instance.from_family(verify._family(ground, masks)).to_dict())
     return _count_families(checker.floors, checker.sums, map(len, by_size)), counters

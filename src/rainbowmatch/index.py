@@ -86,8 +86,8 @@ class CellIndex:
       conflict mask, the cells that share a vertex with it (at most 1,024
       masks of 1,024 bits, 128 KiB of bits).
 
-    The queries keep nothing more: below(m), the kernel mask of verify's
-    random mode, is read off _stride (partite) or _sets (general) when asked
+    The queries keep nothing more: below(m), the kernel mask of the
+    rainbow checkers' verdict key, is read off _stride (partite) or _sets (general) when asked
     for, and degrees' shifts are held by the reader it returns.
     """
 

@@ -200,18 +200,17 @@ def _degree_capped_sampler(ground: GroundSet, d: int,
 # Shards and the fork pool
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
-    """One shard, args (checker, sample, kernel, seed, shard, count): count
+    """One shard, args (checker, sample, key, seed, shard, count): count
     trials from a generator seeded by the run's seed and the shard's
     number. Each family is drawn by sample, the checker's built sampler,
     and checked against the hypothesis, and each one failing the
     conclusion is listed in full.
 
-    The conclusion decides the sorted tuple of the members' traces on the
-    kernel mask (_Checker), through a cache of its verdicts on that tuple,
-    so each multiset of traces is decided once per shard. The cache lives
-    in this call, so it holds at most count verdicts, each keyed by masks
-    no larger than the family's."""
-    checker, sample, kernel, seed, shard, count = args
+    The conclusion decides the family's key, built by the checker's key
+    builder (_Checker), through a cache of its verdicts, so each key is
+    decided once per shard. The cache lives in this call, so it holds at
+    most count verdicts."""
+    checker, sample, key, seed, shard, count = args
     getrandbits = random.Random(f"{seed}:{shard}").getrandbits
     ground = checker.ground
     decide = functools.cache(checker.conclusion)
@@ -222,7 +221,7 @@ def _run_shard(args: tuple) -> tuple[int, list[dict]]:
             raise TheoremViolationError(
                 "sampler produced a family outside the hypothesis",
                 instance=verify._family(ground, masks))
-        if not decide(tuple(sorted(map(kernel.__and__, masks)))):
+        if not decide(key(masks)):
             counters.append(
                 instances.Instance.from_family(verify._family(ground, masks)).to_dict())
     return count, counters
@@ -316,7 +315,7 @@ def _run_random(checker: verify._Checker, budget: int, seed: int,
     folded in shard order by one loop at every pool size (_pooled), so the
     report does not depend on workers.
 
-    The run's sampler and kernel mask are built first, once: with them the
+    The run's sampler and key are built first, once: with them the
     ground's index and closure plan, and a sampler that refuses its
     parameters refuses here. Before a pool of more than one forks, the
     run's first trial also runs once and its result is dropped: it executes
@@ -324,13 +323,13 @@ def _run_random(checker: verify._Checker, budget: int, seed: int,
     that fails fails there, with the error one worker raises. The children
     inherit all of it rather than each building its own."""
     sample = checker.sampler()
-    kernel = checker.ground.index.below(checker.kernel_below)
+    key = checker.key()
     count = -(-budget // SHARD_TRIALS)
-    shards = ((checker, sample, kernel, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
+    shards = ((checker, sample, key, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
     size = _pool_size(workers, count)
     if size > 1:
-        _run_shard((checker, sample, kernel, seed, 0, 1))
+        _run_shard((checker, sample, key, seed, 0, 1))
     checked = 0
     counters: list[dict] = []
     for trials, found in _pooled(size, shards):

@@ -435,8 +435,12 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     A, picks for the first k-1 members edges meeting A in exactly one fresh
     point x_i, finds a last-member edge avoiding all x_i, then pulls each
     earlier edge coordinatewise down into unused block vertices (membership is
-    implied by shiftedness and verified). Succeeds for all large enough n; for
-    small n any impossible selection step returns None.
+    implied by shiftedness and verified). Any impossible selection step
+    returns None, and that is not confined to small n: three copies of the
+    edges meeting m_1, w_1 or w_2 have 3n - 2 > 2n edges each and a rainbow
+    matching, but at every n the pull-down of the second block edge finds
+    its side's block vertices used, so no large n is known past which the
+    procedure succeeds.
     """
     _require_kind(family, PARTITE)
     g = family.ground

@@ -94,39 +94,51 @@ def _exact_f(n: int, r: int, k: int) -> int:
 
 class _Checker(_Record):
     """A conjecture at fixed parameters: its hypothesis on a family given as
-    its members' masks over ground.index, its conclusion on their traces on
-    the kernel, a builder of its sampler of hypothesis families, and what
-    the exhaustive walk (floors, sums) may reduce to.
+    its members' masks over ground.index, its conclusion on the family's
+    key, a builder of that key, a builder of its sampler of hypothesis
+    families, and what the exhaustive walk (floors, sums) may reduce to.
 
-    The kernel is the cells whose vertices all lie below kernel_below
-    (CellIndex.below), and the conclusion decides the members' traces on it
-    (mask & kernel): in product order in exhaustive mode
-    (exhaustive._run_exhaustive), sorted in random mode, which decides each
-    multiset once per shard (sampling._run_shard). So the verdict must not
-    depend on member order, and a conclusion that the traces on a smaller
-    kernel do not decide takes kernel_below = n, every cell: matrix,
-    degree_condition and any other conclusion that reads whole members. A
-    rainbow checker's kernel is the k-kernel, k partite and kr general, where
-    its members are shifted and the kernel lemma makes the verdict on the
-    traces that of the members (_rainbow_checker).
+    key builds, when a run starts, the map from a family's masks to the
+    order-free key its conclusion decides, and both drivers decide a family
+    as functools.cache(conclusion)(key(masks)): once per shard for each key
+    in random mode (sampling._run_shard), once per run in exhaustive mode
+    (exhaustive._run_exhaustive). So the verdict on a key must be the
+    verdict on every family with that key. A rainbow checker's key is the
+    sorted traces of its members on the k-kernel, k partite and kr general,
+    where its members are shifted and the kernel lemma makes the verdict on
+    the traces that of the members (_rainbow_checker); degree_condition's is
+    the sorted whole masks, and matrix's the sorted rows of its members'
+    degrees at w_1..w_k.
 
-    Random mode builds the sampler and the kernel mask when it starts
-    (sampling._run_random), so making a checker, which exhaustive mode also
-    does and may then refuse its ground, builds no cell index."""
+    A run builds the key and the sampler when it starts, so making a
+    checker, which exhaustive mode also does and may then refuse its
+    ground, builds no cell index."""
 
     ground: GroundSet
     k: int
     hypothesis: Callable[[tuple[int, ...]], bool]
-    conclusion: Callable[[tuple[int, ...]], bool]
+    conclusion: Callable[[tuple], bool]
     # builds the sampler, which is called with a generator's getrandbits
     sampler: Callable[[], Callable[[Callable[[int], int]], tuple[int, ...]]]
-    kernel_below: int
+    # builds the key, which is called with a family's masks
+    key: Callable[[], Callable[[tuple[int, ...]], tuple]]
     # the hypothesis as floors on the ascending member sizes, when the
     # conclusion also holds for every family of supersets: size j (from 0)
     # is at least floors[j], and sizes 0..j sum to at least sums[j].
     # Empty floors refuse exhaustive mode: no shifted reduction is known.
     floors: tuple[int, ...] = ()
     sums: tuple[int, ...] = ()
+
+
+def _traces(ground: GroundSet, below: int) -> Callable[[], Callable[[tuple[int, ...]], tuple]]:
+    """The key builder of the sorted traces on the cells whose vertices all
+    lie below the given bound (CellIndex.below): the sorted whole masks
+    once below >= n."""
+    def key() -> Callable[[tuple[int, ...]], tuple]:
+        kernel = ground.index.below(below)
+        return lambda masks: tuple(sorted(map(kernel.__and__, masks)))
+
+    return key
 
 
 def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
@@ -152,9 +164,10 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     large to index (every mode needs it) and a top floor past the cell count
     are refused before any floor is listed, as k may be huge. A rainbow
     matching of a family is one of every family of supersets, so the
-    checker is monotone. Its conclusion is the rainbow search on the
-    members' traces on the k-kernel: the cells of [k]^r on a partite
-    ground, the r-sets of the first kr vertices on a general one. Both
+    checker is monotone. Its key is the sorted traces of the members on the
+    k-kernel, the cells of [k]^r on a partite ground, the r-sets of the
+    first kr vertices on a general one; its conclusion is the rainbow
+    search on them, which member order does not change. Both
     drivers give it shifted members, closed by the sampler or walked as
     ideals, and for those it is the members' own verdict.
 
@@ -177,7 +190,7 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
         ground, k,
         hypothesis=lambda masks: _dominates(map(int.bit_count, masks), floors),
         conclusion=_rainbow_concl(ground), sampler=sampler,
-        kernel_below=k if ground.kind == PARTITE else k * ground.r,
+        key=_traces(ground, k if ground.kind == PARTITE else k * ground.r),
         floors=tuple(floors), sums=(0,) * k)
 
 
@@ -231,7 +244,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
             draw = sampling._degree_capped_sampler(ground, d, min_size)
             return lambda getrandbits: tuple([draw(getrandbits) for _ in range(k)])
 
-        return _Checker(ground, k, hyp, _rainbow_concl(ground), sampler, kernel_below=n)
+        return _Checker(ground, k, hyp, _rainbow_concl(ground), sampler, _traces(ground, n))
 
     if conjecture is ConjectureId.MATRIX:
         ground = GroundSet(PARTITE, 2, n)
@@ -244,10 +257,12 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
         def hyp(masks: tuple[int, ...]) -> bool:
             return not _hall_violation(map(int.bit_count, masks), n)
 
-        def concl(masks: tuple[int, ...]) -> bool:
-            # row i: member i's degrees at w_1..w_k, read from its mask
-            w_degrees = ground.index.degrees(1)
-            rows = [list(itertools.islice(w_degrees(m), k)) for m in masks]
+        def key() -> Callable[[tuple[int, ...]], tuple]:
+            # row(m): a member's degree row, at w_1..w_n, read from its mask
+            row = ground.index.degrees(1)
+            return lambda masks: tuple(sorted([tuple(itertools.islice(row(m), k)) for m in masks]))
+
+        def concl(rows: tuple[tuple[int, ...], ...]) -> bool:
             return _first_permutation(rows, _strong_form) is not None
 
         def sampler() -> Callable[[Callable[[int], int]], tuple[int, ...]]:
@@ -264,7 +279,7 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
 
         # Hall's condition on the ascending prefixes: the j smallest sizes
         # sum to more than n*j*(j-1)
-        return _Checker(ground, k, hyp, concl, sampler, kernel_below=n, floors=(0,) * k,
+        return _Checker(ground, k, hyp, concl, sampler, key, floors=(0,) * k,
                         sums=tuple(n * j * (j - 1) + 1 for j in range(1, k + 1)))
 
     raise InputError(f"unknown conjecture: {conjecture!r}")

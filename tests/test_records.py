@@ -41,7 +41,7 @@ RECORDS = {
                   "weak_permutation": ((0, 1), None)},
     # builtins stand in for the callables: they pickle by name
     _Checker: {"ground": (B3, B4), "k": (2, 3), "hypothesis": (bool, callable),
-               "conclusion": (callable, bool), "sampler": (repr, ascii), "kernel_below": (2, 3),
+               "conclusion": (callable, bool), "sampler": (repr, ascii), "key": (iter, list),
                "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7))},
 }
 UNCOMPARED = {(VerifyReport, "elapsed")}
@@ -130,9 +130,9 @@ def test_defaults():
     assert STEP.length == 1 and HALT.length is HALT.tail_side is HALT.short is None
     report = VerifyReport("simple", {}, "random", 0, ())
     assert report.elapsed == 0.0 and report.seed is None
-    checker = _Checker(B3, 2, bool, bool, repr, 3)
+    checker = _Checker(B3, 2, bool, bool, repr, iter)
     assert checker.floors == () and checker.sums == ()
-    with pytest.raises(TypeError):  # every checker names its kernel
+    with pytest.raises(TypeError):  # every checker names its key
         _Checker(B3, 2, bool, bool, repr)
     with pytest.raises(TypeError):
         HallCheck()

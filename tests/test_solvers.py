@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (GENERAL, PARTITE, DegreeMatrix, Family, GroundSet,
                           Hypergraph, InputError, PreconditionError,
-                          check_hall_condition, f_r2, greedy_bipartite,
+                          check_hall_condition, f_r2, g_formula, greedy_bipartite,
                           hall_size_algorithm, large_n_procedure, meshulam_r2,
                           pullback_rainbow, r3_solve, rainbow_exact,
                           shifted_closure, simple_algorithm, star_family,
@@ -263,6 +263,22 @@ class TestLargeNProcedure:
         fam = Family([Hypergraph(B3, [])])
         with pytest.raises(PreconditionError):
             large_n_procedure(fam)
+
+    @pytest.mark.parametrize("n", [3, 12, 50])
+    def test_fails_above_the_threshold_at_every_n(self, n):
+        # three copies of the edges meeting m_1, w_1 or w_2: 3n - 2 > 2n
+        # edges each, and a rainbow matching, at every n >= 3; the procedure
+        # finds none, so it is not guaranteed for large n
+        ground = GroundSet(PARTITE, 2, n)
+        member = Hypergraph(ground, [(x, y) for x, y in ground.cells() if x == 0 or y < 2])
+        fam = Family([member] * 3)
+        assert len(member) == 3 * n - 2 > g_formula(n, 2, 3) == 2 * n
+        assert large_n_procedure(fam) is None
+        shifted, log = shifted_closure(fam)
+        trace = hall_size_algorithm(shifted)
+        for m in (rainbow_exact(fam),
+                  pullback_rainbow(log, fam, trace.matching, shifted=shifted)):
+            assert m is not None and m.is_valid_for(fam)
 
     def test_scan_records_empirical_boundary(self):
         # no theoretical cutoff exists to compare against; freeze what the

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -629,8 +630,7 @@ class TestForkedPool:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pool of one forked"),
                             raising=False)
         checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})
-        sample, kernel = checker.sampler(), checker.ground.index.below(checker.kernel_below)
-        shards = [(checker, sample, kernel, 7, s, 50) for s in range(3)]
+        shards = [(checker, checker.sampler(), checker.key(), 7, s, 50) for s in range(3)]
         assert list(sampling._pooled(1, iter(shards))) == list(map(sampling._run_shard, shards))
 
     def test_failed_fork_leaves_its_worker_to_the_caller(self, monkeypatch):
@@ -743,16 +743,18 @@ def _case_id(case):
 
 def family_view(checker):
     """The checker with its hypothesis and conclusion read from a Family, as
-    reference_ordered calls them; the checker itself reads member masks."""
+    reference_ordered calls them; the checker itself reads member masks,
+    and its conclusion their key."""
     from rainbowmatch import verify
+    key = checker.key()
 
     def masks(family):
         return tuple(h.mask for h in family)
 
     return verify._Checker(checker.ground, checker.k,
                            lambda family: checker.hypothesis(masks(family)),
-                           lambda family: checker.conclusion(masks(family)),
-                           checker.sampler, checker.kernel_below, floors=checker.floors,
+                           lambda family: checker.conclusion(key(masks(family))),
+                           checker.sampler, checker.key, floors=checker.floors,
                            sums=checker.sums)
 
 
@@ -790,7 +792,7 @@ class TestMinimalFamilies:
     def test_planted_downward_closed_failure(self, conjecture, params, inside):
         # a family fails iff every member lies inside one shifted set, so a
         # family of subsets fails whenever a family of supersets does; the
-        # conclusion reads whole members, so its kernel is every cell
+        # conclusion reads whole members, so its key is their sorted masks
         from rainbowmatch import verify
         base = verify._make_checker(ConjectureId(conjecture), params)
         fixed = Hypergraph(base.ground, inside)
@@ -798,8 +800,8 @@ class TestMinimalFamilies:
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
-            sampler=base.sampler, kernel_below=base.ground.n, floors=base.floors,
-            sums=base.sums)
+            sampler=base.sampler, key=verify._traces(base.ground, base.ground.n),
+            floors=base.floors, sums=base.sums)
         checked, counters = exhaustive._run_exhaustive(checker)
         ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
         assert checked == ordered_checked
@@ -834,7 +836,7 @@ class TestMinimalFamilies:
         from rainbowmatch import TheoremViolationError, verify
         base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
         checker = verify._Checker(base.ground, base.k, lambda masks: False,
-                                  base.conclusion, base.sampler, base.kernel_below,
+                                  base.conclusion, base.sampler, base.key,
                                   floors=base.floors,
                                   sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
@@ -1064,7 +1066,12 @@ class TestMatrixExhaustive:
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32), st.data())
     def test_the_conclusion_survives_a_shifted_superset(self, n, k, seed, data):
         k = min(k, n)
-        conclusion = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k}).conclusion
+        checker = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k})
+        key = checker.key()
+
+        def conclusion(masks):
+            return checker.conclusion(key(masks))
+
         ground = GroundSet(PARTITE, 2, n)
         cells = list(ground.cells())
         rng = random.Random(seed)
@@ -1203,6 +1210,19 @@ def kernel_cells(ground, k):
     return cells_below(ground, k if ground.kind == PARTITE else k * ground.r)
 
 
+def listed_key(conjecture, ground, k):
+    """A checker's key with its cells listed one by one: the sorted traces
+    on the k-kernel for a rainbow checker, the sorted whole masks for
+    degree_condition, and for matrix the sorted rows of the members'
+    degrees at w_1..w_k."""
+    if conjecture == "matrix":
+        return lambda masks: tuple(sorted(Hypergraph._from_mask(ground, m).degrees(1)[:k]
+                                          for m in masks))
+    kernel = (1 << ground.cell_count) - 1 if conjecture == "degree_condition" else (
+        kernel_cells(ground, k))
+    return lambda masks: tuple(sorted(m & kernel for m in masks))
+
+
 @st.composite
 def shifted_families(draw):
     """k <= 4 shifted members on a partite ground of r = 1..3 or a general
@@ -1322,11 +1342,53 @@ class TestMaskConclusion:
         assert decide((row, full))
 
 
+@st.composite
+def keyed_families(draw, conjectures=("size_condition", "simple", "degree_condition",
+                                      "matrix", "rainbow_general")):
+    """A checker of one of the conjectures, its k members drawn as any
+    masks over its ground, and an order of them: the partite r=2 checkers
+    at n <= 5 and k <= min(n, 3), and rainbow_general on the general
+    ground r=2 n=6 at k <= 3."""
+    conjecture = draw(st.sampled_from(conjectures))
+    if conjecture == "rainbow_general":
+        params = {"n": 6, "r": 2, "k": draw(st.integers(1, 3))}
+    else:
+        n = draw(st.integers(1, 5))
+        params = {"n": n, "k": draw(st.integers(1, min(n, 3)))}
+        if conjecture == "degree_condition":
+            params["d"] = draw(st.integers(1, n))
+    checker = _make_checker(ConjectureId(conjecture), params)
+    k, u = checker.k, checker.ground.cell_count
+    masks = tuple(draw(st.lists(st.integers(0, (1 << u) - 1), min_size=k, max_size=k)))
+    return checker, masks, draw(st.permutations(range(k)))
+
+
+class TestExactKeys:
+    """A key stands for every family that has it: it does not depend on
+    member order, and matrix's verdict on its sorted rows is the
+    permutation search on the rows in member order."""
+
+    @given(keyed_families())
+    def test_a_key_is_unchanged_when_the_members_are_permuted(self, case):
+        checker, masks, order = case
+        key = checker.key()
+        assert key(tuple(masks[i] for i in order)) == key(masks)
+
+    @given(keyed_families(["matrix"]))
+    def test_matrix_decides_its_sorted_rows_as_its_rows_in_member_order(self, case):
+        from rainbowmatch import verify
+        checker, masks, _ = case
+        rows = [Hypergraph._from_mask(checker.ground, m).degrees(1)[:checker.k] for m in masks]
+        assert checker.conclusion(checker.key()(masks)) == (
+            verify._first_permutation(rows, verify._strong_form) is not None)
+
+
 class TestKernelVerdicts:
-    """Every conclusion decides the members' traces on its checker's kernel,
-    and random mode decides each multiset of them once per shard
-    (_run_shard); the kernel lemma (_rainbow_checker) makes that exact, and
-    CellIndex.below gives the kernel's mask."""
+    """Every conclusion decides its checker's key, in both drivers: random
+    mode each key once per shard (_run_shard), exhaustive mode once per run
+    (_run_exhaustive). A rainbow checker's key is the members' sorted
+    traces on the kernel, which the kernel lemma (_rainbow_checker) makes
+    exact, and CellIndex.below gives the kernel's mask."""
 
     @pytest.mark.parametrize("kind,r,n_values", [(PARTITE, 1, range(1, 7)),
                                                  (PARTITE, 2, range(1, 7)),
@@ -1350,18 +1412,25 @@ class TestKernelVerdicts:
         traces = Family([Hypergraph._from_mask(ground, h.mask & kernel) for h in family])
         assert (rainbow_exact(family) is None) == (rainbow_exact(traces) is None)
 
-    def test_only_the_rainbow_checkers_take_the_kernel(self):
-        for conjecture, params, ground, k in [
-                ("size_condition", {"n": 4, "r": 3, "k": 2}, GroundSet(PARTITE, 3, 4), 2),
-                ("simple", {"n": 5, "k": 3}, GroundSet(PARTITE, 2, 5), 3),
-                ("rainbow_general", {"n": 8, "k": 3}, GroundSet(GENERAL, 2, 8), 3),
-                ("rainbow_general", {"n": 7, "r": 3, "k": 2}, GroundSet(GENERAL, 3, 7), 2)]:
-            checker = _make_checker(ConjectureId(conjecture), params)
-            assert checker.ground.index.below(checker.kernel_below) == kernel_cells(ground, k)
-        # raw members and the degree-matrix conclusion read every cell
-        for checker in (_make_checker(ConjectureId.DEGREE_CONDITION, {"n": 3, "k": 2, "d": 1}),
-                        _make_checker(ConjectureId.MATRIX, {"n": 3, "k": 2})):
-            assert checker.ground.index.below(checker.kernel_below) == (1 << 9) - 1
+    @pytest.mark.parametrize("case", [
+        ("size_condition", {"n": 4, "r": 3, "k": 2}),
+        ("simple", {"n": 5, "k": 3}),
+        ("rainbow_general", {"n": 8, "k": 3}),
+        ("rainbow_general", {"n": 7, "r": 3, "k": 2}),
+        ("degree_condition", {"n": 3, "k": 2, "d": 1}),
+        ("matrix", {"n": 3, "k": 2}),
+        ("matrix", {"n": 5, "k": 3})], ids=_case_id)
+    def test_each_key_is_its_listed_key(self, case):
+        # only the rainbow checkers take the kernel: raw members key on
+        # every cell, and the degree-matrix conclusion on rows
+        conjecture, params = case
+        checker = _make_checker(ConjectureId(conjecture), params)
+        key, sample = checker.key(), checker.sampler()
+        expected = listed_key(conjecture, checker.ground, checker.k)
+        getrandbits = random.Random(1).getrandbits
+        for _ in range(50):
+            masks = sample(getrandbits)
+            assert key(masks) == expected(masks)
 
     def test_each_trace_multiset_is_decided_once_per_shard(self, monkeypatch):
         from rainbowmatch import verify
@@ -1403,33 +1472,34 @@ class TestKernelVerdicts:
         ("simple", {"n": 4, "k": 3}, "exhaustive"),
         ("matrix", {"n": 4, "k": 2}, "exhaustive")], ids=lambda c: f"{_case_id(c[:2])}-{c[2]}")
     def test_the_conclusion_decides_only_kernel_traces(self, case):
-        # both drivers hand the conclusion the members' traces on the kernel
-        # (cells listed one by one here), never a cell outside it: random
-        # mode the sorted traces of a drawn family, exhaustive mode the
-        # traces of the family the hypothesis has just read, in its order
+        # both drivers hand the conclusion the key of the family the
+        # hypothesis has just read (cells listed one by one here): the
+        # sorted traces on the kernel, never a cell outside it, or for
+        # matrix the sorted rows; exhaustive mode decides each key once
         from rainbowmatch import verify
         conjecture, params, mode = case
         base = _make_checker(ConjectureId(conjecture), params)
-        kernel = cells_below(base.ground, base.kernel_below)
+        expected = listed_key(conjecture, base.ground, base.k)
         families, decided = [], []
 
-        def conclusion(masks):
-            traces = tuple(m & kernel for m in families[-1])
-            assert masks == (traces if mode == "exhaustive" else tuple(sorted(traces)))
-            decided.append(masks)
-            return base.conclusion(masks)
+        def conclusion(key):
+            assert key == expected(families[-1])
+            decided.append(key)
+            return base.conclusion(key)
 
         checker = verify._Checker(base.ground, base.k,
                                   lambda masks: families.append(masks) or base.hypothesis(masks),
-                                  conclusion, base.sampler, base.kernel_below, base.floors,
-                                  base.sums)
+                                  conclusion, base.sampler, base.key, base.floors, base.sums)
         if mode == "random":
             sampling._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
         else:
             exhaustive._run_exhaustive(checker)
-        assert decided and all(m & ~kernel == 0 for masks in decided for m in masks)
+            assert len(set(decided)) == len(decided)
+        assert decided
         # the rainbow checkers' members reach past their kernels
         if conjecture not in ("degree_condition", "matrix"):
+            kernel = kernel_cells(base.ground, base.k)
+            assert all(m & ~kernel == 0 for masks in decided for m in masks)
             assert any(m & ~kernel for masks in families for m in masks)
 
     def test_a_passing_run_builds_no_family(self, monkeypatch):
@@ -1453,45 +1523,57 @@ class TestKernelVerdicts:
         ("degree_condition", {"n": 3, "k": 3, "d": 1}),
         ("matrix", {"n": 4, "k": 2})], ids=_case_id)
     def test_raw_and_matrix_checkers_decide_each_family_once_per_shard(self, case):
-        # one verdict path: degree_condition and matrix key on whole members
-        # (a kernel of every cell), and their reused verdicts are those of
-        # every family
+        # one verdict path: degree_condition keys on whole members and
+        # matrix on rows, each key is decided once per shard, and the
+        # reused verdicts are those of every family
         from rainbowmatch import verify
         conjecture, params = case
         base = _make_checker(ConjectureId(conjecture), params)
-        kernel = base.ground.index.below(base.kernel_below)
-        assert kernel == (1 << base.ground.cell_count) - 1
-        calls = []
+        key, calls = base.key(), []
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
-            lambda masks: calls.append(tuple(sorted(masks))) or base.conclusion(masks),
-            base.sampler, base.kernel_below)
+            lambda key: calls.append(key) or base.conclusion(key), base.sampler, base.key)
         for shard in range(2):
             calls.clear()
             count, listed = sampling._run_shard(
-                (checker, checker.sampler(), kernel, 1, shard, SHARD_TRIALS))
+                (checker, checker.sampler(), key, 1, shard, SHARD_TRIALS))
             sample, getrandbits = base.sampler(), random.Random(f"1:{shard}").getrandbits
             drawn = [sample(getrandbits) for _ in range(SHARD_TRIALS)]
             assert count == SHARD_TRIALS
-            assert sorted(calls) == sorted({tuple(sorted(masks)) for masks in drawn})
+            assert sorted(calls) == sorted({key(masks) for masks in drawn})
+            if conjecture == "degree_condition":
+                assert all(key(masks) == tuple(sorted(masks)) for masks in drawn)
             assert ([tuple(h.mask for h in instance_from_dict(c).to_family()) for c in listed]
-                    == [masks for masks in drawn if not base.conclusion(masks)])
+                    == [masks for masks in drawn if not base.conclusion(key(masks))])
 
     @pytest.mark.parametrize("case", [
-        ("size_condition", {"n": 3, "r": 3, "k": 2}, 2080),
-        ("size_condition", {"n": 4, "r": 2, "k": 3}, 84),
-        ("simple", {"n": 4, "k": 3}, 200),
-        ("rainbow_general", {"n": 6, "r": 2, "k": 3}, 4)], ids=lambda c: _case_id(c[:2]))
+        ("size_condition", {"n": 3, "r": 3, "k": 2}, 2080, 36),
+        ("size_condition", {"n": 4, "r": 2, "k": 3}, 84, 20),
+        ("simple", {"n": 4, "k": 3}, 200, 60),
+        ("rainbow_general", {"n": 6, "r": 2, "k": 3}, 4, 4),
+        ("size_condition", {"n": 6, "r": 2, "k": 3}, 13_244, 20)],
+        ids=lambda c: _case_id(c[:2]))
     def test_exhaustive_mode_decides_every_minimal_family(self, monkeypatch, case):
-        # the exhaustive walk decides each minimal multiset's kernel traces,
-        # with no cache: one oracle call per minimal multiset
+        # the oracle calls are the distinct sorted kernel traces of the
+        # minimal multisets, each once: the multisets of shifted members
+        # at the floor sizes, a rainbow checker's one minimal size tuple
         from rainbowmatch import verify
-        conjecture, params, calls = case
+        conjecture, params, families, keys = case
+        checker = _make_checker(ConjectureId(conjecture), params)
+        ground, kernel = checker.ground, kernel_cells(checker.ground, checker.k)
+        by_size = {}
+        for mask in exhaustive._ideal_dfs(ground):
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+        minimal = [sum(parts, ()) for parts in itertools.product(*(
+            itertools.combinations_with_replacement(by_size[size], m)
+            for size, m in sorted(Counter(checker.floors).items())))]
+        traces = {tuple(sorted(m & kernel for m in masks)) for masks in minimal}
+        assert (len(minimal), len(traces)) == (families, keys)
         made, search = [], verify.rainbow_positions
         monkeypatch.setattr(verify, "rainbow_positions",
-                            lambda ground, masks: made.append(1) or search(ground, masks))
+                            lambda ground, masks: made.append(masks) or search(ground, masks))
         assert check_conjecture(conjecture, params, mode="exhaustive").ok
-        assert len(made) == calls
+        assert sorted(made) == sorted(traces)
 
     # random matrix reports at budget 600, three shards: (n, k) and the
     # SHA-256 at seeds 1 and 977, as for BENCHMARK_REPORTS
