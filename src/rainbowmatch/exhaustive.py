@@ -6,11 +6,11 @@ guards that bound them.
 
 verify calls into this module through its attribute (_run_exhaustive, and
 _largest_shifted_below for a general threshold off f_r2's closed form) and
-forwards the walk and the thresholds by name. A threshold runs here without
-verify, and random checks never execute this module."""
+forwards the walk and the thresholds by name; _run_exhaustive hands its
+minimal families to verify's verdict loop (_failing). A threshold runs here
+without verify, and random checks never execute this module."""
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -18,11 +18,11 @@ from typing import Iterable, Iterator
 
 from .core import (GENERAL, MAX_INDEX_BITS, PARTITE, GroundSet, Hypergraph, capped_cells,
                    estimate_text)
-from .errors import InputError, TheoremViolationError
-# bound, not executed: instances runs only when a counterexample is listed,
-# oracles only when a threshold walk takes a matching number, verify only by
-# an exhaustive check, whose checker and listings it defines
-from . import instances, oracles, verify
+from .errors import InputError
+# bound, not executed: oracles runs only when a threshold walk takes a
+# matching number, verify only by an exhaustive check, whose checker and
+# verdict loop it defines
+from . import oracles, verify
 
 # Explicit scale guardrails: exhaustive claims refuse anything beyond these.
 # 36 cells admits r=2 n=6 and r=3 n=3, whose shifted edge sets are walked in
@@ -31,12 +31,15 @@ MAX_EXHAUSTIVE_CELLS = 36
 MAX_EXHAUSTIVE_INSTANCES = 2_000_000
 
 
-def _guard_cells(ground: GroundSet, limit: int) -> None:
+def _guard_cells(ground: GroundSet, limit: int, walk: str = "") -> None:
+    """Refuses a ground of more than limit cells, with an estimate; walk,
+    when given, names the walk refused."""
     cells = capped_cells(ground.kind, ground.r, ground.n)
     if cells > limit:
         exact = cells <= MAX_INDEX_BITS  # else cells is a lower bound
         text = estimate_text(cells)
-        raise InputError(f"exhaustive enumeration refused: universe has "
+        walk = walk and walk + "; its "
+        raise InputError(f"exhaustive enumeration refused: {walk}universe has "
                          f"{'' if exact else 'at least '}{text} cells (limit {limit}); "
                          f"{'up to' if exact else 'at least'} 2^{text} candidate edge sets")
 
@@ -111,10 +114,11 @@ def compute_threshold_exact(mode: str, n: int, r: int, k: int) -> int:
     return _largest_shifted_below(ground, k)
 
 
-def _largest_shifted_below(ground: GroundSet, k: int) -> int:
+def _largest_shifted_below(ground: GroundSet, k: int, walk: str = "") -> int:
     """Largest size of a shifted edge set over the ground with matching
-    number below k, by full enumeration."""
-    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
+    number below k, by full enumeration; walk names it in a refusal
+    (_guard_cells)."""
+    _guard_cells(ground, MAX_EXHAUSTIVE_CELLS, walk)
     best = 0
     for h in iter_shifted(ground):
         if len(h) > best and oracles.nu_exact(h) < k:
@@ -138,10 +142,12 @@ def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
     MAX_EXHAUSTIVE_INSTANCES the family guard admits; one outside the
     hypothesis is a fault and raises TheoremViolationError.
 
-    The hypothesis reads each minimal family's members in product order,
-    and a failure and a fault are listed with the full members. The
-    conclusion decides the family's key (_Checker) through a cache of its
-    verdicts that lives for the run, so each key is decided once.
+    The minimal families go in product order to verify's verdict loop
+    (_failing), which reads the hypothesis on their members, lists a
+    failure and a fault with the full members, and decides each key once
+    per run. Their members are shifted sets, so the loop reads each
+    member's trace (_Checker) from a lookup taken once per run, one trace
+    per shifted set walked.
     """
     ground = checker.ground
     _guard_cells(ground, MAX_EXHAUSTIVE_CELLS)
@@ -156,18 +162,14 @@ def _run_exhaustive(checker: verify._Checker) -> tuple[int, list[dict]]:
         raise InputError(
             f"exhaustive enumeration refused: about {count} minimal "
             f"families (limit {MAX_EXHAUSTIVE_INSTANCES})")
-    key, decide = checker.key(), functools.cache(checker.conclusion)
-    counters: list[dict] = []
-    for level in levels:
-        for parts in itertools.product(*(itertools.combinations_with_replacement(by_size[size], m)
-                                         for size, m in level.items())):
-            masks = sum(parts, ())
-            if not checker.hypothesis(masks):
-                raise TheoremViolationError("minimal family outside the hypothesis",
-                                            instance=verify._family(ground, masks))
-            if not decide(key(masks)):
-                counters.append(
-                    instances.Instance.from_family(verify._family(ground, masks)).to_dict())
+    trace = checker.trace()
+    traced = {mask: trace(mask) for masks in by_size for mask in masks}
+    families = (sum(parts, ()) for level in levels
+                for parts in itertools.product(*(
+                    itertools.combinations_with_replacement(by_size[size], m)
+                    for size, m in level.items())))
+    counters = verify._failing(checker, traced.__getitem__, families,
+                               "minimal family outside the hypothesis")
     return _count_families(checker.floors, checker.sums, map(len, by_size)), counters
 
 

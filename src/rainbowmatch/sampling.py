@@ -4,11 +4,10 @@ checker's hypothesis families, the seeded shards of SHARD_TRIALS trials
 and the empirical scan of the prefix-block procedure (scan_large_n).
 
 verify reaches this module through its attribute, and this module reads
-verify's _family, which builds a family to list or to raise with, the same
-way; exhaustive checks and thresholds never execute it."""
+verify's verdict loop (_failing), which each shard runs on its draws, and
+_family the same way; exhaustive checks and thresholds never execute it."""
 from __future__ import annotations
 
-import functools
 import itertools
 import marshal
 import math
@@ -19,9 +18,8 @@ from typing import Callable, Iterable, Iterator, NoReturn
 from .core import PARTITE, GroundSet, g_formula
 from .errors import InputError, TheoremViolationError
 from .index import SHIFT_MASK_BITS, _closer, _mask
-# bound, not executed: instances runs only when a counterexample is listed,
-# solvers only by scan_large_n
-from . import instances, solvers, verify
+# bound, not executed: solvers runs only by scan_large_n
+from . import solvers, verify
 
 SHARD_TRIALS = 256  # random-mode work unit; fixes report contents per seed
 
@@ -200,31 +198,17 @@ def _degree_capped_sampler(ground: GroundSet, d: int,
 # Shards and the fork pool
 
 def _run_shard(args: tuple) -> tuple[int, list[dict]]:
-    """One shard, args (checker, sample, key, seed, shard, count): count
+    """One shard, args (checker, sample, trace, seed, shard, count): count
     trials from a generator seeded by the run's seed and the shard's
-    number. Each family is drawn by sample, the checker's built sampler,
-    and checked against the hypothesis, and each one failing the
-    conclusion is listed in full.
-
-    The conclusion decides the family's key, built by the checker's key
-    builder (_Checker), through a cache of its verdicts, so each key is
-    decided once per shard. The cache lives in this call, so it holds at
+    number, each family drawn by sample, the checker's built sampler, and
+    handed with the built trace to verify's verdict loop (_failing), which
+    checks the hypothesis, lists each failing family in full and decides
+    each key once per shard: its cache lives in this call, so it holds at
     most count verdicts."""
-    checker, sample, key, seed, shard, count = args
+    checker, sample, trace, seed, shard, count = args
     getrandbits = random.Random(f"{seed}:{shard}").getrandbits
-    ground = checker.ground
-    decide = functools.cache(checker.conclusion)
-    counters: list[dict] = []
-    for _ in range(count):
-        masks = sample(getrandbits)
-        if not checker.hypothesis(masks):
-            raise TheoremViolationError(
-                "sampler produced a family outside the hypothesis",
-                instance=verify._family(ground, masks))
-        if not decide(key(masks)):
-            counters.append(
-                instances.Instance.from_family(verify._family(ground, masks)).to_dict())
-    return count, counters
+    return count, verify._failing(checker, trace, (sample(getrandbits) for _ in range(count)),
+                                  "sampler produced a family outside the hypothesis")
 
 
 def _pool_size(workers: int, shards: int) -> int:
@@ -315,7 +299,7 @@ def _run_random(checker: verify._Checker, budget: int, seed: int,
     folded in shard order by one loop at every pool size (_pooled), so the
     report does not depend on workers.
 
-    The run's sampler and key are built first, once: with them the
+    The run's sampler and trace are built first, once: with them the
     ground's index and closure plan, and a sampler that refuses its
     parameters refuses here. Before a pool of more than one forks, the
     run's first trial also runs once and its result is dropped: it executes
@@ -323,13 +307,13 @@ def _run_random(checker: verify._Checker, budget: int, seed: int,
     that fails fails there, with the error one worker raises. The children
     inherit all of it rather than each building its own."""
     sample = checker.sampler()
-    key = checker.key()
+    trace = checker.trace()
     count = -(-budget // SHARD_TRIALS)
-    shards = ((checker, sample, key, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
+    shards = ((checker, sample, trace, seed, s, min(SHARD_TRIALS, budget - s * SHARD_TRIALS))
               for s in range(count))
     size = _pool_size(workers, count)
     if size > 1:
-        _run_shard((checker, sample, key, seed, 0, 1))
+        _run_shard((checker, sample, trace, seed, 0, 1))
     checked = 0
     counters: list[dict] = []
     for trials, found in _pooled(size, shards):

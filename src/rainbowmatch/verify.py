@@ -1,6 +1,7 @@
 """The front of the verify checks: the conjecture checkers, each a
-hypothesis, a conclusion and a sampler builder at fixed parameters
-(_make_checker), the one entry that runs a checker in either mode
+hypothesis, a conclusion, a member trace and a sampler builder at fixed
+parameters (_make_checker), the verdict loop both drivers run on their
+families (_failing), the one entry that runs a checker in either mode
 (check_conjecture) and its report, and the degree-matrix check.
 
 The drivers are modules of their own, each executed only by the mode that
@@ -9,6 +10,7 @@ thresholds, sampling the samplers, the shards and the fork pool. The names
 that moved there are still read on this module (__getattr__)."""
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from typing import Callable, Iterable, Sequence
@@ -16,12 +18,13 @@ from typing import Callable, Iterable, Sequence
 from .core import (GENERAL, MAX_LISTED_VERTICES, PARTITE, ConjectureId, Family, GroundSet,
                    Hypergraph, _dominates, _guard_index, _hall_violation, _Record,
                    capped_cells, estimate_text, f_r2, g_formula)
-from .errors import InputError
+from .errors import InputError, TheoremViolationError
 from .index import SHIFT_MASK_BITS, rainbow_positions
 # bound, not executed: exhaustive runs only by an exhaustive walk or a
 # threshold off f_r2's closed form, sampling only in random mode, oracles only
-# past SHIFT_MASK_BITS cells; solvers names the matrix check's input
-from . import exhaustive, oracles, sampling, solvers
+# past SHIFT_MASK_BITS cells, instances only when a counterexample is listed;
+# solvers names the matrix check's input
+from . import exhaustive, instances, oracles, sampling, solvers
 
 class VerifyReport(_Record):
     """Outcome of a verification run; counterexamples carry full instances.
@@ -86,31 +89,36 @@ def _params_int(params: dict, key: str, default: int | None = None) -> int:
 
 
 def _exact_f(n: int, r: int, k: int) -> int:
-    """Exact general-kind threshold at desk scale (closed form for r=2)."""
+    """Exact general-kind threshold f(n, r, k) at desk scale: the closed
+    form for r=2 and n >= 2k, else the walk over shifted edge sets, which a
+    ground past MAX_EXHAUSTIVE_CELLS refuses in either verify mode."""
     if r == 2 and n >= 2 * k:
         return f_r2(n, k)
-    return exhaustive._largest_shifted_below(GroundSet(GENERAL, r, n), k)
+    return exhaustive._largest_shifted_below(
+        GroundSet(GENERAL, r, n), k,
+        f"the threshold f({n}, {r}, {k}) walks every shifted edge set in either mode")
 
 
 class _Checker(_Record):
     """A conjecture at fixed parameters: its hypothesis on a family given as
     its members' masks over ground.index, its conclusion on the family's
-    key, a builder of that key, a builder of its sampler of hypothesis
-    families, and what the exhaustive walk (floors, sums) may reduce to.
+    key, a builder of the member trace that key is made of, a builder of
+    its sampler of hypothesis families, and what the exhaustive walk
+    (floors, sums) may reduce to.
 
-    key builds, when a run starts, the map from a family's masks to the
-    order-free key its conclusion decides, and both drivers decide a family
-    as functools.cache(conclusion)(key(masks)): once per shard for each key
-    in random mode (sampling._run_shard), once per run in exhaustive mode
-    (exhaustive._run_exhaustive). So the verdict on a key must be the
-    verdict on every family with that key. A rainbow checker's key is the
-    sorted traces of its members on the k-kernel, k partite and kr general,
-    where its members are shifted and the kernel lemma makes the verdict on
-    the traces that of the members (_rainbow_checker); degree_condition's is
-    the sorted whole masks, and matrix's the sorted rows of its members'
-    degrees at w_1..w_k.
+    trace builds, when a run starts, the map from one member's mask to the
+    value the conclusion reads of it, and a family's key is always
+    tuple(sorted(map(trace, masks))), built in one place (_failing): once
+    per shard for each key in random mode (sampling._run_shard), once per
+    run in exhaustive mode (exhaustive._run_exhaustive), which traces each
+    shifted set once. So the verdict on a key must be the verdict on every
+    family with that key. A rainbow checker's trace is a member's trace on
+    the k-kernel, k partite and kr general, where its members are shifted
+    and the kernel lemma makes the verdict on the traces that of the
+    members (_rainbow_checker); degree_condition's is the whole mask, and
+    matrix's the member's degree row at w_1..w_k.
 
-    A run builds the key and the sampler when it starts, so making a
+    A run builds the trace and the sampler when it starts, so making a
     checker, which exhaustive mode also does and may then refuse its
     ground, builds no cell index."""
 
@@ -120,8 +128,8 @@ class _Checker(_Record):
     conclusion: Callable[[tuple], bool]
     # builds the sampler, which is called with a generator's getrandbits
     sampler: Callable[[], Callable[[Callable[[int], int]], tuple[int, ...]]]
-    # builds the key, which is called with a family's masks
-    key: Callable[[], Callable[[tuple[int, ...]], tuple]]
+    # builds the trace, which is called with one member's mask
+    trace: Callable[[], Callable[[int], object]]
     # the hypothesis as floors on the ascending member sizes, when the
     # conclusion also holds for every family of supersets: size j (from 0)
     # is at least floors[j], and sizes 0..j sum to at least sums[j].
@@ -130,15 +138,11 @@ class _Checker(_Record):
     sums: tuple[int, ...] = ()
 
 
-def _traces(ground: GroundSet, below: int) -> Callable[[], Callable[[tuple[int, ...]], tuple]]:
-    """The key builder of the sorted traces on the cells whose vertices all
-    lie below the given bound (CellIndex.below): the sorted whole masks
-    once below >= n."""
-    def key() -> Callable[[tuple[int, ...]], tuple]:
-        kernel = ground.index.below(below)
-        return lambda masks: tuple(sorted(map(kernel.__and__, masks)))
-
-    return key
+def _traces(ground: GroundSet, below: int) -> Callable[[], Callable[[int], int]]:
+    """The trace builder of a member's trace on the cells whose vertices
+    all lie below the given bound (CellIndex.below): the whole mask once
+    below >= n."""
+    return lambda: ground.index.below(below).__and__
 
 
 def _family(ground: GroundSet, masks: Iterable[int]) -> Family:
@@ -164,10 +168,10 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
     large to index (every mode needs it) and a top floor past the cell count
     are refused before any floor is listed, as k may be huge. A rainbow
     matching of a family is one of every family of supersets, so the
-    checker is monotone. Its key is the sorted traces of the members on the
-    k-kernel, the cells of [k]^r on a partite ground, the r-sets of the
-    first kr vertices on a general one; its conclusion is the rainbow
-    search on them, which member order does not change. Both
+    checker is monotone. Its trace is a member's trace on the k-kernel,
+    the cells of [k]^r on a partite ground, the r-sets of the first kr
+    vertices on a general one; its conclusion is the rainbow search on
+    the members' traces, which member order does not change. Both
     drivers give it shifted members, closed by the sampler or walked as
     ideals, and for those it is the members' own verdict.
 
@@ -190,7 +194,7 @@ def _rainbow_checker(ground: GroundSet, k: int, floor: Callable[[int], int]) -> 
         ground, k,
         hypothesis=lambda masks: _dominates(map(int.bit_count, masks), floors),
         conclusion=_rainbow_concl(ground), sampler=sampler,
-        key=_traces(ground, k if ground.kind == PARTITE else k * ground.r),
+        trace=_traces(ground, k if ground.kind == PARTITE else k * ground.r),
         floors=tuple(floors), sums=(0,) * k)
 
 
@@ -248,19 +252,16 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
 
     if conjecture is ConjectureId.MATRIX:
         ground = GroundSet(PARTITE, 2, n)
-        if k > 10:
-            raise InputError(f"permutation search is limited to k <= 10, got k={k}")
-        if k > n:
-            raise InputError(f"matrix permutations need k <= n, got k={k}, n={n}")
+        _guard_permutations(k, n)
         _guard_index(ground)  # every mode needs it; refused before k sizes are drawn
 
         def hyp(masks: tuple[int, ...]) -> bool:
             return not _hall_violation(map(int.bit_count, masks), n)
 
-        def key() -> Callable[[tuple[int, ...]], tuple]:
+        def trace() -> Callable[[int], tuple[int, ...]]:
             # row(m): a member's degree row, at w_1..w_n, read from its mask
             row = ground.index.degrees(1)
-            return lambda masks: tuple(sorted([tuple(itertools.islice(row(m), k)) for m in masks]))
+            return lambda m: tuple(itertools.islice(row(m), k))
 
         def concl(rows: tuple[tuple[int, ...], ...]) -> bool:
             return _first_permutation(rows, _strong_form) is not None
@@ -279,10 +280,32 @@ def _make_checker(conjecture: ConjectureId, params: dict) -> _Checker:
 
         # Hall's condition on the ascending prefixes: the j smallest sizes
         # sum to more than n*j*(j-1)
-        return _Checker(ground, k, hyp, concl, sampler, key, floors=(0,) * k,
+        return _Checker(ground, k, hyp, concl, sampler, trace, floors=(0,) * k,
                         sums=tuple(n * j * (j - 1) + 1 for j in range(1, k + 1)))
 
     raise InputError(f"unknown conjecture: {conjecture!r}")
+
+
+def _failing(checker: _Checker, trace: Callable[[int], object],
+             families: Iterable[tuple[int, ...]], fault: str) -> list[dict]:
+    """The families, each its members' masks, that fail the conclusion, in
+    order and listed in full: the verdict loop of both drivers, given the
+    run's built trace (or a lookup of it) and the driver's families.
+
+    Each family is checked against the hypothesis first, and one outside it
+    raises TheoremViolationError with the driver's fault message. The
+    conclusion decides the family's key, tuple(sorted(map(trace, masks))),
+    through a cache of its verdicts that lives for this call, so each key is
+    decided once per call: once per shard, once per exhaustive run."""
+    ground, hypothesis = checker.ground, checker.hypothesis
+    decide = functools.cache(checker.conclusion)
+    counters: list[dict] = []
+    for masks in families:
+        if not hypothesis(masks):
+            raise TheoremViolationError(fault, instance=_family(ground, masks))
+        if not decide(tuple(sorted(map(trace, masks)))):
+            counters.append(instances.Instance.from_family(_family(ground, masks)).to_dict())
+    return counters
 
 
 def check_conjecture(conjecture: ConjectureId | str, params: dict,
@@ -334,14 +357,20 @@ def check_matrix_conjecture(dm: solvers.DegreeMatrix) -> MatrixCheck:
     row-sum hypothesis holds. Rows are expected non-increasing, as degree
     matrices of shifted families are."""
     k = dm.k
-    if k > 10:
-        raise InputError(f"permutation search is limited to k <= 10, got k={k}")
-    if k > dm.n:
-        raise InputError(f"needs k <= n, got k={k}, n={dm.n}")
+    _guard_permutations(k, dm.n)
     return MatrixCheck(not _hall_violation(dm.row_sums(), dm.n),
                        _first_permutation(dm.entries, _strong_form),
                        _first_permutation(dm.entries,
                                           lambda sel: _dominates(sel, range(1, k + 1))))
+
+
+def _guard_permutations(k: int, n: int) -> None:
+    """Refuses a permutation search through more than 10 columns (10! is
+    3,628,800 orders) or through more columns than the matrix has."""
+    if k > 10:
+        raise InputError(f"permutation search is limited to k <= 10, got k={k}")
+    if k > n:
+        raise InputError(f"matrix permutations need k <= n, got k={k}, n={n}")
 
 
 def _strong_form(selected: list[int]) -> bool:

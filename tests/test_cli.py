@@ -609,6 +609,21 @@ class TestOtherCommands:
                        "has more than 90000 edges\n")
 
     @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+    def test_verify_general_threshold_walk_refusal_names_the_threshold(self, capsys,
+                                                                       monkeypatch, mode):
+        # f(10, 2, 6) has no closed form (n < 2k), and its walk over 45 cells
+        # is refused in either mode before anything is drawn
+        from rainbowmatch import sampling
+        monkeypatch.setattr(sampling, "_below", lambda *args: pytest.fail("drawn"))
+        monkeypatch.setattr(sampling, "_mask_sampler", lambda *args: pytest.fail("drawn"))
+        code, out, err = run_cli(capsys, "verify", "--conjecture", "rainbow_general",
+                                 "--n", "10", "--r", "2", "--k", "6", "--mode", mode)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err == ("error: exhaustive enumeration refused: the threshold f(10, 2, 6) "
+                       "walks every shifted edge set in either mode; its universe has 45 "
+                       "cells (limit 36); up to 2^45 candidate edge sets\n")
+
+    @pytest.mark.parametrize("mode", ["random", "exhaustive"])
     @pytest.mark.parametrize("n", ["12", "30"])
     def test_verify_matrix_k_past_10_exits_3_with_one_message(self, capsys, n, mode):
         # refused before any draw or walk, whatever n and the mode

@@ -41,7 +41,7 @@ RECORDS = {
                   "weak_permutation": ((0, 1), None)},
     # builtins stand in for the callables: they pickle by name
     _Checker: {"ground": (B3, B4), "k": (2, 3), "hypothesis": (bool, callable),
-               "conclusion": (callable, bool), "sampler": (repr, ascii), "key": (iter, list),
+               "conclusion": (callable, bool), "sampler": (repr, ascii), "trace": (iter, list),
                "floors": ((4, 4), ()), "sums": ((0, 0), (1, 7))},
 }
 UNCOMPARED = {(VerifyReport, "elapsed")}
@@ -132,7 +132,7 @@ def test_defaults():
     assert report.elapsed == 0.0 and report.seed is None
     checker = _Checker(B3, 2, bool, bool, repr, iter)
     assert checker.floors == () and checker.sums == ()
-    with pytest.raises(TypeError):  # every checker names its key
+    with pytest.raises(TypeError):  # every checker names its trace
         _Checker(B3, 2, bool, bool, repr)
     with pytest.raises(TypeError):
         HallCheck()

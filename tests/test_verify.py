@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import time
 from collections import Counter
 from pathlib import Path
@@ -630,7 +631,7 @@ class TestForkedPool:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("a pool of one forked"),
                             raising=False)
         checker = _make_checker(ConjectureId.SIZE_CONDITION, {"n": 4, "r": 3, "k": 2})
-        shards = [(checker, checker.sampler(), checker.key(), 7, s, 50) for s in range(3)]
+        shards = [(checker, checker.sampler(), checker.trace(), 7, s, 50) for s in range(3)]
         assert list(sampling._pooled(1, iter(shards))) == list(map(sampling._run_shard, shards))
 
     def test_failed_fork_leaves_its_worker_to_the_caller(self, monkeypatch):
@@ -696,6 +697,17 @@ class TestMatrixConjecture:
             check_matrix_conjecture(DegreeMatrix(
                 tuple((1,) * 11 for _ in range(11)), 11))
 
+    @pytest.mark.parametrize("k,n,message", [
+        (11, 11, "permutation search is limited to k <= 10, got k=11"),
+        (3, 2, "matrix permutations need k <= n, got k=3, n=2")])
+    def test_one_k_guard_for_the_matrix_and_the_checker(self, k, n, message):
+        # a degree matrix and a verify run refuse the same k with one message
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            check_matrix_conjecture(DegreeMatrix(tuple((1,) * n for _ in range(k)), n))
+        for mode in ("random", "exhaustive"):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                check_conjecture("matrix", {"n": n, "k": k}, mode=mode, budget=1)
+
     @pytest.mark.parametrize("mode", ["random", "exhaustive"])
     @pytest.mark.parametrize("n", [12, 30])
     def test_k_past_10_is_refused_before_any_draw_or_walk(self, monkeypatch, n, mode):
@@ -741,12 +753,19 @@ def _case_id(case):
     return conjecture + "-" + "-".join(f"{k}{v}" for k, v in sorted(params.items()))
 
 
+def family_key(checker):
+    """The checker's family key, built as the verdict loop (_failing)
+    builds it: the sorted traces of the members."""
+    trace = checker.trace()
+    return lambda masks: tuple(sorted(map(trace, masks)))
+
+
 def family_view(checker):
     """The checker with its hypothesis and conclusion read from a Family, as
     reference_ordered calls them; the checker itself reads member masks,
     and its conclusion their key."""
     from rainbowmatch import verify
-    key = checker.key()
+    key = family_key(checker)
 
     def masks(family):
         return tuple(h.mask for h in family)
@@ -754,7 +773,7 @@ def family_view(checker):
     return verify._Checker(checker.ground, checker.k,
                            lambda family: checker.hypothesis(masks(family)),
                            lambda family: checker.conclusion(key(masks(family))),
-                           checker.sampler, checker.key, floors=checker.floors,
+                           checker.sampler, checker.trace, floors=checker.floors,
                            sums=checker.sums)
 
 
@@ -792,7 +811,7 @@ class TestMinimalFamilies:
     def test_planted_downward_closed_failure(self, conjecture, params, inside):
         # a family fails iff every member lies inside one shifted set, so a
         # family of subsets fails whenever a family of supersets does; the
-        # conclusion reads whole members, so its key is their sorted masks
+        # conclusion reads whole members, so its trace is the whole mask
         from rainbowmatch import verify
         base = verify._make_checker(ConjectureId(conjecture), params)
         fixed = Hypergraph(base.ground, inside)
@@ -800,7 +819,7 @@ class TestMinimalFamilies:
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
             conclusion=lambda masks: any(m & ~fixed.mask for m in masks),
-            sampler=base.sampler, key=verify._traces(base.ground, base.ground.n),
+            sampler=base.sampler, trace=verify._traces(base.ground, base.ground.n),
             floors=base.floors, sums=base.sums)
         checked, counters = exhaustive._run_exhaustive(checker)
         ordered_checked, ordered = reference_ordered.run_ordered(family_view(checker))
@@ -836,7 +855,7 @@ class TestMinimalFamilies:
         from rainbowmatch import TheoremViolationError, verify
         base = verify._make_checker(ConjectureId.SIZE_CONDITION, {"n": 3, "r": 2, "k": 2})
         checker = verify._Checker(base.ground, base.k, lambda masks: False,
-                                  base.conclusion, base.sampler, base.key,
+                                  base.conclusion, base.sampler, base.trace,
                                   floors=base.floors,
                                   sums=base.sums)
         with pytest.raises(TheoremViolationError, match="minimal family outside"):
@@ -1067,7 +1086,7 @@ class TestMatrixExhaustive:
     def test_the_conclusion_survives_a_shifted_superset(self, n, k, seed, data):
         k = min(k, n)
         checker = _make_checker(ConjectureId.MATRIX, {"n": n, "k": k})
-        key = checker.key()
+        key = family_key(checker)
 
         def conclusion(masks):
             return checker.conclusion(key(masks))
@@ -1371,7 +1390,7 @@ class TestExactKeys:
     @given(keyed_families())
     def test_a_key_is_unchanged_when_the_members_are_permuted(self, case):
         checker, masks, order = case
-        key = checker.key()
+        key = family_key(checker)
         assert key(tuple(masks[i] for i in order)) == key(masks)
 
     @given(keyed_families(["matrix"]))
@@ -1379,7 +1398,7 @@ class TestExactKeys:
         from rainbowmatch import verify
         checker, masks, _ = case
         rows = [Hypergraph._from_mask(checker.ground, m).degrees(1)[:checker.k] for m in masks]
-        assert checker.conclusion(checker.key()(masks)) == (
+        assert checker.conclusion(family_key(checker)(masks)) == (
             verify._first_permutation(rows, verify._strong_form) is not None)
 
 
@@ -1425,7 +1444,7 @@ class TestKernelVerdicts:
         # every cell, and the degree-matrix conclusion on rows
         conjecture, params = case
         checker = _make_checker(ConjectureId(conjecture), params)
-        key, sample = checker.key(), checker.sampler()
+        key, sample = family_key(checker), checker.sampler()
         expected = listed_key(conjecture, checker.ground, checker.k)
         getrandbits = random.Random(1).getrandbits
         for _ in range(50):
@@ -1489,7 +1508,7 @@ class TestKernelVerdicts:
 
         checker = verify._Checker(base.ground, base.k,
                                   lambda masks: families.append(masks) or base.hypothesis(masks),
-                                  conclusion, base.sampler, base.key, base.floors, base.sums)
+                                  conclusion, base.sampler, base.trace, base.floors, base.sums)
         if mode == "random":
             sampling._run_random(checker, 2 * SHARD_TRIALS, 1, 1)
         else:
@@ -1529,14 +1548,14 @@ class TestKernelVerdicts:
         from rainbowmatch import verify
         conjecture, params = case
         base = _make_checker(ConjectureId(conjecture), params)
-        key, calls = base.key(), []
+        key, calls = family_key(base), []
         checker = verify._Checker(
             base.ground, base.k, base.hypothesis,
-            lambda key: calls.append(key) or base.conclusion(key), base.sampler, base.key)
+            lambda key: calls.append(key) or base.conclusion(key), base.sampler, base.trace)
         for shard in range(2):
             calls.clear()
             count, listed = sampling._run_shard(
-                (checker, checker.sampler(), key, 1, shard, SHARD_TRIALS))
+                (checker, checker.sampler(), checker.trace(), 1, shard, SHARD_TRIALS))
             sample, getrandbits = base.sampler(), random.Random(f"1:{shard}").getrandbits
             drawn = [sample(getrandbits) for _ in range(SHARD_TRIALS)]
             assert count == SHARD_TRIALS
@@ -1574,6 +1593,30 @@ class TestKernelVerdicts:
                             lambda ground, masks: made.append(masks) or search(ground, masks))
         assert check_conjecture(conjecture, params, mode="exhaustive").ok
         assert sorted(made) == sorted(traces)
+
+    @pytest.mark.parametrize("case", [
+        ("matrix", {"n": 4, "k": 3}, 159_712),
+        ("size_condition", {"n": 4, "r": 2, "k": 3}, 29_791)], ids=lambda c: _case_id(c[:2]))
+    def test_exhaustive_mode_traces_each_shifted_set_once(self, monkeypatch, case):
+        # the walk's members are shifted sets, so their traces are taken
+        # once per run, not once per minimal family that holds them
+        from rainbowmatch import verify
+        conjecture, params, checked = case
+        base = _make_checker(ConjectureId(conjecture), params)
+        walked, traced = set(exhaustive._ideal_dfs(base.ground)), []
+
+        def trace():
+            built = base.trace()
+            return lambda mask: traced.append(mask) or built(mask)
+
+        checker = verify._Checker(base.ground, base.k, base.hypothesis, base.conclusion,
+                                  base.sampler, trace, base.floors, base.sums)
+        report = check_conjecture(conjecture, params, mode="exhaustive")
+        monkeypatch.setattr(verify, "_make_checker", lambda conjecture, params: checker)
+        assert check_conjecture(conjecture, params, mode="exhaustive") == report
+        assert (report.instances_checked, report.counterexamples) == (checked, ())
+        assert traced and len(traced) <= len(walked)
+        assert len(set(traced)) == len(traced) and set(traced) <= walked
 
     # random matrix reports at budget 600, three shards: (n, k) and the
     # SHA-256 at seeds 1 and 977, as for BENCHMARK_REPORTS
