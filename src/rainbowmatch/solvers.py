@@ -391,9 +391,13 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
 
     Shifts, marks matrix cell (i, j) when member i has degree > k-j at w_j,
     finds a permutation through the marked cells by bipartite matching, and
-    matches w_k down to w_1 greedily. When the size hypothesis holds a missing
-    permutation is a guarantee violation; below the hypothesis it is reported
-    as an ordinary failure (None).
+    matches w_k down to w_1 greedily, each to its least free m. A shifted
+    member's edges through w_j are those of an initial segment m_1..m_d, so
+    both steps test single cells of [k]^2: the mark is the cell
+    (m_{k-j+1}, w_j), and the greedy step the cells (m_p, w_j) for the free
+    p in ascending order. No degree matrix is built. When the size
+    hypothesis holds a missing permutation is a guarantee violation; below
+    the hypothesis it is reported as an ordinary failure (None).
     """
     _require_kind(family, PARTITE, r=2)
     n, k = family.ground.n, family.k
@@ -402,9 +406,7 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
     order = family.by_size()
     sizes_ok = _dominates(family.sizes(), range(n, (k + 1) * n, n))
     shifted, log = shifting.shifted_closure(family)
-    dm = DegreeMatrix.from_family(shifted)
-    allowed = [[dm.entries[order[i]][j] > k - (j + 1) for j in range(k)]
-               for i in range(k)]
+    allowed = [[(k - 1 - j, j) in shifted[order[i]] for j in range(k)] for i in range(k)]
     pi = _perfect_assignment(allowed)
     if pi is None:
         if sizes_ok:
@@ -416,8 +418,8 @@ def simple_algorithm(family: Family) -> RainbowMatching | None:
     used_m: set[int] = set()
     for j in range(k - 1, -1, -1):
         member = order[pi[j]]
-        e = min((e for e in shifted[member].edges if e[1] == j and e[0] not in used_m),
-                default=None)
+        e = next(((m, j) for m in range(n) if m not in used_m and (m, j) in shifted[member]),
+                 None)
         if e is None:
             raise TheoremViolationError(
                 f"greedy completion stuck at w_{j + 1} despite the marked cell",
@@ -435,33 +437,44 @@ def large_n_procedure(family: Family) -> RainbowMatching | None:
     A, picks for the first k-1 members edges meeting A in exactly one fresh
     point x_i, finds a last-member edge avoiding all x_i, then pulls each
     earlier edge coordinatewise down into unused block vertices (membership is
-    implied by shiftedness and verified). Any impossible selection step
-    returns None, and that is not confined to small n: three copies of the
-    edges meeting m_1, w_1 or w_2 have 3n - 2 > 2n edges each and a rainbow
-    matching, but at every n the pull-down of the second block edge finds
-    its side's block vertices used, so no large n is known past which the
-    procedure succeeds.
+    implied by shiftedness and verified).
+
+    A shifted member holds every cell below one of its edges, so each step
+    tests single cells of the kernel [k]^r. Member i has an edge meeting A
+    in v alone, with every other coordinate >= k-1, iff it holds the corner
+    cell with v on that side and k-1 on the others. The last edge is the
+    least cell of [k]^r held and off every x_i, by the fewest coordinates in
+    A and then lexicographically: lowering each coordinate above k-1 to k-1
+    keeps an edge in the member and off the x_i, keeps its count in A and
+    makes it smaller. So the procedure decides a shifted family as it
+    decides its members' largest lifts {c : min(c, k-1) in F_i}.
+
+    Any impossible selection step returns None, and that is not confined to
+    small n: three copies of the edges meeting m_1, w_1 or w_2 have
+    3n - 2 > 2n edges each and a rainbow matching, but at every n the
+    pull-down of the second block edge finds its side's block vertices used,
+    so no large n is known past which the procedure succeeds. Of the ordered
+    k-tuples of kernel ideals whose lifts exceed g(n, r, k), it fails on 48
+    of 64 at r=2 k=3 for n = 3..8, on 56 of 64 at r=3 k=2 for n = 2..5, and
+    at r=2 k=4 on 2,058 of 2,401 at n=4 and 3,584 of 4,096 at n=5.
     """
     _require_kind(family, PARTITE)
     g = family.ground
     n, r, k = g.n, g.r, family.k
     _require_sizes_above(family, g_formula(n, r, k))
     shifted, log = shifting.shifted_closure(family)
-    if k == 1:
-        return shifting.pullback_rainbow(log, family, RainbowMatching((shifted[0].edges[0],)),
-                                        shifted=shifted)
     a = k - 1
     xs: list[tuple[int, int]] = []
     for i in range(k - 1):
         found = next(((side, v) for side in range(r) for v in range(a)
                       if (side, v) not in xs
-                      and any(e[side] == v and all(e[s] >= a for s in range(r) if s != side)
-                              for e in shifted[i].edges)), None)
+                      and tuple(v if s == side else a for s in range(r)) in shifted[i]), None)
         if found is None:
             return None
         xs.append(found)
     # the k-1 block edges must tile the block, so prefer a last edge outside it
-    ek = min((e for e in shifted[k - 1].edges if all(e[side] != v for side, v in xs)),
+    ek = min((e for e in itertools.product(range(k), repeat=r)
+              if all(e[side] != v for side, v in xs) and e in shifted[k - 1]),
              key=lambda e: (sum(1 for v in e if v < a), e), default=None)
     if ek is None:
         return None

@@ -1,10 +1,13 @@
+import hashlib
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (GENERAL, PARTITE, DegreeMatrix, Family, GroundSet,
-                          Hypergraph, InputError, PreconditionError,
+                          Hypergraph, InputError, PreconditionError, RainbowError,
                           check_hall_condition, f_r2, g_formula, greedy_bipartite,
                           hall_size_algorithm, large_n_procedure, meshulam_r2,
                           pullback_rainbow, r3_solve, rainbow_exact,
@@ -299,6 +302,122 @@ class TestLargeNProcedure:
     def test_scan_r3_smoke(self):
         results = scan_large_n(3, 2, [3, 4], trials=10, seed=11)
         assert all(0 <= s <= t for s, t in results.values())
+
+
+def largest_lift(h, ground, k):
+    """S(h ∩ K) on the ground: every cell whose coordinates, each lowered to
+    at most k-1, form a cell of h. h may lie on the kernel ground [k]^r."""
+    return Hypergraph(ground, [c for c in ground.cells()
+                               if tuple(min(v, k - 1) for v in c) in h])
+
+
+def outcome_text(solver, family):
+    """The matching's choices, None, or the refusal's type and message."""
+    try:
+        matching = solver(family)
+    except RainbowError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "None" if matching is None else repr(matching.choices)
+
+
+def draw_family(rng, ground, lows, highs):
+    """Member i of a size drawn from [lows[i], highs[i]], clipped to the ground."""
+    top = ground.cell_count
+    return Family([random_hypergraph(rng, ground,
+                                     rng.randint(min(max(0, low), top), min(top, high)))
+                   for low, high in zip(lows, highs)])
+
+
+def large_n_draws(count):
+    """Partite r = 1..3, k = 1..5 (1..3 at r=3), each member of size at
+    least g(n, r, k), so that some are refused."""
+    rng = seeded("large-n outcomes")
+    for _ in range(count):
+        r = rng.randint(1, 3)
+        k = rng.randint(1, 5 if r < 3 else 3)
+        n = rng.randint(1, (8, 7, 4)[r - 1])
+        yield draw_family(rng, GroundSet(PARTITE, r, n), [g_formula(n, r, k)] * k, [n ** r] * k)
+
+
+def simple_draws(count):
+    """Mostly partite r=2, k = 1..5, member i of size within n of (i+1)n;
+    one draw in ten on a ground the solver refuses."""
+    rng = seeded("simple outcomes")
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        n = rng.randint(1, 11 if k == 5 else 8)
+        kind, r = rng.choice([(PARTITE, 2)] * 18 + [(PARTITE, 3), (GENERAL, 2)])
+        yield draw_family(rng, GroundSet(kind, r, max(n, r) if kind == GENERAL else n),
+                          [i * n for i in range(k)], [(i + 2) * n for i in range(k)])
+
+
+class TestKernelReads:
+    """Both kernel solvers read a shifted member only through its cells in
+    [k]^r, so each decides a closed family as it decides the family of its
+    members' largest lifts S(F_i ∩ K)."""
+
+    @pytest.mark.parametrize("solver, draws, digest, kinds", [
+        (large_n_procedure, large_n_draws,
+         "55eee9e5513754e64b2a28695da6926b3fdd7f1a6767f178400628d0a4c5392c",
+         {"matching": 1337, "None": 239, "PreconditionError": 1424}),
+        (simple_algorithm, simple_draws,
+         "f0caa9a77d2e8583da479b7fc2ee1da984e77eba1367c2558a38231f10013872",
+         {"matching": 1211, "None": 328, "PreconditionError": 1164, "InputError": 297}),
+    ], ids=["large-n", "simple"])
+    def test_outcomes_are_pinned(self, solver, draws, digest, kinds):
+        # every matching, None and refusal message of the seeded draws, as the
+        # solvers gave them when they still scanned the members' edges
+        outcomes = [outcome_text(solver, fam) for fam in draws(3000)]
+        assert Counter("matching" if text.startswith("((") else text.split(":")[0]
+                       for text in outcomes) == kinds
+        assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == digest
+
+    def test_large_n_decides_on_the_kernel(self):
+        failures = 0
+        for r, k, n in ((2, 3, 4), (2, 3, 6), (2, 3, 9), (2, 4, 6),
+                        (3, 2, 3), (3, 2, 5), (3, 3, 4)):
+            rng = seeded(f"kernel:{r}:{k}:{n}")
+            ground = GroundSet(PARTITE, r, n)
+            for _ in range(150):
+                closed, _ = shifted_closure(
+                    random_family(rng, ground, k, low=g_formula(n, r, k) + 1))
+                lifted = Family([largest_lift(h, ground, k) for h in closed])
+                failed = large_n_procedure(closed) is None
+                assert (large_n_procedure(lifted) is None) == failed, (r, k, n)
+                failures += failed
+        assert failures > 0  # not vacuous
+
+    def test_simple_decides_on_the_kernel(self):
+        failures = 0
+        for k, n in ((2, 2), (2, 5), (3, 4), (3, 7), (4, 7)):
+            assert n > math.comb(k, 2)
+            rng = seeded(f"kernel:{k}:{n}")
+            ground = GroundSet(PARTITE, 2, n)
+            for _ in range(120):
+                closed, _ = shifted_closure(random_family(rng, ground, k))
+                lifted = Family([largest_lift(h, ground, k) for h in closed])
+                failed = simple_algorithm(closed) is None
+                assert (simple_algorithm(lifted) is None) == failed, (k, n)
+                failures += failed
+        assert failures > 0  # not vacuous
+
+    @pytest.mark.parametrize("r, k, counts", [
+        (2, 3, {n: (48, 64) for n in range(3, 9)}),
+        (3, 2, {n: (56, 64) for n in range(2, 6)}),
+        (2, 4, {4: (2058, 2401), 5: (3584, 4096)}),
+    ])
+    def test_exact_failure_sets(self, r, k, counts):
+        # by the lifting lemma the procedure fails on some admissible family
+        # at n iff it fails on the lifts of an ordered k-tuple of kernel
+        # ideals, each lift above g(n, r, k)
+        ideals = list(iter_shifted(GroundSet(PARTITE, r, k)))
+        for n, expected in counts.items():
+            ground = GroundSet(PARTITE, r, n)
+            lifts = [largest_lift(p, ground, k) for p in ideals]
+            admissible = [h for h in lifts if len(h) > g_formula(n, r, k)]
+            tuples = list(itertools.product(admissible, repeat=k))
+            failing = sum(large_n_procedure(Family(t)) is None for t in tuples)
+            assert (failing, len(tuples)) == expected, n
 
 
 class TestDegreeMatrix:
